@@ -14,7 +14,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -57,7 +57,7 @@ class RunConfig:
     k_max: int | None = None
     reps: int = 100
     export_data: str | None = None
-    extra: dict = field(default_factory=dict)
+    quantile: str = "two-moment"
 
 
 def ingest_csv(path: str) -> Dataset:
@@ -301,10 +301,9 @@ def _run_test(cfg: RunConfig, emitter: _Emitter) -> None:
     d = ingest_csv(cfg.input_path)
     s = _auto_slice(d, cfg.h_count)
     alpha = cfg.alpha if cfg.alpha is not None else 0.05
-    quantile = cfg.extra.get("quantile", "two-moment")
     res = trace_test(
         cfg.method, d, s, cfg.working_set, cfg.candidate, alpha,
-        quantile=quantile, seed=cfg.seed,
+        quantile=cfg.quantile, seed=cfg.seed,
     )
     w = res.weights
     result = {
@@ -507,7 +506,7 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
         cfg.working_set = ws
         cfg.candidate = args.candidate
         if args.mc_quantile:
-            cfg.extra["quantile"] = "monte-carlo"
+            cfg.quantile = "monte-carlo"
     if args.command == "bench":
         cfg.algorithm = args.algorithm
         cfg.reps = args.reps
@@ -527,7 +526,8 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 def main(argv: list[str] | None = None) -> int:
     try:
         cfg = parse_config(argv)
-    except TracePursuitError as err:  # bad design parameters
+    except ValueError as err:  # bad design parameters or working-set indices
+        err = _InvalidArgument(str(err))
         print(f"error[{err.category}]: {err}\nhint: {err.hint}", file=sys.stderr)
         return 1
     return run(cfg)

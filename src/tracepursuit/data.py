@@ -7,13 +7,22 @@ moments are accumulated per column pair with 1-D dot products, never with
 blocked matrix products, so the moments of a working set are bit-identical
 to the corresponding sub-blocks computed for any superset.
 
+``MomentStats`` also owns the working-set algebra: the terms that depend
+on F alone, and so are shared by all candidates of a scan, are built on one
+``eigh(sigma_f)`` that runs at most once per instance, and are cached there.
+These are ``solve`` (Sigma_F^{-1} b), ``inverse`` (Sigma_F^{-1}),
+``inverse_sqrt`` (Sigma_F^{-1/2}), ``whitened_means`` (u Sigma_F^{-1/2})
+and ``kappa``, the SIR kernel trace on F.  The kernels module keeps only
+the work that depends on the candidate.
+
 Everything here is a pure function of its inputs; the returned objects are
-treated as immutable and are safe to share across threads.
+treated as immutable apart from those caches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,8 +30,14 @@ import numpy as np
 from .errors import (
     DegenerateSlicingError,
     IllPosedMomentsError,
+    SingularDesignError,
     WorkingSetIndexError,
 )
+
+# Relative eigenvalue floor for the working-set covariance; below this the
+# design is reported singular rather than regularized, which would break the
+# exact trace-gain identities.
+EIGENVALUE_FLOOR = 1e-12
 
 # Working sets are tuples of 1-based predictor indices, strictly increasing.
 IndexSet = tuple[int, ...]
@@ -170,42 +185,85 @@ class MomentStats:
     centered columns.  ``xc`` holds the centered column block itself (n x |F|)
     so downstream residual computations do not re-center.
 
-    Instances are immutable after construction apart from internal caches.
+    Instances are immutable after construction apart from cached properties.
+    The operations built on ``sigma_f`` raise ``SingularDesignError`` when its
+    smallest eigenvalue falls below ``EIGENVALUE_FLOOR`` times the largest
+    (condition number above 1e12).
     """
 
     f: IndexSet
     sigma_f: np.ndarray
     u: np.ndarray  # (H, |F|) slice means
-    grand_mean: np.ndarray  # length p
     xc: np.ndarray  # (n, |F|) centered working-set columns
     n: int
     h_count: int
     proportions: np.ndarray
     slice_rows: tuple[np.ndarray, ...]
     zero_variance: IndexSet = ()
-    _v: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _sigma_cache: object = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
         return len(self.f)
 
-    @property
+    @cached_property
     def v(self) -> np.ndarray:
         """Slice second moments (H, |F|, |F|), computed lazily per column pair."""
-        if self._v is None:
-            k = self.size
-            v = np.empty((self.h_count, k, k))
-            for h, rows in enumerate(self.slice_rows):
-                block = [np.ascontiguousarray(self.xc[rows, a]) for a in range(k)]
-                cnt = rows.size
-                for a in range(k):
-                    for b in range(a + 1):
-                        val = float(np.dot(block[a], block[b])) / cnt
-                        v[h, a, b] = val
-                        v[h, b, a] = val
-            self._v = v
-        return self._v
+        k = self.size
+        v = np.empty((self.h_count, k, k))
+        for h, rows in enumerate(self.slice_rows):
+            block = [np.ascontiguousarray(self.xc[rows, a]) for a in range(k)]
+            cnt = rows.size
+            for a in range(k):
+                for b in range(a + 1):
+                    val = float(np.dot(block[a], block[b])) / cnt
+                    v[h, a, b] = val
+                    v[h, b, a] = val
+        return v
+
+    @cached_property
+    def _eigh(self) -> tuple[np.ndarray, np.ndarray, bool]:
+        evals, evecs = np.linalg.eigh(self.sigma_f)
+        singular = evals.size > 0 and (
+            evals[-1] <= 0.0 or evals[0] < EIGENVALUE_FLOOR * evals[-1]
+        )
+        return evals, evecs, singular
+
+    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
+        """``eigh(sigma_f)`` after the singularity check (empty when F is)."""
+        evals, evecs, singular = self._eigh
+        if singular:
+            raise SingularDesignError(
+                f"working-set covariance is numerically singular "
+                f"(eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])"
+            )
+        return evals, evecs
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Sigma_F^{-1} b."""
+        evals, evecs = self._spectrum()
+        return evecs @ ((evecs.T @ b) / evals)
+
+    @cached_property
+    def inverse(self) -> np.ndarray:
+        evals, evecs = self._spectrum()
+        return evecs @ (evecs / evals).T
+
+    @cached_property
+    def inverse_sqrt(self) -> np.ndarray:
+        evals, evecs = self._spectrum()
+        return evecs @ (evecs / np.sqrt(evals)).T
+
+    @cached_property
+    def whitened_means(self) -> np.ndarray:
+        """Slice means in whitened coordinates, (H, |F|)."""
+        return self.u @ self.inverse_sqrt
+
+    @cached_property
+    def kappa(self) -> float:
+        """SIR kernel trace on F, sum_h p_h u_h' Sigma_F^{-1} u_h (0 when empty)."""
+        return float(
+            self.proportions @ np.einsum("ha,ab,hb->h", self.u, self.inverse, self.u)
+        )
 
 
 def validate_working_set(f: Iterable[int], p: int) -> IndexSet:
@@ -233,7 +291,6 @@ def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentS
             f"working set of size {k} with only n={d.n} samples"
         )
 
-    mean = d.column_means()
     cols = [d.centered_column(j - 1) for j in fs]
     xc = np.column_stack(cols) if k else np.empty((d.n, 0))
 
@@ -256,7 +313,6 @@ def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentS
         f=fs,
         sigma_f=sigma,
         u=u,
-        grand_mean=mean,
         xc=xc,
         n=d.n,
         h_count=s.h_count,

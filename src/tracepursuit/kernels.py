@@ -9,6 +9,11 @@ O(|F|^2 H) per candidate instead of rebuilding both kernels.
 The two routes agree to floating point because every sample moment is an
 n-divisor empirical average over the same observations and the candidate
 residual is exactly orthogonal to the working set in sample.
+
+The terms that depend on the working set alone (Sigma_F^{-1},
+Sigma_F^{-1/2}, the whitened slice means and kappa) live on ``MomentStats``
+and are computed once per working set; ``residualize`` and
+``auxiliary_stats`` do only the per-candidate work on top of them.
 """
 
 from __future__ import annotations
@@ -19,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, IndexSet, MomentStats, SliceAssignment
-from .errors import CollinearCandidateError, SingularDesignError, WorkingSetIndexError
-
-# Relative eigenvalue floor for the working-set covariance; below this the
-# design is reported singular rather than regularized, which would break the
-# exact trace-gain identities.
-EIGENVALUE_FLOOR = 1e-12
+from .errors import CollinearCandidateError, WorkingSetIndexError
 
 # Residual variance below this fraction of the candidate's own variance is
 # treated as exact collinearity.
@@ -37,53 +37,6 @@ class Method(enum.Enum):
     SIR = "sir"
     SAVE = "save"
     DR = "dr"
-
-
-class SigmaOps:
-    """Eigendecomposition-backed operations on a working-set covariance.
-
-    Raises ``SingularDesignError`` when the smallest eigenvalue falls below
-    ``EIGENVALUE_FLOOR`` times the largest (condition number above 1e12).
-    """
-
-    def __init__(self, sigma: np.ndarray):
-        k = sigma.shape[0]
-        self.size = k
-        if k == 0:
-            self.evals = np.empty(0)
-            self.evecs = np.empty((0, 0))
-            return
-        evals, evecs = np.linalg.eigh(sigma)
-        lam_max = evals[-1]
-        if lam_max <= 0.0 or evals[0] < EIGENVALUE_FLOOR * lam_max:
-            raise SingularDesignError(
-                f"working-set covariance is numerically singular "
-                f"(eigenvalue range [{evals[0]:.3e}, {lam_max:.3e}])"
-            )
-        self.evals = evals
-        self.evecs = evecs
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        if self.size == 0:
-            return np.zeros_like(b)
-        return self.evecs @ ((self.evecs.T @ b) / self.evals)
-
-    @property
-    def inverse(self) -> np.ndarray:
-        return self.evecs @ (self.evecs / self.evals).T
-
-    @property
-    def inverse_sqrt(self) -> np.ndarray:
-        return self.evecs @ (self.evecs / np.sqrt(self.evals)).T
-
-
-def sigma_ops(m: MomentStats) -> SigmaOps:
-    """Shared eigendecomposition of ``m.sigma_f`` (cached on the instance)."""
-    ops = m._sigma_cache
-    if ops is None:
-        ops = SigmaOps(m.sigma_f)
-        m._sigma_cache = ops
-    return ops
 
 
 @dataclass(frozen=True)
@@ -144,9 +97,8 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
         theta = np.empty(0)
         resid = xj
     else:
-        ops = sigma_ops(m)
         b = (m.xc.T @ xj) / d.n
-        theta = ops.solve(b)
+        theta = m.solve(b)
         resid = xj - m.xc @ theta
 
     mean_r = resid.mean()
@@ -180,43 +132,24 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
 
 def auxiliary_stats(m: MomentStats, r: ResidualStats) -> AuxiliaryStats:
     """Whitened slice cross-moments of the residual with the working set."""
-    h = m.h_count
-    k = m.size
     p_hat = m.proportions
     gamma = r.gamma_per_sample
 
-    varrho = float(p_hat @ r.gamma_by_slice**2)
-    if k == 0:
-        empty = np.empty((h, 0))
-        return AuxiliaryStats(
-            phi_by_slice=empty,
-            nu_by_slice=empty,
-            iota_by_slice=empty,
-            iota_sum=np.empty(0),
-            varrho=varrho,
-            kappa=0.0,
-            cross_by_slice=empty,
-        )
-
-    cross = np.empty((h, k))
+    cross = np.empty((m.h_count, m.size))
     for idx, rows in enumerate(m.slice_rows):
         cross[idx] = (m.xc[rows].T @ gamma[rows]) / rows.size
 
-    ops = sigma_ops(m)
-    isr = ops.inverse_sqrt
-    nu = cross @ isr
-    iota = (m.u @ isr) * r.gamma_by_slice[:, None]
+    nu = cross @ m.inverse_sqrt
+    iota = m.whitened_means * r.gamma_by_slice[:, None]
     phi = iota - nu
-    iota_sum = p_hat @ iota
-    kappa = float(p_hat @ np.einsum("ha,ab,hb->h", m.u, ops.inverse, m.u))
 
     return AuxiliaryStats(
         phi_by_slice=phi,
         nu_by_slice=nu,
         iota_by_slice=iota,
-        iota_sum=iota_sum,
-        varrho=varrho,
-        kappa=kappa,
+        iota_sum=p_hat @ iota,
+        varrho=float(p_hat @ r.gamma_by_slice**2),
+        kappa=m.kappa,
         cross_by_slice=cross,
     )
 
@@ -226,13 +159,12 @@ def trace_kernel(method: Method, m: MomentStats) -> float:
     k = m.size
     if k == 0:
         return 0.0
-    ops = sigma_ops(m)
-    inv = ops.inverse
     p_hat = m.proportions
 
     if method is Method.SIR:
-        return float(p_hat @ np.einsum("ha,ab,hb->h", m.u, inv, m.u))
+        return m.kappa
 
+    inv = m.inverse
     if method is Method.SAVE:
         total = 0.0
         for h in range(m.h_count):
@@ -244,13 +176,12 @@ def trace_kernel(method: Method, m: MomentStats) -> float:
     if method is Method.DR:
         w = np.einsum("h,ha,hb->ab", p_hat, m.u, m.u)
         cw = inv @ w
-        kappa = float(np.trace(cw))
         second = float(np.sum(cw * cw.T))
         first = 0.0
         for h in range(m.h_count):
             cv = inv @ m.v[h]
             first += p_hat[h] * float(np.sum(cv * cv.T))
-        return 2.0 * first + 2.0 * second + 2.0 * kappa**2 - 2.0 * k
+        return 2.0 * first + 2.0 * second + 2.0 * m.kappa**2 - 2.0 * k
 
     raise ValueError(f"unknown method {method!r}")
 

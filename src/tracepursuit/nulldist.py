@@ -30,7 +30,6 @@ from .kernels import (
     ResidualStats,
     auxiliary_stats,
     residualize,
-    sigma_ops,
     trace_diff,
 )
 
@@ -99,15 +98,10 @@ def influence_samples(
     for idx, rows in enumerate(s.rows):
         indic[rows, idx] = 1.0 / p_hat[idx]
 
-    if k > 0:
-        ops = sigma_ops(m)
-        # theta_star rows: delta of the regression coefficient at sample i,
-        # Sigma^{-1} X_i times the unstandardized residual.
-        theta_star = (m.xc @ ops.inverse) * (sigma * gamma)[:, None]
-        proj = (theta_star @ m.u.T) / sigma  # (n, H): theta*_i' u_h / sigma
-    else:
-        theta_star = np.empty((n, 0))
-        proj = np.zeros((n, h))
+    # theta_star rows: delta of the regression coefficient at sample i,
+    # Sigma^{-1} X_i times the unstandardized residual.
+    theta_star = (m.xc @ m.inverse) * (sigma * gamma)[:, None]
+    proj = (theta_star @ m.u.T) / sigma  # (n, H): theta*_i' u_h / sigma
 
     # gamma*_(i,h): slice-mean influence of the standardized residual.
     g_star = (gamma[:, None] - g_h[None, :]) * indic - gamma[:, None] - proj
@@ -126,25 +120,17 @@ def influence_samples(
         - gamma[:, None] ** 2
         + 1.0
     )
-    if k > 0:
-        z_star -= 2.0 * (theta_star @ cross.T) / sigma
+    z_star -= 2.0 * (theta_star @ cross.T) / sigma
 
-    if k > 0:
-        isr = sigma_ops(m).inverse_sqrt
-        iu = m.u @ isr  # (H, k) whitened slice means
-        nu_star = np.empty((h, n, k))
-        for idx in range(h):
-            a = (m.xc * gamma[:, None] - cross[idx][None, :]) * indic[:, idx][:, None]
-            a -= gamma[:, None] * m.u[idx][None, :]
-            a -= g_h[idx] * m.xc
-            a -= (theta_star @ m.v[idx]) / sigma
-            nu_star[idx] = a @ isr
-        iota_star = g_star.T[:, :, None] * iu[:, None, :]  # (H, n, k)
-        phi_star = iota_star - nu_star
-    else:
-        nu_star = np.empty((h, n, 0))
-        iota_star = np.empty((h, n, 0))
-        phi_star = np.empty((h, n, 0))
+    nu_star = np.empty((h, n, k))
+    for idx in range(h):
+        a = (m.xc * gamma[:, None] - cross[idx][None, :]) * indic[:, idx][:, None]
+        a -= gamma[:, None] * m.u[idx][None, :]
+        a -= g_h[idx] * m.xc
+        a -= (theta_star @ m.v[idx]) / sigma
+        nu_star[idx] = a @ m.inverse_sqrt
+    iota_star = g_star.T[:, :, None] * m.whitened_means[:, None, :]  # (H, n, k)
+    phi_star = iota_star - nu_star
 
     if method is Method.SAVE:
         blocks = [z_star * sqrt_p[None, :]]

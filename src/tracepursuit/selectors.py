@@ -72,7 +72,6 @@ class SolutionPath:
     method: Method
     steps: tuple[PathStep, ...]
     k_max: int  # realized path length
-    requested_k_max: int
     skipped: tuple[int, ...] = ()
 
     def prefix(self, k: int) -> IndexSet:
@@ -129,6 +128,21 @@ def bic_score(trace_value: float, set_size: int, n: int, p: int) -> float:
     return -math.log(trace_value) + set_size * (math.log(n) + 2.0 * math.log(p)) / n
 
 
+def _score_candidate(d, s, method, m, j, skipped):
+    """Trace gain of adding ``j`` to ``m.f``, with the parts behind it.
+
+    Returns (gain, (m, r, aux)), or None after appending ``(j, category)``
+    to ``skipped`` when the candidate fails with a domain error.
+    """
+    try:
+        r = residualize(d, s, m, j)
+        aux = None if method is Method.SIR else auxiliary_stats(m, r)
+        return trace_diff(method, m, r, aux), (m, r, aux)
+    except TracePursuitError as err:
+        skipped.append((j, err.category))
+        return None
+
+
 def _scan_candidates(
     d: Dataset,
     s: SliceAssignment,
@@ -148,15 +162,9 @@ def _scan_candidates(
     best_parts = None
     skipped = []
     for j in sorted(candidates):
-        try:
-            r = residualize(d, s, m, j)
-            aux = None if method is Method.SIR else auxiliary_stats(m, r)
-            gain = trace_diff(method, m, r, aux)
-        except TracePursuitError as err:
-            skipped.append((j, err.category))
-            continue
-        if gain > best_gain:
-            best_j, best_gain, best_parts = j, gain, (m, r, aux)
+        scored = _score_candidate(d, s, method, m, j, skipped)
+        if scored is not None and scored[0] > best_gain:
+            best_j, (best_gain, best_parts) = j, scored
     return best_j, best_gain, best_parts, skipped
 
 
@@ -206,7 +214,6 @@ def ftp_run(
         method=method,
         steps=tuple(steps),
         k_max=len(steps),
-        requested_k_max=k_max,
         skipped=tuple(sorted(set(skipped_all))),
     )
 
@@ -241,13 +248,22 @@ def stp_run(
     visited = {frozenset()}
     trail: list[TrailEntry] = []
     skipped_seen: set[int] = set()
-    stop_note = "converged"
 
     def record_skips(skips):
         for j, category in skips:
             if j not in skipped_seen:
                 skipped_seen.add(j)
                 trail.append(TrailEntry("skip", j, None, None, category))
+
+    def record_change(action, j, stat, thr) -> bool:
+        """Log a tested add or delete; True when the new set recurs."""
+        trail.append(TrailEntry(action, j, stat, thr))
+        state = frozenset(current)
+        if state in visited:
+            trail.append(TrailEntry("stop", None, None, None, "cycle detected"))
+            return True
+        visited.add(state)
+        return False
 
     for _ in range(cfg.max_iterations):
         changed = False
@@ -267,47 +283,33 @@ def stp_run(
                     )
                     if stat > thr:
                         current.add(best_j)
-                        trail.append(TrailEntry("add", best_j, stat, thr))
                         changed = True
-                        state = frozenset(current)
-                        if state in visited:
-                            stop_note = "cycle detected"
-                            trail.append(TrailEntry("stop", None, None, None, stop_note))
+                        if record_change("add", best_j, stat, thr):
                             return _finish(current, trail, method, uni)
-                        visited.add(state)
 
         # backward deletion
         if current:
             best_d = None
             best_loss = math.inf
             best_parts = None
+            skips = []
             for j in sorted(current):
-                reduced = tuple(sorted(current - {j}))
-                try:
-                    m = compute_moments(d, s, reduced)
-                    r = residualize(d, s, m, j)
-                    aux = None if method is Method.SIR else auxiliary_stats(m, r)
-                    loss = trace_diff(method, m, r, aux)
-                except TracePursuitError as err:
-                    record_skips([(j, err.category)])
-                    continue
-                if loss < best_loss:
-                    best_d, best_loss, best_parts = j, loss, (m, r, aux)
+                m = compute_moments(d, s, tuple(sorted(current - {j})))
+                scored = _score_candidate(d, s, method, m, j, skips)
+                if scored is not None and scored[0] < best_loss:
+                    best_d, (best_loss, best_parts) = j, scored
+            record_skips(skips)
             if best_d is not None:
                 m, r, aux = best_parts
                 stat, thr, _ = statistic_and_threshold(method, d, s, m, r, aux, alpha)
                 if stat < thr:
                     current.remove(best_d)
-                    trail.append(TrailEntry("delete", best_d, stat, thr))
                     changed = True
-                    state = frozenset(current)
-                    if state in visited:
-                        stop_note = "cycle detected"
-                        trail.append(TrailEntry("stop", None, None, None, stop_note))
+                    if record_change("delete", best_d, stat, thr):
                         return _finish(current, trail, method, uni)
-                    visited.add(state)
 
         if not changed:
+            stop_note = "converged"
             break
     else:
         stop_note = "iteration cap reached"

@@ -162,6 +162,13 @@ class TestCommands:
         record = json.loads(captured.out)
         assert record["error"]["category"] == "too-few-samples"
 
+    @pytest.mark.parametrize("flag", [["--p", "3"], ["--rho", "1"], ["--sigma", "0"]])
+    def test_bad_design_is_invalid_argument(self, flag, capsys):
+        rc = main(["bench", "--model", "1", *flag])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error[invalid-argument]" in err
+
     def test_bench_model_one_row_recovers_actives(self, capsys):
         rc = main(
             ["bench", "--model", "1", "--reps", "100", "--seed", "7",

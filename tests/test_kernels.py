@@ -7,6 +7,7 @@ from tracepursuit import (
     Dataset,
     auxiliary_stats,
     compute_moments,
+    influence_samples,
     residualize,
     slice_response,
     trace_diff,
@@ -119,6 +120,63 @@ class TestTraceKernel:
         t1 = trace_kernel(method, m1)
         t2 = trace_kernel(method, m2)
         assert t2 == pytest.approx(t1, rel=1e-8, abs=1e-8)
+
+
+@pytest.fixture
+def eigh_calls(monkeypatch):
+    """Counts ``np.linalg.eigh`` calls made while the test runs."""
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    return calls
+
+
+class TestWorkingSetAlgebra:
+    def test_inverse_sqrt_whitens(self, small_case):
+        _, _, m = small_case
+        white = m.inverse_sqrt @ m.sigma_f @ m.inverse_sqrt
+        assert np.allclose(white, np.eye(m.size), atol=1e-12)
+
+    def test_kappa_is_sir_trace(self, rng):
+        for _ in range(10):
+            d, s, f, j = random_case(rng)
+            m = compute_moments(d, s, tuple(sorted(f + (j,))))
+            assert m.kappa == trace_kernel(Method.SIR, m)
+            w = np.einsum("h,ha,hb->ab", m.proportions, m.u, m.u)
+            exact = float(np.trace(np.linalg.solve(m.sigma_f, w)))
+            assert m.kappa == pytest.approx(exact, rel=1e-12, abs=1e-12)
+
+    def test_terms_are_cached(self, small_case):
+        _, _, m = small_case
+        assert m.inverse is m.inverse
+        assert m.inverse_sqrt is m.inverse_sqrt
+        assert m.whitened_means is m.whitened_means
+
+    def test_empty_set_kappa_is_zero(self, small_case):
+        d, s, _ = small_case
+        assert compute_moments(d, s, ()).kappa == 0.0
+
+    def test_one_eigendecomposition_per_working_set(self, small_case, eigh_calls):
+        d, s, m = small_case
+        for j in (3, 4, 5):
+            r = residualize(d, s, m, j)
+            aux = auxiliary_stats(m, r)
+            for method in METHODS:
+                trace_diff(method, m, r, aux)
+                trace_kernel(method, m)
+                influence_samples(method, d, s, m, r, aux)
+        assert len(eigh_calls) == 1
+
+    def test_singular_set_decomposed_once(self, eigh_calls):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal(30)
+        x = np.column_stack([base, base, rng.standard_normal(30)])
+        d = Dataset.from_arrays(x, rng.standard_normal(30))
+        m = compute_moments(d, slice_response(d.y, 2), (1, 2))
+        for _ in range(3):
+            with pytest.raises(SingularDesignError):
+                m.inverse
+        assert len(eigh_calls) == 1
 
 
 def _synthetic_parts(p_hat, gamma_by_slice, zeta_by_slice, k=0, kappa=0.0):
