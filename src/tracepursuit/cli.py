@@ -21,6 +21,7 @@ import numpy as np
 
 from .data import Dataset, SliceAssignment, slice_response
 from .errors import (
+    FileAccessError,
     MissingResponseError,
     NonNumericCellError,
     TooFewSamplesError,
@@ -177,12 +178,23 @@ class _Emitter:
             file=sys.stderr,
         )
 
-    def flush(self):
-        text = "\n".join(self.lines) + ("\n" if self.lines else "")
+    def _text(self) -> str:
+        return "\n".join(self.lines) + ("\n" if self.lines else "")
+
+    def flush(self) -> bool:
+        """Write the records to ``--out``, or to stdout.  An unwritable
+        ``--out`` is reported as an error on stdout instead; returns False."""
         if self.cfg.output_path:
-            Path(self.cfg.output_path).write_text(text, encoding="utf-8")
-        else:
-            sys.stdout.write(text)
+            try:
+                Path(self.cfg.output_path).write_text(self._text(), encoding="utf-8")
+                return True
+            except OSError as err:
+                self.lines = []
+                self.emit_error(FileAccessError(f"cannot write --out: {err}"))
+                sys.stdout.write(self._text())
+                return False
+        sys.stdout.write(self._text())
+        return True
 
 
 def _config_echo(cfg: RunConfig) -> dict:
@@ -405,6 +417,13 @@ class _InvalidArgument(TracePursuitError):
     hint = "check the flag values (alpha in (0,1), k-max within its cap, ...)"
 
 
+def _fail(cfg: RunConfig, err: TracePursuitError) -> int:
+    emitter = _Emitter(cfg)
+    emitter.emit_error(err)
+    emitter.flush()
+    return 1
+
+
 def run(cfg: RunConfig) -> int:
     """Execute one parsed invocation; exit code 0 iff no error was emitted."""
     emitter = _Emitter(cfg)
@@ -412,14 +431,13 @@ def run(cfg: RunConfig) -> int:
     try:
         _COMMANDS[cfg.command](cfg, emitter)
     except TracePursuitError as err:
-        emitter.emit_error(err)
-        emitter.flush()
-        return 1
+        return _fail(cfg, err)
     except ValueError as err:
-        emitter.emit_error(_InvalidArgument(str(err)))
-        emitter.flush()
+        return _fail(cfg, _InvalidArgument(str(err)))
+    except OSError as err:  # unreadable input or unwritable --export-data
+        return _fail(cfg, FileAccessError(str(err)))
+    if not emitter.flush():
         return 1
-    emitter.flush()
     print(f"{cfg.command} completed in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
     return 0
 
@@ -484,8 +502,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(argv: list[str] | None = None) -> RunConfig:
-    args = build_parser().parse_args(argv)
+def parse_config(args: argparse.Namespace) -> RunConfig:
+    """Build the run configuration from parsed arguments.
+
+    Raises ``ValueError`` for values argparse accepts but the run cannot
+    (design parameters, working-set indices).
+    """
     cfg = RunConfig(
         command=args.command,
         method=Method(args.method),
@@ -524,12 +546,12 @@ def parse_config(argv: list[str] | None = None) -> RunConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
     try:
-        cfg = parse_config(argv)
-    except ValueError as err:  # bad design parameters or working-set indices
-        err = _InvalidArgument(str(err))
-        print(f"error[{err.category}]: {err}\nhint: {err.hint}", file=sys.stderr)
-        return 1
+        cfg = parse_config(args)
+    except ValueError as err:
+        cfg = RunConfig(command=args.command, output_path=args.out, format=args.format)
+        return _fail(cfg, _InvalidArgument(str(err)))
     return run(cfg)
 
 

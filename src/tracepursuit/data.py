@@ -43,6 +43,13 @@ EIGENVALUE_FLOOR = 1e-12
 IndexSet = tuple[int, ...]
 
 
+def is_singular_spectrum(evals: np.ndarray) -> bool:
+    """The ``EIGENVALUE_FLOOR`` verdict on ascending covariance eigenvalues."""
+    return evals.size > 0 and bool(
+        evals[-1] <= 0.0 or evals[0] < EIGENVALUE_FLOOR * evals[-1]
+    )
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
@@ -223,10 +230,7 @@ class MomentStats:
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray, bool]:
         evals, evecs = np.linalg.eigh(self.sigma_f)
-        singular = evals.size > 0 and (
-            evals[-1] <= 0.0 or evals[0] < EIGENVALUE_FLOOR * evals[-1]
-        )
-        return evals, evecs, singular
+        return evals, evecs, is_singular_spectrum(evals)
 
     def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
         """``eigh(sigma_f)`` after the singularity check (empty when F is)."""

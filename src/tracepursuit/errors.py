@@ -49,6 +49,11 @@ class DegenerateDistributionError(TracePursuitError):
     hint = "all weights are zero, so the null distribution is a point mass at 0"
 
 
+class FileAccessError(TracePursuitError):
+    category = "io-error"
+    hint = "check that the input file exists and that the --out directory exists and is writable"
+
+
 class IngestionError(TracePursuitError):
     category = "ingestion"
     hint = "check the CSV file layout"

@@ -3,8 +3,10 @@
 ``trace_kernel`` evaluates the trace of the working-set kernel matrix for
 each method.  ``trace_diff`` evaluates the closed-form expression for the
 gain trace(kernel on F + j) - trace(kernel on F) directly from residual
-summaries, which is the production path inside selection loops: it costs
-O(|F|^2 H) per candidate instead of rebuilding both kernels.
+summaries, at O(|F|^2 H) per candidate instead of rebuilding both kernels;
+it scores single candidates (trace tests, the STP backward pass).
+``ScanState`` evaluates the same gains for every candidate of a forward
+scan at once, from residuals it keeps up to date as the working set grows.
 
 The two routes agree to floating point because every sample moment is an
 n-divisor empirical average over the same observations and the candidate
@@ -23,8 +25,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, IndexSet, MomentStats, SliceAssignment
-from .errors import CollinearCandidateError, WorkingSetIndexError
+from .data import (
+    EIGENVALUE_FLOOR,
+    Dataset,
+    IndexSet,
+    MomentStats,
+    SliceAssignment,
+    is_singular_spectrum,
+)
+from .errors import CollinearCandidateError, SingularDesignError, WorkingSetIndexError
 
 # Residual variance below this fraction of the candidate's own variance is
 # treated as exact collinearity.
@@ -223,3 +232,168 @@ def trace_diff(
         )
 
     raise ValueError(f"unknown method {method!r}")
+
+
+class ScanState:
+    """Trace gains of every candidate column over a growing working set F.
+
+    The vectorized counterpart of ``residualize``, ``auxiliary_stats`` and
+    ``trace_diff`` for scans: the candidates are the ``columns`` (1-based,
+    ascending) outside F, and ``f`` lists the members in the order added.
+    It holds the residuals given F of the centered columns (n x m), an
+    orthonormal basis Q of the centered working set, the slice indicator
+    matrix and Sigma_F.  ``add`` grows F by one member: one modified
+    Gram-Schmidt vector q, one in-place rank-1 projection of every residual
+    column onto the complement of q, and one new row and column of Sigma_F,
+    so an addition costs O(n m) plus one Cholesky factorization of Sigma_F,
+    and nothing is rebuilt.  ``gains`` then
+    scores all candidates with a few BLAS calls: O(n m H) for SIR and
+    O(n m |F|) for SAVE and DR, which need the slice cross-moments Q_h' R_h.
+
+    Rows are kept slice by slice, so each slice is a contiguous block; the
+    gains are sums over samples within slices, which row order does not
+    change.  With Q the whitening is W = sqrt(n) R_Q^{-1} (X_F = Q R_Q),
+    which satisfies W W' = Sigma_F^{-1}; the gains depend on the whitening
+    only through such products, so no Sigma_F^{-1/2} is formed.
+    """
+
+    def __init__(self, d: Dataset, s: SliceAssignment, columns: IndexSet, f: IndexSet = ()):
+        self.n = d.n
+        self.columns = np.asarray(columns, dtype=np.int64)
+        self.f: list[int] = []
+        self._x = d.x
+        self._means = d.column_means()
+        self._rows = np.concatenate(s.rows)
+        self._pos = {int(j): i for i, j in enumerate(self.columns)}
+        self.member = np.zeros(self.columns.size, dtype=bool)
+        self.counts = s.counts.astype(np.float64)
+        self.proportions = np.asarray(s.proportions)
+        ends = np.cumsum(s.counts)
+        self.bounds = list(zip(ends - s.counts, ends))
+        self.indicator = np.zeros((d.n, s.h_count), order="F")
+        for h, (a, b) in enumerate(self.bounds):
+            self.indicator[a:b, h] = 1.0
+        idx = self.columns - 1
+        self.resid = self._x[np.ix_(self._rows, idx)]
+        self.resid -= self._means[idx]
+        sums, sq = self._slice_sums()
+        self.var = sq.sum(0) / d.n - (sums.sum(0) / d.n) ** 2  # as in residualize
+        cap = min(self.columns.size, d.n)
+        self.q = np.empty((d.n, cap), order="F")
+        self.xf = np.empty((d.n, cap), order="F")
+        self.slice_q = np.empty((s.h_count, cap))  # S'Q, slice sums of the basis
+        self.sigma = np.empty((cap, cap))
+        self.singular = False
+        # c >= EIGENVALUE_FLOOR * tr(Sigma_F) for every F drawn from these columns
+        self._shift = EIGENVALUE_FLOOR * float(sq.sum()) / d.n
+        for j in f:
+            self.add(j)
+
+    def _slice_sums(self) -> tuple[np.ndarray, np.ndarray]:
+        """Slice sums of the residuals and of their squares, each (H, m)."""
+        r = self.resid
+        sq = np.array([np.einsum("ij,ij->j", r[a:b], r[a:b]) for a, b in self.bounds])
+        return self.indicator.T @ r, sq
+
+    def add(self, j: int) -> None:
+        """Move column ``j`` from the candidates into the working set."""
+        i = self._pos[int(j)]
+        if self.member[i]:
+            raise WorkingSetIndexError(f"candidate {j} already in working set")
+        k = len(self.f)
+        self.member[i] = True
+        self.f.append(int(j))
+        if self.singular:
+            return  # a singular Sigma_F stays singular as F grows (interlacing)
+        xc = self._x[self._rows, j - 1] - self._means[j - 1]
+        row = (self.xf[:, :k].T @ xc) / self.n
+        self.sigma[k, :k] = row
+        self.sigma[:k, k] = row
+        self.sigma[k, k] = float(xc @ xc) / self.n
+        self.xf[:, k] = xc
+        self.singular = self._is_singular(k + 1)
+        if self.singular:
+            return
+        r = self.resid[:, i]
+        q = r / np.linalg.norm(r)
+        self.q[:, k] = q
+        self.slice_q[:, k] = self.indicator.T @ q
+        w = q @ self.resid
+        for a, b in self.bounds:  # slice by slice, so no n x m temporary
+            self.resid[a:b] -= np.outer(q[a:b], w)
+
+    def _is_singular(self, k: int) -> bool:
+        """The ``EIGENVALUE_FLOOR`` verdict on Sigma_F, usually without eigvalsh.
+
+        A Cholesky factor of Sigma_F - c I proves lambda_min > c >=
+        EIGENVALUE_FLOOR * lambda_max, and costs a fraction of eigvalsh; only
+        when it fails do the eigenvalues decide.
+        """
+        sigma = self.sigma[:k, :k]
+        try:
+            np.linalg.cholesky(sigma - self._shift * np.eye(k))
+            return False
+        except np.linalg.LinAlgError:
+            return is_singular_spectrum(np.linalg.eigvalsh(sigma))
+
+    def gains(self, method: Method) -> tuple[np.ndarray, list[tuple[int, str]]]:
+        """Trace gain of each column over F, with the skipped candidates.
+
+        Returns the gains aligned with ``columns`` (-inf for members and
+        skipped candidates) and ``(j, category)`` for each skipped candidate
+        in ascending order: all of them as ``singular-design`` once Sigma_F
+        fails the ``EIGENVALUE_FLOOR`` rule, otherwise those whose residual
+        variance fails the ``COLLINEARITY_FLOOR`` rule of ``residualize``.
+        """
+        cand = ~self.member
+        out = np.full(cand.size, -np.inf)
+        if self.singular:
+            category = SingularDesignError.category
+            return out, [(int(j), category) for j in self.columns[cand]]
+        n = self.n
+        sums, sq = self._slice_sums()
+        sigma2 = sq.sum(0) / n - (sums.sum(0) / n) ** 2
+        collinear = cand & ((sigma2 <= 0.0) | (sigma2 < COLLINEARITY_FLOOR * self.var))
+        ok = cand & ~collinear
+        category = CollinearCandidateError.category
+        skipped = [(int(j), category) for j in self.columns[collinear]]
+        sigma2 = np.where(ok, sigma2, 1.0)
+        nh = self.counts[:, None]
+        p_hat = self.proportions
+        g = sums / (nh * np.sqrt(sigma2))  # slice means of the standardized residual
+        varrho = p_hat @ g**2
+
+        if method is Method.SIR:
+            gain = varrho
+        else:
+            z = sq / (nh * sigma2)
+            k = len(self.f)
+            q = self.q[:, :k]
+            mh = self.slice_q[:, :k] / nh  # whitened slice means / sqrt(n)
+            nu2 = np.empty_like(g)
+            mc = np.empty_like(g)
+            for h, (a, b) in enumerate(self.bounds):
+                c = q[a:b].T @ self.resid[a:b]  # slice-h cross-moments, (k, m)
+                nu2[h] = np.einsum("ij,ij->j", c, c)
+                mc[h] = mh[h] @ c
+            nu2 *= n / (nh**2 * sigma2)  # |nu_h|^2
+            gram = n * (mh @ mh.T)  # Gram of the whitened slice means
+            iota2 = g**2 * np.diag(gram)[:, None]
+            if method is Method.SAVE:
+                iota_nu = g * mc * (n / (nh * np.sqrt(sigma2)))
+                phi2 = iota2 - 2.0 * iota_nu + nu2
+                gain = p_hat @ ((1.0 - z + g**2) ** 2 + 2.0 * phi2)
+            elif method is Method.DR:
+                pg = p_hat[:, None] * g
+                iota_sum2 = np.einsum("hj,hj->j", pg, gram @ pg)
+                kappa = p_hat @ np.diag(gram)
+                gain = (
+                    2.0 * (p_hat @ ((1.0 - z) ** 2 + 2.0 * nu2))
+                    + 4.0 * varrho**2
+                    + 4.0 * iota_sum2
+                    + 4.0 * kappa * varrho
+                )
+            else:
+                raise ValueError(f"unknown method {method!r}")
+        out[ok] = gain[ok]
+        return out, skipped

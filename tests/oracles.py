@@ -176,3 +176,118 @@ def mc_weighted_chisq_quantile(weights, alpha: float, n_draws: int, seed: int) -
         z = rng.standard_normal(n_draws)
         total += wk * z * z
     return float(np.quantile(total, 1.0 - alpha))
+
+
+def scalar_scan(d, s, method, f, candidates):
+    """Per-candidate reference scan: residualize, auxiliary stats and the
+    closed-form gain one candidate at a time over working set ``f``.
+
+    Returns (best_j, best_gain, best (m, r, aux), [(j, category), ...]); gains
+    within ``TIE_RTOL`` of the best are ties, broken toward the smallest index.
+    """
+    from tracepursuit import auxiliary_stats, compute_moments, residualize, trace_diff
+    from tracepursuit.errors import TracePursuitError
+    from tracepursuit.kernels import Method
+    from tracepursuit.selectors import TIE_RTOL
+
+    m = compute_moments(d, s, f)
+    scored, skipped = [], []
+    for j in sorted(candidates):
+        try:
+            r = residualize(d, s, m, j)
+            aux = None if method is Method.SIR else auxiliary_stats(m, r)
+            scored.append((j, trace_diff(method, m, r, aux), (m, r, aux)))
+        except TracePursuitError as err:
+            skipped.append((j, err.category))
+    if not scored:
+        return None, -np.inf, None, skipped
+    top = max(gain for _, gain, _ in scored)
+    for j, gain, parts in scored:
+        if gain >= top - TIE_RTOL * abs(top):
+            return j, gain, parts, skipped
+
+
+def reference_ftp(d, s, method, k_max):
+    """Forward path by ``scalar_scan``: (added indices, traces, sorted skips)."""
+    added, traces, skipped, trace = [], [], set(), 0.0
+    for _ in range(k_max):
+        best_j, gain, _, skips = scalar_scan(
+            d, s, method, tuple(sorted(added)), set(range(1, d.p + 1)) - set(added)
+        )
+        skipped.update(j for j, _ in skips)
+        if best_j is None:
+            break
+        trace += gain
+        added.append(best_j)
+        traces.append(trace)
+    return added, traces, sorted(skipped)
+
+
+def reference_stp_trail(d, s, method, alpha, max_size, universe, max_iterations=100):
+    """Stepwise trail as (action, index, statistic, threshold, note) tuples,
+    forward additions chosen by ``scalar_scan``; deletions and tests as in
+    the selector."""
+    from tracepursuit import auxiliary_stats, compute_moments, residualize, trace_diff
+    from tracepursuit.errors import TracePursuitError
+    from tracepursuit.kernels import Method
+    from tracepursuit.nulldist import statistic_and_threshold
+
+    uni = tuple(sorted(universe))
+    current, visited, trail, seen = set(), {frozenset()}, [], set()
+
+    def record_skips(skips):
+        for j, category in skips:
+            if j not in seen:
+                seen.add(j)
+                trail.append(("skip", j, None, None, category))
+
+    def record_change(action, j, stat, thr):
+        trail.append((action, j, stat, thr, ""))
+        state = frozenset(current)
+        if state in visited:
+            trail.append(("stop", None, None, None, "cycle detected"))
+            return True
+        visited.add(state)
+        return False
+
+    for _ in range(max_iterations):
+        changed = False
+        candidates = [j for j in uni if j not in current]
+        if len(current) < max_size and candidates:
+            best_j, _, parts, skips = scalar_scan(
+                d, s, method, tuple(sorted(current)), candidates
+            )
+            record_skips(skips)
+            if best_j is not None:
+                stat, thr, _ = statistic_and_threshold(method, d, s, *parts, alpha)
+                if stat > thr:
+                    current.add(best_j)
+                    changed = True
+                    if record_change("add", best_j, stat, thr):
+                        return trail
+        if current:
+            best_d, best_loss, best_parts, skips = None, np.inf, None, []
+            for j in sorted(current):
+                m = compute_moments(d, s, tuple(sorted(current - {j})))
+                try:
+                    r = residualize(d, s, m, j)
+                    aux = None if method is Method.SIR else auxiliary_stats(m, r)
+                    loss = trace_diff(method, m, r, aux)
+                except TracePursuitError as err:
+                    skips.append((j, err.category))
+                    continue
+                if loss < best_loss:
+                    best_d, best_loss, best_parts = j, loss, (m, r, aux)
+            record_skips(skips)
+            if best_d is not None:
+                stat, thr, _ = statistic_and_threshold(method, d, s, *best_parts, alpha)
+                if stat < thr:
+                    current.remove(best_d)
+                    changed = True
+                    if record_change("delete", best_d, stat, thr):
+                        return trail
+        if not changed:
+            trail.append(("stop", None, None, None, "converged"))
+            return trail
+    trail.append(("stop", None, None, None, "iteration cap reached"))
+    return trail

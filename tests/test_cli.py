@@ -168,6 +168,32 @@ class TestCommands:
         err = capsys.readouterr().err
         assert rc == 1
         assert "error[invalid-argument]" in err
+        rc = main(["bench", "--model", "1", *flag, "--format", "json-lines"])
+        record = json.loads(capsys.readouterr().out)
+        assert rc == 1
+        assert record["command"] == "bench"
+        assert record["error"]["category"] == "invalid-argument"
+
+    @pytest.mark.parametrize("fmt", ["table", "json-lines"])
+    def test_missing_input_is_io_error(self, fmt, tmp_path, capsys):
+        missing = str(tmp_path / "absent.csv")
+        rc = main(["test", missing, "--candidate", "1", "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error[io-error]" in captured.err
+        if fmt == "json-lines":
+            assert json.loads(captured.out)["error"]["category"] == "io-error"
+
+    @pytest.mark.parametrize("fmt", ["table", "json-lines"])
+    def test_unwritable_out_is_io_error(self, fmt, tmp_path, capsys):
+        out = str(tmp_path / "no-such-dir" / "out.txt")
+        rc = main(["bench", "--model", "1", "--p", "5", "--n", "60", "--reps", "1",
+                   "--format", fmt, "--out", out])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error[io-error]" in captured.err
+        if fmt == "json-lines":
+            assert json.loads(captured.out)["error"]["category"] == "io-error"
 
     def test_bench_model_one_row_recovers_actives(self, capsys):
         rc = main(

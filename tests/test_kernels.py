@@ -14,7 +14,7 @@ from tracepursuit import (
     trace_kernel,
 )
 from tracepursuit.errors import CollinearCandidateError, SingularDesignError
-from tracepursuit.kernels import AuxiliaryStats, Method, ResidualStats
+from tracepursuit.kernels import AuxiliaryStats, Method, ResidualStats, ScanState
 
 from conftest import make_dataset, random_case
 from oracles import explicit_trace_kernel, ols_slice_means
@@ -177,6 +177,50 @@ class TestWorkingSetAlgebra:
             with pytest.raises(SingularDesignError):
                 m.inverse
         assert len(eigh_calls) == 1
+
+
+class TestScanState:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_gains_match_scalar_trace_diff(self, method, rng):
+        for size in range(5):
+            for h in (2, 4):
+                d, s, _, _ = random_case(rng, p_range=(6, 9), h_choices=(h,))
+                f = tuple(sorted(rng.choice(np.arange(1, d.p + 1), size, replace=False).tolist()))
+                state = ScanState(d, s, tuple(range(1, d.p + 1)), f)
+                gains, skipped = state.gains(method)
+                assert skipped == []
+                m = compute_moments(d, s, f)
+                for j, gain in zip(state.columns.tolist(), gains):
+                    if j in f:
+                        assert gain == -np.inf
+                        continue
+                    r = residualize(d, s, m, j)
+                    aux = None if method is Method.SIR else auxiliary_stats(m, r)
+                    assert gain == pytest.approx(trace_diff(method, m, r, aux), rel=1e-10)
+
+    def test_growing_equals_building(self, rng):
+        d, s, _, _ = random_case(rng, p_range=(8, 8))
+        grown = ScanState(d, s, tuple(range(1, 9)))
+        for j in (5, 2, 7):
+            grown.add(j)
+        built = ScanState(d, s, tuple(range(1, 9)), (2, 5, 7))
+        for method in METHODS:
+            assert np.allclose(grown.gains(method)[0], built.gains(method)[0], rtol=1e-10)
+
+    def test_skip_categories(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((40, 3))
+        x = np.column_stack([x, x[:, 0] - 2.0 * x[:, 1], 1e8 * rng.standard_normal(40)])
+        d = Dataset.from_arrays(x, rng.standard_normal(40))
+        s = slice_response(d.y, 2)
+        state = ScanState(d, s, (1, 2, 3, 4, 5), (1, 2))
+        gains, skipped = state.gains(Method.SIR)
+        assert skipped == [(4, "collinear-candidate")]
+        assert np.isfinite(gains[[2, 4]]).all()
+        state.add(5)  # variance 1e16 next to 1: singular by the eigenvalue floor
+        gains, skipped = state.gains(Method.DR)
+        assert skipped == [(3, "singular-design"), (4, "singular-design")]
+        assert np.all(gains == -np.inf)
 
 
 def _synthetic_parts(p_hat, gamma_by_slice, zeta_by_slice, k=0, kappa=0.0):

@@ -18,10 +18,11 @@ from tracepursuit import (
     stp_run,
     trace_kernel,
 )
-from tracepursuit.kernels import Method
-from tracepursuit.selectors import StpConfig, default_path_cap
+from tracepursuit.kernels import Method, ScanState
+from tracepursuit.selectors import StpConfig, _scan_candidates, default_path_cap
 
 from conftest import make_dataset
+from oracles import reference_ftp, reference_stp_trail, scalar_scan
 
 
 class TestBicScore:
@@ -100,6 +101,77 @@ class TestFtp:
         cap = default_path_cap(d.n, d.p, s.h_count)
         with pytest.raises(ValueError):
             ftp_run(d, s, Method.SIR, k_max=cap + 1)
+
+
+def _edge_case(name):
+    """Inputs on which the vectorized scan must repeat the scalar reference."""
+    if name == "model-one-p50":
+        d, _ = generate(SimDesign(model="I", n=300, p=50, seed=11))
+        return d
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((60, 5))
+    if name == "constant-collinear":
+        # a constant column and the dependent triple {1, 2, 6}
+        x = np.column_stack([x, x[:, 0] * 0.5 - x[:, 1], np.full(60, 0.1)])
+    else:  # "scaled": two columns far apart in scale make F singular
+        x[:, 1] *= 1e8
+        x[:, 3] *= 1e-8
+    y = x[:, 0] / x[:, 0].std() + x[:, 1] / x[:, 1].std() + 0.3 * rng.standard_normal(60)
+    return Dataset.from_arrays(x, y)
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("case", ["model-one-p50", "constant-collinear", "scaled"])
+class TestScanMatchesScalarReference:
+    def test_ftp_path_and_skips(self, case, method):
+        d = _edge_case(case)
+        s = slice_response(d.y, 4)
+        cap = default_path_cap(d.n, d.p, 4)
+        path = ftp_run(d, s, method)
+        added, traces, skipped = reference_ftp(d, s, method, cap)
+        assert [st.added_index for st in path.steps] == added
+        assert list(path.skipped) == skipped
+        assert [st.trace_value for st in path.steps] == pytest.approx(traces, rel=1e-10)
+        # the winner and the skip categories of every step
+        state, f = ScanState(d, s, tuple(range(1, d.p + 1))), []
+        while True:
+            best_j, _, skips = _scan_candidates(state, method)
+            ref_j, _, _, ref_skips = scalar_scan(
+                d, s, method, tuple(sorted(f)), set(range(1, d.p + 1)) - set(f)
+            )
+            assert (best_j, skips) == (ref_j, ref_skips)
+            if best_j is None or len(f) + 1 == cap:
+                break
+            state.add(best_j)
+            f.append(best_j)
+
+    def test_stp_trail(self, case, method):
+        d = _edge_case(case)
+        s = slice_response(d.y, 4)
+        cfg = StpConfig(method=method)
+        report = stp_run(d, s, cfg)
+        expected = reference_stp_trail(
+            d, s, method, cfg.resolved_alpha(d.p),
+            cfg.resolved_max_set_size(d.n, d.p, 4), range(1, d.p + 1),
+        )
+        assert [(e.action, e.index, e.statistic, e.threshold, e.note) for e in report.trail] == expected
+
+
+def test_duplicated_column_keeps_smaller_index():
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((120, 8))
+    x[:, 6] = x[:, 2]
+    d = Dataset.from_arrays(x, x[:, 2] + 0.2 * rng.standard_normal(120))
+    s = slice_response(d.y, 4)
+    for method in Method:
+        path = ftp_run(d, s, method)
+        assert path.steps[0].added_index == 3
+        assert 7 in path.skipped and 7 not in path.prefix(path.k_max)
+        report = stp_run(d, s, StpConfig(method=method))
+        assert ("skip", 7, "collinear-candidate") in [
+            (e.action, e.index, e.note) for e in report.trail
+        ]
+        assert 3 in report.selected
 
 
 def _noise_dataset(seed, n=300, p=10):
