@@ -2,10 +2,21 @@
 
 All moment estimators use the n-divisor convention and a single global
 centering of the predictors; a working set selects sub-blocks of the
-centered columns rather than re-centering.  Covariances and slice second
-moments are accumulated per column pair with 1-D dot products, never with
-blocked matrix products, so the moments of a working set are bit-identical
-to the corresponding sub-blocks computed for any superset.
+centered columns rather than re-centering.
+
+The moments of every working set are read from one moment cache per
+(dataset, slicing) pair, which splits the columns into fixed tiles of
+``_TILE`` columns.  A tile's centered columns and slice means are kept once
+a working set touches it; the covariance block of a pair of tiles is one
+matrix product over whole tiles, and its slice second-moment blocks are one
+product per slice, made on the first read of ``MomentStats.v``.  The block
+of tiles (J, I) is the exact transpose of (I, J), and each diagonal block
+is mirrored from its lower triangle.  Every entry therefore comes from a
+product of fixed shape, so the moments of a working set are the same bits
+whatever working sets filled the cache before, the moments of a subset are
+exact sub-blocks of a superset's, and ``sigma_f`` and every ``v[h]`` are
+exactly symmetric.  The cache lives as long as the dataset, holds a strong
+reference to the slicing, and is not thread-safe.
 
 ``MomentStats`` also owns the working-set algebra: the terms that depend
 on F alone, and so are shared by all candidates of a scan, are built on one
@@ -22,8 +33,8 @@ treated as immutable apart from those caches.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, partial
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -41,6 +52,10 @@ EIGENVALUE_FLOOR = 1e-12
 
 # Working sets are tuples of 1-based predictor indices, strictly increasing.
 IndexSet = tuple[int, ...]
+
+# Column tile width of the moment cache.  Small enough that the blocks of a
+# few scattered columns stay small next to the data when p >> n.
+_TILE = 16
 
 
 def is_singular_spectrum(evals: np.ndarray) -> bool:
@@ -192,6 +207,12 @@ class MomentStats:
     centered columns.  ``xc`` holds the centered column block itself (n x |F|)
     so downstream residual computations do not re-center.
 
+    ``sigma_f``, ``u``, ``xc`` and ``v`` are read from the moment cache of
+    the dataset and slicing, so they are the same bits for every call that
+    names the same working set, ``sigma_f`` and each ``v[h]`` are exactly
+    symmetric, and the moments of a subset of F are exact sub-blocks of
+    these.  ``v`` is read on first use.
+
     Instances are immutable after construction apart from cached properties.
     The operations built on ``sigma_f`` raise ``SingularDesignError`` when its
     smallest eigenvalue falls below ``EIGENVALUE_FLOOR`` times the largest
@@ -207,6 +228,7 @@ class MomentStats:
     proportions: np.ndarray
     slice_rows: tuple[np.ndarray, ...]
     zero_variance: IndexSet = ()
+    _read_v: Callable[[], np.ndarray] = field(kw_only=True, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -214,18 +236,8 @@ class MomentStats:
 
     @cached_property
     def v(self) -> np.ndarray:
-        """Slice second moments (H, |F|, |F|), computed lazily per column pair."""
-        k = self.size
-        v = np.empty((self.h_count, k, k))
-        for h, rows in enumerate(self.slice_rows):
-            block = [np.ascontiguousarray(self.xc[rows, a]) for a in range(k)]
-            cnt = rows.size
-            for a in range(k):
-                for b in range(a + 1):
-                    val = float(np.dot(block[a], block[b])) / cnt
-                    v[h, a, b] = val
-                    v[h, b, a] = val
-        return v
+        """Slice second moments (H, |F|, |F|)."""
+        return self._read_v()
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray, bool]:
@@ -281,6 +293,104 @@ def validate_working_set(f: Iterable[int], p: int) -> IndexSet:
     return tuple(sorted(fs))
 
 
+# A run of working-set members in one tile: (tile, 0-based columns within the
+# tile, start, stop), where start:stop is the run's position in F.
+_Run = tuple[int, np.ndarray, int, int]
+
+
+class _MomentCache:
+    """Moments of one dataset's centered columns under one slicing, by tile.
+
+    Tile t holds the 0-based columns t*_TILE .. (t+1)*_TILE - 1.  Blocks are
+    filled on first use and kept: ``tile`` (centered columns and slice
+    means), ``sigma_block`` and ``v_block`` (tile pairs a <= b).
+    """
+
+    def __init__(self, d: Dataset, s: SliceAssignment):
+        self.x = d.x
+        self.means = d.column_means()
+        self.n = d.n
+        self.rows = s.rows
+        self.tiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self.sigma: dict[tuple[int, int], np.ndarray] = {}
+        self.v: dict[tuple[int, int], np.ndarray] = {}
+
+    def tile(self, t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Centered columns (n, w) and slice means (H, w) of tile ``t``."""
+        entry = self.tiles.get(t)
+        if entry is None:
+            cols = slice(t * _TILE, (t + 1) * _TILE)
+            xc = self.x[:, cols] - self.means[cols]
+            u = np.stack([xc[rows].sum(axis=0) / rows.size for rows in self.rows])
+            entry = self.tiles[t] = (xc, u)
+        return entry
+
+    def sigma_block(self, a: int, b: int) -> np.ndarray:
+        block = self.sigma.get((a, b))
+        if block is None:
+            block = (self.tile(a)[0].T @ self.tile(b)[0]) / self.n
+            if a == b:
+                block = _mirror_lower(block)
+            self.sigma[a, b] = block
+        return block
+
+    def v_block(self, a: int, b: int) -> np.ndarray:
+        block = self.v.get((a, b))
+        if block is None:
+            xa, xb = self.tile(a)[0], self.tile(b)[0]
+            block = np.stack([(xa[rows].T @ xb[rows]) / rows.size for rows in self.rows])
+            if a == b:
+                block = _mirror_lower(block)
+            self.v[a, b] = block
+        return block
+
+
+def _mirror_lower(m: np.ndarray) -> np.ndarray:
+    """The symmetric matrix (or stack) with the lower triangle of ``m``."""
+    return np.tril(m) + np.swapaxes(np.tril(m, -1), -1, -2)
+
+
+def _gather_blocks(
+    runs: list[_Run], block_of: Callable[[int, int], np.ndarray], lead: tuple[int, ...]
+) -> np.ndarray:
+    """The (lead..., |F|, |F|) working-set matrix assembled from tile blocks."""
+    k = runs[-1][3] if runs else 0
+    out = np.empty(lead + (k, k))
+    for i, (t, loc, a, b) in enumerate(runs):
+        for t2, loc2, a2, b2 in runs[: i + 1]:
+            block = block_of(t2, t)[..., loc2[:, None], loc]
+            out[..., a2:b2, a:b] = block
+            if t2 != t:
+                out[..., a:b, a2:b2] = np.swapaxes(block, -1, -2)
+    return out
+
+
+def _tile_runs(fs: IndexSet) -> list[_Run]:
+    """Split a sorted working set into runs that share a tile."""
+    runs: list[tuple[int, list[int], int]] = []
+    for pos, j in enumerate(fs):
+        t, c = divmod(j - 1, _TILE)
+        if runs and runs[-1][0] == t:
+            runs[-1][1].append(c)
+        else:
+            runs.append((t, [c], pos))
+    return [(t, np.array(cols), a, a + len(cols)) for t, cols, a in runs]
+
+
+def _moment_cache(d: Dataset, s: SliceAssignment) -> _MomentCache:
+    """The moment cache of ``d`` under ``s``, kept on the dataset."""
+    caches = getattr(d, "_moment_caches", None)
+    if caches is None:
+        caches = []
+        object.__setattr__(d, "_moment_caches", caches)
+    for slicing, cache in caches:
+        if slicing is s:
+            return cache
+    cache = _MomentCache(d, s)
+    caches.append((s, cache))
+    return cache
+
+
 def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentStats:
     """Estimate working-set moments shared by every kernel and test.
 
@@ -295,21 +405,15 @@ def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentS
             f"working set of size {k} with only n={d.n} samples"
         )
 
-    cols = [d.centered_column(j - 1) for j in fs]
-    xc = np.column_stack(cols) if k else np.empty((d.n, 0))
-
-    sigma = np.empty((k, k))
-    for a in range(k):
-        for b in range(a + 1):
-            val = float(np.dot(cols[a], cols[b])) / d.n
-            sigma[a, b] = val
-            sigma[b, a] = val
-
+    cache = _moment_cache(d, s)
+    runs = _tile_runs(fs)
+    xc = np.empty((d.n, k))
     u = np.empty((s.h_count, k))
-    for h, rows in enumerate(s.rows):
-        cnt = rows.size
-        for a in range(k):
-            u[h, a] = cols[a][rows].sum() / cnt
+    for t, loc, a, b in runs:
+        tile_xc, tile_u = cache.tile(t)
+        xc[:, a:b] = tile_xc[:, loc]
+        u[:, a:b] = tile_u[:, loc]
+    sigma = _gather_blocks(runs, cache.sigma_block, ())
 
     zero_var = tuple(j for a, j in enumerate(fs) if sigma[a, a] == 0.0)
 
@@ -323,4 +427,5 @@ def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentS
         proportions=np.asarray(s.proportions),
         slice_rows=s.rows,
         zero_variance=zero_var,
+        _read_v=partial(_gather_blocks, runs, cache.v_block, (s.h_count,)),
     )

@@ -11,11 +11,12 @@ screens with FTP, keeps the BIC-minimizing prefix, and refines it with STP.
 Forward scans are vectorized: a ``ScanState`` keeps the residuals of every
 column given the working set, updated by one rank-1 projection per
 addition, and scores all candidates with a few BLAS calls, so an FTP step
-costs O(n p H) for SIR (O(n p |F|) for SAVE and DR) and FTP keeps one state
-for its whole path.  The scalar route (``residualize``, ``auxiliary_stats``,
-``trace_diff``) scores single candidates: the winner of an STP forward scan,
-whose statistic and threshold are then computed, and the members in the STP
-backward pass.
+costs O(n p H) for SIR (O(n p |F|) for SAVE and DR).  FTP keeps one state
+for its whole path; STP keeps one across its forward passes and builds a
+new one only after a deletion.  The scalar route (``residualize``,
+``auxiliary_stats``, ``trace_diff``) scores single candidates: the winner of
+an STP forward scan, whose statistic and threshold are then computed, and
+the members in the STP backward pass.
 
 Ties in every argmax break toward the smallest index (forward gains within
 ``TIE_RTOL`` of the best count as tied), and a visited-set cycle guard makes
@@ -268,13 +269,16 @@ def stp_run(
         visited.add(state)
         return False
 
+    scan = None  # the forward scan state of ``current``, kept while it only grows
     for _ in range(cfg.max_iterations):
         changed = False
 
         # forward addition
         if len(current) < min(max_size, len(uni)):
             f = tuple(sorted(current))
-            best_j, _, skips = _scan_candidates(ScanState(d, s, uni, f), method)
+            if scan is None:
+                scan = ScanState(d, s, uni, f)
+            best_j, _, skips = _scan_candidates(scan, method)
             winner = None
             if best_j is not None:
                 m = compute_moments(d, s, f)
@@ -285,6 +289,7 @@ def stp_run(
                 stat, thr, _ = statistic_and_threshold(method, d, s, m, r, aux, alpha)
                 if stat > thr:
                     current.add(best_j)
+                    scan.add(best_j)
                     changed = True
                     if record_change("add", best_j, stat, thr):
                         return _finish(current, trail, method, uni)
@@ -306,6 +311,7 @@ def stp_run(
                 stat, thr, _ = statistic_and_threshold(method, d, s, m, r, aux, alpha)
                 if stat < thr:
                     current.remove(best_d)
+                    scan = None
                     changed = True
                     if record_change("delete", best_d, stat, thr):
                         return _finish(current, trail, method, uni)

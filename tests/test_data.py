@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,3 +172,81 @@ class TestComputeMoments:
         s = slice_response(d.y, 2)
         with pytest.raises(IllPosedMomentsError):
             compute_moments(d, s, tuple(range(1, 7)))
+
+
+def _fields(m):
+    return (m.sigma_f, m.u, m.v, m.xc)
+
+
+def _matches_naive(d, s, f):
+    m = compute_moments(d, s, f)
+    p_hat, sigma, u, v = naive_moments(d.x, s.membership, [j - 1 for j in f])
+    return (
+        np.allclose(m.sigma_f, sigma, atol=1e-12)
+        and np.allclose(m.u, u, atol=1e-12)
+        and np.allclose(m.v, v, atol=1e-12)
+    )
+
+
+class TestMomentCache:
+    F = (3, 17, 18, 40, 95, 96, 160, 233, 300)  # spread over several column tiles
+
+    def test_history_independence(self, rng):
+        d = make_dataset(rng, 70, 300)
+        fresh = compute_moments(d, slice_response(d.y, 4), self.F)
+        warm_s = slice_response(d.y, 4)
+        for f in [(1, 2, 3), (17, 300), tuple(range(90, 130)), (5, 40, 160, 233, 299), (18,)]:
+            compute_moments(d, warm_s, f).v
+        compute_moments(d, warm_s, self.F[::2])
+        warm = compute_moments(d, warm_s, self.F)
+        other = Dataset.from_arrays(np.array(d.x), np.array(d.y))  # a cold cache
+        again = compute_moments(other, slice_response(other.y, 4), self.F)
+        for a, b, c in zip(_fields(fresh), _fields(warm), _fields(again)):
+            assert np.array_equal(a, b)
+            assert np.array_equal(a, c)
+
+    @pytest.mark.parametrize("f", [(2, 5, 9), F])
+    def test_exact_symmetry(self, rng, f):
+        d = make_dataset(rng, 90, 300)
+        m = compute_moments(d, slice_response(d.y, 5), f)
+        assert np.array_equal(m.sigma_f, m.sigma_f.T)
+        for vh in m.v:
+            assert np.array_equal(vh, vh.T)
+
+    def test_datasets_sharing_a_slicing(self, rng):
+        d1 = make_dataset(rng, 60, 40)
+        d2 = make_dataset(rng, 60, 40)
+        s = slice_response(d1.y, 4)
+        assert _matches_naive(d1, s, (2, 20, 33))
+        assert _matches_naive(d2, s, (2, 20, 33))
+        assert _matches_naive(d1, s, (2, 20, 33))
+
+    def test_one_dataset_two_slicings(self, rng):
+        d = make_dataset(rng, 60, 40)
+        s4, s3 = slice_response(d.y, 4), slice_response(d.y, 3)
+        assert _matches_naive(d, s4, (1, 17, 39))
+        assert _matches_naive(d, s3, (1, 17, 39))
+        assert _matches_naive(d, s4, (1, 17, 39))
+
+    def test_replaced_dataset(self, rng):
+        d = make_dataset(rng, 60, 40)
+        s = slice_response(d.y, 4)
+        assert _matches_naive(d, s, (4, 30))
+        for _ in range(20):  # new datasets, some of which may reuse a freed id
+            del d
+            gc.collect()
+            d = make_dataset(rng, 60, 40)
+            assert _matches_naive(d, s, (4, 30))
+
+    def test_memory_is_not_sized_by_p(self, rng):
+        n, p = 100, 2000
+        d = make_dataset(rng, n, p)
+        s = slice_response(d.y, 4)
+        f = (1, 401, 801, 1201, 1601)  # one column in each of five tiles
+        tracemalloc.start()
+        try:
+            compute_moments(d, s, f).v
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * p * 8 / 4

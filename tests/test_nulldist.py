@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tracepursuit import (
+    Dataset,
     auxiliary_stats,
     compute_moments,
+    htp_run,
     influence_samples,
     omega_hat,
     residualize,
@@ -208,3 +210,16 @@ class TestTraceTest:
         base = trace_test(Method.SIR, d, s, f, j, 0.05)
         assert res.statistic == base.statistic
         assert res.threshold == pytest.approx(base.threshold, rel=0.15)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_same_bits_before_and_after_a_selection_run(self, method, rng):
+        d = make_dataset(rng, 150, 40)
+        twin = Dataset.from_arrays(np.array(d.x), np.array(d.y))
+        f, j = (1, 2, 20, 35), 7
+        first = trace_test(method, d, slice_response(d.y, 4), f, j, 0.05)
+        s = slice_response(twin.y, 4)
+        htp_run(twin, s, method)
+        after = trace_test(method, twin, s, f, j, 0.05)
+        assert first.statistic == after.statistic
+        assert first.threshold == after.threshold
+        assert np.array_equal(first.weights, after.weights)
