@@ -24,8 +24,6 @@ from .kernels import (
     trace_kernel,
 )
 from .nulldist import (
-    InfluenceSample,
-    NullDistribution,
     TraceTestResult,
     influence_samples,
     omega_hat,
@@ -59,10 +57,8 @@ __all__ = [
     "AuxiliaryStats",
     "Dataset",
     "ExperimentResult",
-    "InfluenceSample",
     "Method",
     "MomentStats",
-    "NullDistribution",
     "ResidualStats",
     "SelectionMetrics",
     "SelectionReport",

@@ -16,7 +16,8 @@ product of fixed shape, so the moments of a working set are the same bits
 whatever working sets filled the cache before, the moments of a subset are
 exact sub-blocks of a superset's, and ``sigma_f`` and every ``v[h]`` are
 exactly symmetric.  The cache lives as long as the dataset, holds a strong
-reference to the slicing, and is not thread-safe.
+reference to the slicing, is not thread-safe, and is neither pickled nor
+copied with the dataset.
 
 ``MomentStats`` also owns the working-set algebra: the terms that depend
 on F alone, and so are shared by all candidates of a scan, are built on one
@@ -32,6 +33,7 @@ treated as immutable apart from those caches.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 from typing import Callable, Iterable, Sequence
@@ -106,6 +108,10 @@ class Dataset:
         if names is not None and len(names) != p:
             raise ValueError("column_names length must equal p")
         return cls(x=x, y=y, n=n, p=p, column_names=names)
+
+    def __getstate__(self) -> dict:
+        """The fields alone: the caches are rebuilt on use, not pickled."""
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def column_means(self) -> np.ndarray:
         """Per-column means, each computed as a 1-D reduction of that column."""
@@ -283,8 +289,12 @@ class MomentStats:
 
 
 def validate_working_set(f: Iterable[int], p: int) -> IndexSet:
-    """Canonicalize a working set to a sorted tuple of distinct 1-based indices."""
-    fs = tuple(int(j) for j in f)
+    """Canonicalize a working set to a sorted tuple of distinct 1-based integers."""
+    fs = tuple(f)
+    try:
+        fs = tuple(map(operator.index, fs))
+    except TypeError:
+        raise WorkingSetIndexError(f"working set has a non-integer index: {fs}") from None
     if len(set(fs)) != len(fs):
         raise WorkingSetIndexError(f"working set has repeated indices: {fs}")
     for j in fs:

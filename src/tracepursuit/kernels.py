@@ -32,6 +32,7 @@ from .data import (
     MomentStats,
     SliceAssignment,
     is_singular_spectrum,
+    validate_working_set,
 )
 from .errors import CollinearCandidateError, SingularDesignError, WorkingSetIndexError
 
@@ -58,8 +59,6 @@ class ResidualStats:
     are slice means of the residual and of its square.
     """
 
-    j: int
-    f: IndexSet
     theta: np.ndarray
     sigma2_jf: float
     gamma_by_slice: np.ndarray
@@ -72,17 +71,14 @@ class AuxiliaryStats:
     """Slice summaries needed by the second-order (SAVE and DR) formulas.
 
     ``cross_by_slice[h-1]`` holds the slice-h mean of (centered working-set
-    columns) times the standardized residual; ``nu_by_slice``/``phi_by_slice``
-    and ``iota_by_slice`` are its whitened combinations with the slice means;
-    ``varrho`` and ``kappa`` are the scalar aggregates entering the DR gain.
+    columns) times the standardized residual and ``nu_by_slice`` its whitened
+    form; ``phi_by_slice`` and ``iota_sum`` combine it with the whitened
+    slice means.
     """
 
     phi_by_slice: np.ndarray  # (H, |F|)
     nu_by_slice: np.ndarray  # (H, |F|)
-    iota_by_slice: np.ndarray  # (H, |F|)
     iota_sum: np.ndarray  # (|F|,)
-    varrho: float
-    kappa: float
     cross_by_slice: np.ndarray  # (H, |F|)
 
 
@@ -94,9 +90,7 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
     ``CollinearCandidateError`` when the residual variance is negligible
     relative to the candidate's own variance.
     """
-    j = int(j)
-    if not 1 <= j <= d.p:
-        raise WorkingSetIndexError(f"candidate index {j} outside 1..{d.p}")
+    (j,) = validate_working_set((j,), d.p)
     if j in m.f:
         raise WorkingSetIndexError(f"candidate {j} already in working set {m.f}")
 
@@ -129,8 +123,6 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
         zeta_by_slice[idx] = float(g @ g) / rows.size
 
     return ResidualStats(
-        j=j,
-        f=m.f,
         theta=theta,
         sigma2_jf=sigma2,
         gamma_by_slice=gamma_by_slice,
@@ -155,10 +147,7 @@ def auxiliary_stats(m: MomentStats, r: ResidualStats) -> AuxiliaryStats:
     return AuxiliaryStats(
         phi_by_slice=phi,
         nu_by_slice=nu,
-        iota_by_slice=iota,
         iota_sum=p_hat @ iota,
-        varrho=float(p_hat @ r.gamma_by_slice**2),
-        kappa=m.kappa,
         cross_by_slice=cross,
     )
 
@@ -201,7 +190,7 @@ def trace_diff(
     r: ResidualStats,
     aux: AuxiliaryStats | None = None,
 ) -> float:
-    """Closed-form trace gain from adding candidate ``r.j`` to ``m.f``.
+    """Closed-form trace gain from adding the candidate of ``r`` to ``m.f``.
 
     SAVE and DR require the auxiliary slice summaries; SIR ignores them.
     The SIR gain is a weighted sum of squares and hence always >= 0.
@@ -224,11 +213,12 @@ def trace_diff(
     if method is Method.DR:
         diag = (1.0 - z) ** 2
         cross = 2.0 * np.einsum("ha,ha->h", aux.nu_by_slice, aux.nu_by_slice)
+        varrho = float(p_hat @ g**2)
         return float(
             2.0 * (p_hat @ (diag + cross))
-            + 4.0 * aux.varrho**2
+            + 4.0 * varrho**2
             + 4.0 * (aux.iota_sum @ aux.iota_sum)
-            + 4.0 * aux.kappa * aux.varrho
+            + 4.0 * m.kappa * varrho
         )
 
     raise ValueError(f"unknown method {method!r}")

@@ -12,6 +12,10 @@ with influence columns averaging to zero up to float roundoff).
 Per-coordinate signs of the stacked influence vector do not affect the
 weights: flipping signs conjugates the outer product by a diagonal
 orthogonal matrix, which preserves eigenvalues.
+
+The path from moments to threshold passes plain arrays: ``influence_samples``
+returns the (n, dim) samples, ``omega_hat`` returns ``(omega, weights)``, and
+the quantile functions take the weights.
 """
 
 from __future__ import annotations
@@ -38,24 +42,6 @@ from .kernels import (
 NEGATIVE_WEIGHT_TOLERANCE = 1e-10
 
 
-@dataclass(frozen=True)
-class InfluenceSample:
-    """Per-sample stacked influence vectors (n rows, one column per weight)."""
-
-    method: Method
-    ell_star: np.ndarray
-
-
-@dataclass(frozen=True)
-class NullDistribution:
-    """Estimated weight matrix and its eigenvalue weights, nonincreasing."""
-
-    method: Method
-    omega: np.ndarray
-    weights: np.ndarray
-    dim: int
-
-
 def influence_dim(method: Method, f_size: int, h_count: int) -> int:
     """Column count of the stacked influence vector for each method."""
     if method is Method.SIR:
@@ -74,13 +60,13 @@ def influence_samples(
     m: MomentStats,
     r: ResidualStats,
     aux: AuxiliaryStats | None = None,
-) -> InfluenceSample:
-    """Evaluate the method's stacked influence vector at every sample.
+) -> np.ndarray:
+    """The method's stacked influence vector at every sample, (n, dim).
 
-    All population symbols in the first-order expansions are replaced by
-    their full-sample estimates; each resulting column has exactly zero
-    sample mean (up to roundoff) by the normal equations and the exactness
-    of slice averages.
+    ``aux`` is required for SAVE and DR and ignored for SIR.  All population
+    symbols in the first-order expansions are replaced by their full-sample
+    estimates; each resulting column has exactly zero sample mean (up to
+    roundoff) by the normal equations and the exactness of slice averages.
     """
     n = d.n
     h = s.h_count
@@ -107,10 +93,8 @@ def influence_samples(
     g_star = (gamma[:, None] - g_h[None, :]) * indic - gamma[:, None] - proj
 
     if method is Method.SIR:
-        return InfluenceSample(method=method, ell_star=g_star * sqrt_p[None, :])
+        return g_star * sqrt_p[None, :]
 
-    if aux is None:
-        aux = auxiliary_stats(m, r)
     cross = aux.cross_by_slice  # (H, k) slice means of xc * gamma
 
     # zeta*_(i,h): slice-mean influence of the squared standardized residual.
@@ -136,7 +120,7 @@ def influence_samples(
         blocks = [z_star * sqrt_p[None, :]]
         for idx in range(h):
             blocks.append(np.sqrt(2.0) * sqrt_p[idx] * phi_star[idx])
-        return InfluenceSample(method=method, ell_star=np.hstack(blocks))
+        return np.hstack(blocks)
 
     if method is Method.DR:
         blocks = [-np.sqrt(2.0) * z_star * sqrt_p[None, :]]
@@ -144,15 +128,15 @@ def influence_samples(
             blocks.append(2.0 * sqrt_p[idx] * nu_star[idx])
         blocks.append(np.zeros((n, 1)))  # identically-zero component, kept
         blocks.append(2.0 * np.einsum("h,hnk->nk", p_hat, iota_star))
-        blocks.append(2.0 * np.sqrt(aux.kappa * p_hat)[None, :] * g_star)
-        return InfluenceSample(method=method, ell_star=np.hstack(blocks))
+        blocks.append(2.0 * np.sqrt(m.kappa * p_hat)[None, :] * g_star)
+        return np.hstack(blocks)
 
     raise ValueError(f"unknown method {method!r}")
 
 
-def omega_hat(samples: InfluenceSample) -> NullDistribution:
-    """Empirical outer product of the influence samples and its eigenvalues."""
-    ell = samples.ell_star
+def omega_hat(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Empirical outer product of the (n, dim) influence samples and its
+    eigenvalue weights: (omega, weights), the weights nonincreasing."""
     if not np.all(np.isfinite(ell)):
         raise NumericalFailureError("influence samples contain non-finite entries")
     n, dim = ell.shape
@@ -171,7 +155,19 @@ def omega_hat(samples: InfluenceSample) -> NullDistribution:
             f"weight matrix has eigenvalue {weights[-1]:.3e} below the clamp window"
         )
     np.clip(weights, 0.0, None, out=weights)
-    return NullDistribution(method=samples.method, omega=omega, weights=weights, dim=dim)
+    return omega, weights
+
+
+def _checked_weights(weights: np.ndarray, alpha: float) -> np.ndarray:
+    """The weights as a flat float array, after the checks both quantiles share."""
+    w = np.asarray(weights, dtype=np.float64).ravel()
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if w.size == 0 or np.all(w <= 0.0):
+        raise DegenerateDistributionError("no positive weights")
+    if not np.all(np.isfinite(w) & (w >= 0.0)):
+        raise ValueError("weights must be finite and nonnegative")
+    return w
 
 
 def weighted_chisq_upper_quantile(weights: np.ndarray, alpha: float) -> float:
@@ -181,13 +177,7 @@ def weighted_chisq_upper_quantile(weights: np.ndarray, alpha: float) -> float:
     d = sum(w)^2/sum(w^2); exact for a single weight and for equal weights,
     and exactly scale-equivariant in the weights.
     """
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if w.size == 0 or np.all(w <= 0.0):
-        raise DegenerateDistributionError("no positive weights")
-    if np.any(w < 0.0):
-        raise ValueError("weights must be nonnegative")
+    w = _checked_weights(weights, alpha)
     sw = float(w.sum())
     sw2 = float(w @ w)
     scale = sw2 / sw
@@ -202,11 +192,7 @@ def weighted_chisq_quantile_mc(
     seed: int = 0,
 ) -> float:
     """Monte Carlo upper quantile of the weighted chi-square (diagnostics)."""
-    w = np.asarray(weights, dtype=np.float64).ravel()
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if w.size == 0 or np.all(w <= 0.0):
-        raise DegenerateDistributionError("no positive weights")
+    w = _checked_weights(weights, alpha)
     rng = np.random.default_rng(seed)
     pos = w[w > 0.0]
     draws = rng.chisquare(1.0, size=(n_draws, pos.size)) @ pos
@@ -240,17 +226,15 @@ def statistic_and_threshold(
     seed: int = 0,
 ) -> tuple[float, float, np.ndarray]:
     """Test statistic, its calibrated threshold, and the estimated weights."""
-    if method is not Method.SIR and aux is None:
-        aux = auxiliary_stats(m, r)
     statistic = d.n * trace_diff(method, m, r, aux)
-    null = omega_hat(influence_samples(method, d, s, m, r, aux))
+    _, weights = omega_hat(influence_samples(method, d, s, m, r, aux))
     if quantile == "two-moment":
-        threshold = weighted_chisq_upper_quantile(null.weights, alpha)
+        threshold = weighted_chisq_upper_quantile(weights, alpha)
     elif quantile == "monte-carlo":
-        threshold = weighted_chisq_quantile_mc(null.weights, alpha, mc_draws, seed)
+        threshold = weighted_chisq_quantile_mc(weights, alpha, mc_draws, seed)
     else:
         raise ValueError(f"unknown quantile scheme {quantile!r}")
-    return statistic, threshold, null.weights
+    return statistic, threshold, weights
 
 
 def trace_test(

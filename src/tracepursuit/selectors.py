@@ -4,7 +4,7 @@ STP alternates a forward addition (largest trace gain over candidates
 outside the working set, admitted when n times the gain exceeds the
 upper-alpha quantile of its estimated null law) with a backward deletion
 (the member whose removal costs the least, removed when its statistic falls
-below its own recomputed threshold).  FTP greedily grows a nested solution
+below its own threshold).  FTP greedily grows a nested solution
 path by trace gain alone and scores each prefix with a modified BIC; HTP
 screens with FTP, keeps the BIC-minimizing prefix, and refines it with STP.
 
@@ -17,6 +17,11 @@ new one only after a deletion.  The scalar route (``residualize``,
 ``auxiliary_stats``, ``trace_diff``) scores single candidates: the winner of
 an STP forward scan, whose statistic and threshold are then computed, and
 the members in the STP backward pass.
+
+Every STP decision is a pure function of the question (F, j): the moments
+of F are the same bits whenever they are read.  So each test is computed
+once per run and reused, as when the backward pass asks about the member
+just added, and each gain once while the working set stays the same.
 
 Ties in every argmax break toward the smallest index (forward gains within
 ``TIE_RTOL`` of the best count as tied), and a visited-set cycle guard makes
@@ -147,21 +152,6 @@ def bic_score(trace_value: float, set_size: int, n: int, p: int) -> float:
     return -math.log(trace_value) + set_size * (math.log(n) + 2.0 * math.log(p)) / n
 
 
-def _score_candidate(d, s, method, m, j, skipped):
-    """Trace gain of adding ``j`` to ``m.f``, with the parts behind it.
-
-    Returns (gain, (m, r, aux)), or None after appending ``(j, category)``
-    to ``skipped`` when the candidate fails with a domain error.
-    """
-    try:
-        r = residualize(d, s, m, j)
-        aux = None if method is Method.SIR else auxiliary_stats(m, r)
-        return trace_diff(method, m, r, aux), (m, r, aux)
-    except TracePursuitError as err:
-        skipped.append((j, err.category))
-        return None
-
-
 def _scan_candidates(state: ScanState, method: Method):
     """Best candidate of a scan state: (best_j, best_gain, skipped).
 
@@ -259,9 +249,44 @@ def stp_run(
                 skipped_seen.add(j)
                 trail.append(TrailEntry("skip", j, None, None, category))
 
+    # Decisions depend on (F, j) alone: each test is kept for the run, each
+    # untested gain until the working set changes.  The parts behind a gain
+    # grow as n |F|, so only those of the question a pass will test are held:
+    # the forward winner, or the first smallest new backward gain.
+    gains: dict = {}  # (F, j) -> trace gain, or the skip category
+    tests: dict = {}  # (F, j) -> (statistic, threshold)
+    held: dict = {}  # at most one (F, j) -> (m, r, aux)
+
+    def score(f, j, skips):
+        """Trace gain of adding ``j`` to ``f``; None after noting its skip."""
+        if (f, j) not in gains:
+            m = compute_moments(d, s, f)
+            try:
+                r = residualize(d, s, m, j)
+                aux = None if method is Method.SIR else auxiliary_stats(m, r)
+                gains[f, j] = trace_diff(method, m, r, aux)
+                if not held or gains[f, j] < gains[next(iter(held))]:
+                    held.clear()
+                    held[f, j] = (m, r, aux)
+            except TracePursuitError as err:
+                gains[f, j] = err.category
+        if isinstance(gains[f, j], str):
+            skips.append((j, gains[f, j]))
+            return None
+        return gains[f, j]
+
+    def test(f, j):
+        """Statistic and threshold of adding the scored ``j`` to ``f``."""
+        if (f, j) not in tests:
+            tests[f, j] = statistic_and_threshold(method, d, s, *held[f, j], alpha)[:2]
+        held.clear()
+        return tests[f, j]
+
     def record_change(action, j, stat, thr) -> bool:
         """Log a tested add or delete; True when the new set recurs."""
         trail.append(TrailEntry(action, j, stat, thr))
+        for key in gains.keys() - tests.keys():
+            del gains[key]
         state = frozenset(current)
         if state in visited:
             trail.append(TrailEntry("stop", None, None, None, "cycle detected"))
@@ -273,20 +298,16 @@ def stp_run(
     for _ in range(cfg.max_iterations):
         changed = False
 
-        # forward addition
+        # forward addition: the scan's best candidate, then its test
         if len(current) < min(max_size, len(uni)):
             f = tuple(sorted(current))
             if scan is None:
                 scan = ScanState(d, s, uni, f)
             best_j, _, skips = _scan_candidates(scan, method)
-            winner = None
-            if best_j is not None:
-                m = compute_moments(d, s, f)
-                winner = _score_candidate(d, s, method, m, best_j, skips)
+            gain = None if best_j is None else score(f, best_j, skips)
             record_skips(skips)
-            if winner is not None:
-                m, r, aux = winner[1]
-                stat, thr, _ = statistic_and_threshold(method, d, s, m, r, aux, alpha)
+            if gain is not None:
+                stat, thr = test(f, best_j)
                 if stat > thr:
                     current.add(best_j)
                     scan.add(best_j)
@@ -294,21 +315,16 @@ def stp_run(
                     if record_change("add", best_j, stat, thr):
                         return _finish(current, trail, method, uni)
 
-        # backward deletion
+        # backward deletion: the member whose removal costs least, then its test
         if current:
-            best_d = None
-            best_loss = math.inf
-            best_parts = None
-            skips = []
+            best_d, best_loss, skips = None, math.inf, []
             for j in sorted(current):
-                m = compute_moments(d, s, tuple(sorted(current - {j})))
-                scored = _score_candidate(d, s, method, m, j, skips)
-                if scored is not None and scored[0] < best_loss:
-                    best_d, (best_loss, best_parts) = j, scored
+                loss = score(tuple(sorted(current - {j})), j, skips)
+                if loss is not None and loss < best_loss:
+                    best_d, best_loss = j, loss
             record_skips(skips)
             if best_d is not None:
-                m, r, aux = best_parts
-                stat, thr, _ = statistic_and_threshold(method, d, s, m, r, aux, alpha)
+                stat, thr = test(tuple(sorted(current - {best_d})), best_d)
                 if stat < thr:
                     current.remove(best_d)
                     scan = None

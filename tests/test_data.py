@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -8,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepursuit import Dataset, compute_moments, slice_response
+from tracepursuit import Dataset, compute_moments, residualize, slice_response, trace_test
 from tracepursuit.errors import (
     DegenerateSlicingError,
     IllPosedMomentsError,
     WorkingSetIndexError,
 )
+from tracepursuit.kernels import Method
 
 from conftest import make_dataset
 from oracles import naive_moments
@@ -167,6 +170,23 @@ class TestComputeMoments:
         with pytest.raises(WorkingSetIndexError):
             compute_moments(d, s, (d.p + 1,))
 
+    @pytest.mark.parametrize("bad", [1.7, 2.0, np.float64(1.0), "1"])
+    def test_non_integer_index_rejected(self, small_case, bad):
+        d, s, m = small_case
+        with pytest.raises(WorkingSetIndexError):
+            compute_moments(d, s, (bad,))
+        with pytest.raises(WorkingSetIndexError):
+            residualize(d, s, m, bad)
+        with pytest.raises(WorkingSetIndexError):
+            trace_test(Method.SIR, d, s, (1,), bad, 0.05)
+
+    def test_numpy_integer_index_accepted(self, small_case):
+        d, s, m = small_case
+        assert compute_moments(d, s, (np.int64(4), np.int32(2))).f == (2, 4)
+        a, b = residualize(d, s, m, np.int64(3)), residualize(d, s, m, 3)
+        assert np.array_equal(a.gamma_per_sample, b.gamma_per_sample)
+        assert trace_test(Method.SIR, d, s, (1,), np.int64(3), 0.05).j == 3
+
     def test_overlarge_working_set(self):
         d = make_dataset(np.random.default_rng(0), 6, 8)
         s = slice_response(d.y, 2)
@@ -250,3 +270,15 @@ class TestMomentCache:
         finally:
             tracemalloc.stop()
         assert peak < n * p * 8 / 4
+
+    def test_pickle_and_deepcopy_drop_the_caches(self, rng):
+        d = make_dataset(rng, 50, 40)
+        fresh = Dataset.from_arrays(np.array(d.x), np.array(d.y))
+        s = slice_response(d.y, 4)
+        used = compute_moments(d, s, (1, 2, 3))
+        used.v
+        assert len(pickle.dumps(d)) == len(pickle.dumps(fresh))
+        for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+            again = compute_moments(twin, s, (1, 2, 3))
+            for a, b in zip(_fields(used), _fields(again)):
+                assert np.array_equal(a, b)

@@ -223,25 +223,19 @@ class TestScanState:
         assert np.all(gains == -np.inf)
 
 
-def _synthetic_parts(p_hat, gamma_by_slice, zeta_by_slice, k=0, kappa=0.0):
+def _synthetic_parts(p_hat, gamma_by_slice, zeta_by_slice, k=0):
     h = len(p_hat)
     r = ResidualStats(
-        j=1,
-        f=(),
         theta=np.zeros(k),
         sigma2_jf=1.0,
         gamma_by_slice=np.asarray(gamma_by_slice, dtype=float),
         zeta_by_slice=np.asarray(zeta_by_slice, dtype=float),
         gamma_per_sample=np.zeros(2),
     )
-    varrho = float(np.asarray(p_hat) @ np.asarray(gamma_by_slice) ** 2)
     aux = AuxiliaryStats(
         phi_by_slice=np.zeros((h, k)),
         nu_by_slice=np.zeros((h, k)),
-        iota_by_slice=np.zeros((h, k)),
         iota_sum=np.zeros(k),
-        varrho=varrho,
-        kappa=kappa,
         cross_by_slice=np.zeros((h, k)),
     )
     return r, aux
@@ -252,8 +246,9 @@ class TestTraceDiff:
         # gamma = 0, zeta = 1, phi = nu = 0 in every slice
         class _M:
             proportions = np.array([0.25, 0.25, 0.25, 0.25])
+            kappa = 3.0
 
-        r, aux = _synthetic_parts(_M.proportions, np.zeros(4), np.ones(4), k=2, kappa=3.0)
+        r, aux = _synthetic_parts(_M.proportions, np.zeros(4), np.ones(4), k=2)
         for method in METHODS:
             assert trace_diff(method, _M, r, aux) == pytest.approx(0.0, abs=1e-15)
 

@@ -20,7 +20,7 @@ from tracepursuit import (
 )
 from tracepursuit.errors import DegenerateDistributionError, NumericalFailureError
 from tracepursuit.kernels import Method
-from tracepursuit.nulldist import InfluenceSample, influence_dim
+from tracepursuit.nulldist import influence_dim
 
 from conftest import make_dataset, random_case
 from oracles import mc_weighted_chisq_quantile, sir_omega_from_components
@@ -41,7 +41,7 @@ class TestInfluenceSamples:
         for _ in range(5):
             d, s, f, j = random_case(rng, n_range=(50, 120))
             m, r, aux = _parts(d, s, f, j)
-            ell = influence_samples(method, d, s, m, r, aux).ell_star
+            ell = influence_samples(method, d, s, m, r, aux)
             mu = np.abs(ell.mean(axis=0))
             sd = ell.std(axis=0)
             live = sd > 0
@@ -60,14 +60,14 @@ class TestInfluenceSamples:
     def test_realized_shapes(self, method, rng):
         d, s, f, j = random_case(rng)
         m, r, aux = _parts(d, s, f, j)
-        ell = influence_samples(method, d, s, m, r, aux).ell_star
+        ell = influence_samples(method, d, s, m, r, aux)
         assert ell.shape == (d.n, influence_dim(method, len(f), s.h_count))
 
     def test_sir_empty_set_closed_form(self, rng):
         d = make_dataset(rng, 60, 3)
         s = slice_response(d.y, 4)
         m, r, aux = _parts(d, s, (), 2)
-        ell = influence_samples(Method.SIR, d, s, m, r, aux).ell_star
+        ell = influence_samples(Method.SIR, d, s, m, r, aux)
         xj = d.x[:, 1] - d.x[:, 1].mean()
         sd = np.sqrt(np.mean(xj**2) - xj.mean() ** 2)
         p_hat = np.asarray(s.proportions)
@@ -82,11 +82,11 @@ class TestInfluenceSamples:
         for _ in range(3):
             d, s, f, j = random_case(rng, n_range=(40, 90), p_range=(3, 6))
             m, r, aux = _parts(d, s, f, j)
-            nd = omega_hat(influence_samples(Method.SIR, d, s, m, r, aux))
+            omega, _ = omega_hat(influence_samples(Method.SIR, d, s, m, r, aux))
             want = sir_omega_from_components(
                 d.x, s.membership, [i - 1 for i in f], j - 1
             )
-            assert np.max(np.abs(nd.omega - want)) < 1e-10
+            assert np.max(np.abs(omega - want)) < 1e-10
 
     def test_statistic_is_squared_norm_of_point_stacking(self, rng):
         # n * trace gain equals n * ||stacked point estimates||^2; the MC mean
@@ -95,8 +95,7 @@ class TestInfluenceSamples:
         d, s, f, j = random_case(rng, n_range=(80, 120))
         m, r, aux = _parts(d, s, f, j)
         for method in METHODS:
-            nd = omega_hat(influence_samples(method, d, s, m, r, aux))
-            w = nd.weights
+            _, w = omega_hat(influence_samples(method, d, s, m, r, aux))
             rng2 = np.random.default_rng(99)
             draws = rng2.chisquare(1.0, size=(20000, w.size)) @ w
             se = draws.std() / np.sqrt(draws.size)
@@ -107,30 +106,30 @@ class TestOmegaHat:
     def test_rank_one(self):
         c = np.linspace(1.0, 2.0, 30)
         ell = np.column_stack([c, np.zeros(30), np.zeros(30)])
-        nd = omega_hat(InfluenceSample(method=Method.SIR, ell_star=ell))
-        assert nd.weights[0] == pytest.approx(float(c @ c) / 30)
-        assert np.all(nd.weights[1:] == 0.0)
+        _, weights = omega_hat(ell)
+        assert weights[0] == pytest.approx(float(c @ c) / 30)
+        assert np.all(weights[1:] == 0.0)
 
     def test_psd_and_sorted(self, rng):
         d, s, f, j = random_case(rng)
         m, r, aux = _parts(d, s, f, j)
         for method in METHODS:
-            nd = omega_hat(influence_samples(method, d, s, m, r, aux))
-            assert np.all(nd.weights >= 0.0)
-            assert np.all(np.diff(nd.weights) <= 0.0)
-            assert np.max(np.abs(nd.omega - nd.omega.T)) < 1e-10
+            omega, weights = omega_hat(influence_samples(method, d, s, m, r, aux))
+            assert np.all(weights >= 0.0)
+            assert np.all(np.diff(weights) <= 0.0)
+            assert np.max(np.abs(omega - omega.T)) < 1e-10
 
     def test_nonfinite_rejected(self):
         ell = np.ones((10, 2))
         ell[3, 1] = np.nan
         with pytest.raises(NumericalFailureError):
-            omega_hat(InfluenceSample(method=Method.SIR, ell_star=ell))
+            omega_hat(ell)
 
     def test_warns_when_underdetermined(self):
         ell = np.random.default_rng(0).standard_normal((5, 8))
         ell -= ell.mean(axis=0)
         with pytest.warns(RuntimeWarning):
-            omega_hat(InfluenceSample(method=Method.SIR, ell_star=ell))
+            omega_hat(ell)
 
 
 class TestWeightedChisqQuantile:
@@ -175,6 +174,14 @@ class TestWeightedChisqQuantile:
     def test_all_zero_weights(self):
         with pytest.raises(DegenerateDistributionError):
             weighted_chisq_upper_quantile(np.zeros(3), 0.05)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
+    @pytest.mark.parametrize(
+        "quantile", [weighted_chisq_upper_quantile, weighted_chisq_quantile_mc]
+    )
+    def test_nonfinite_or_negative_weight_rejected(self, quantile, bad):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            quantile(np.array([1.0, bad]), 0.05)
 
     def test_mc_fallback_reproducible_and_close(self):
         w = np.array([1.0, 0.5, 0.25])

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,111 @@ def test_duplicated_column_keeps_smaller_index():
             (e.action, e.index, e.note) for e in report.trail
         ]
         assert 3 in report.selected
+
+
+@pytest.mark.parametrize("method", list(Method))
+@pytest.mark.parametrize("model", ["I", "II", "III"])
+def test_each_working_set_and_candidate_tested_once(model, method, monkeypatch):
+    """An STP run tests each (F, j) at most once and keeps the trail of the
+    reference, which tests every question afresh."""
+    import tracepursuit.selectors as selectors
+
+    residualize, test = selectors.residualize, selectors.statistic_and_threshold
+    asked = {}  # id of a residual -> (F, j, residual); kept alive so ids stay unique
+    tested = []
+
+    def spy_residualize(d, s, m, j):
+        r = residualize(d, s, m, j)
+        asked[id(r)] = (m.f, j, r)
+        return r
+
+    def spy_test(method, d, s, m, r, *rest):
+        tested.append(asked[id(r)][:2])
+        return test(method, d, s, m, r, *rest)
+
+    monkeypatch.setattr(selectors, "residualize", spy_residualize)
+    monkeypatch.setattr(selectors, "statistic_and_threshold", spy_test)
+    desk, _ = generate(SimDesign(model=model, n=300, p=10, seed=5))
+    # a looser alpha on correlated columns, so that some runs also delete
+    loose, _ = generate(SimDesign(model=model, n=200, p=20, rho=0.5, seed=8))
+    runs = [
+        (desk, None),
+        (desk, StpConfig(method=method)),
+        (loose, StpConfig(method=method, alpha=0.4)),
+    ]
+    for d, cfg in runs:
+        s = slice_response(d.y, 4)
+        tested.clear()
+        report = htp_run(d, s, method) if cfg is None else stp_run(d, s, cfg)
+        assert tested and len(set(tested)) == len(tested)
+        if cfg is not None:
+            expected = reference_stp_trail(
+                d, s, method, cfg.resolved_alpha(d.p),
+                cfg.resolved_max_set_size(d.n, d.p, 4), range(1, d.p + 1),
+            )
+            got = [(e.action, e.index, e.statistic, e.threshold, e.note) for e in report.trail]
+            assert got == expected
+
+
+def test_scripted_return_to_an_earlier_working_set(monkeypatch):
+    """Scripted gains and tests: after two deletions and an addition the run
+    is back at {2, 3}, whose candidate 1 was scored, not tested, at {1, 2, 3}."""
+    import tracepursuit.selectors as selectors
+
+    cheap = {((1, 3), 2): 0.5, ((3,), 1): 0.1}  # else the gain of j is 4 - j
+    fail = {((1, 3), 2), ((3,), 1)}  # questions whose test retains H0
+
+    def gain(f, j):
+        return cheap.get((f, j), 4.0 - j)
+
+    class Scan:
+        def __init__(self, d, s, columns, f=()):
+            self.columns, self.f = columns, list(f)
+
+        def add(self, j):
+            self.f.append(j)
+
+    def scan_candidates(state, method):
+        f = tuple(sorted(state.f))
+        best = max((j for j in state.columns if j not in f), key=lambda j: gain(f, j))
+        return best, gain(f, best), []
+
+    tested = []
+
+    def statistic_and_threshold(method, d, s, m, r, aux, alpha):
+        tested.append(r)
+        return (0.0 if r in fail else 10.0), 5.0, None
+
+    monkeypatch.setattr(selectors, "ScanState", Scan)
+    monkeypatch.setattr(selectors, "_scan_candidates", scan_candidates)
+    monkeypatch.setattr(selectors, "compute_moments", lambda d, s, f: tuple(f))
+    monkeypatch.setattr(selectors, "residualize", lambda d, s, f, j: (f, j))
+    monkeypatch.setattr(selectors, "auxiliary_stats", lambda f, r: None)
+    monkeypatch.setattr(selectors, "trace_diff", lambda method, f, r, aux: gain(*r))
+    monkeypatch.setattr(selectors, "statistic_and_threshold", statistic_and_threshold)
+    d = make_dataset(np.random.default_rng(0), 40, 3)
+    report = stp_run(d, slice_response(d.y, 2), StpConfig(method=Method.SIR, alpha=0.5))
+    steps = [(e.action, e.index) for e in report.trail if e.action != "stop"]
+    assert steps == [
+        ("add", 1), ("add", 2), ("add", 3), ("delete", 2), ("delete", 1), ("add", 2), ("add", 1)
+    ]
+    assert report.trail[-1].note == "cycle detected"
+    assert tested[-1] == ((2, 3), 1)
+    assert len(set(tested)) == len(tested)
+
+
+def test_long_stepwise_run_holds_no_moments_per_question():
+    # 30 additions: moments kept for every question asked would take ~29 MB
+    d, _ = generate(SimDesign(model="I", n=300, p=50, seed=3))
+    s = slice_response(d.y, 4)
+    tracemalloc.start()
+    try:
+        report = stp_run(d, s, StpConfig(method=Method.SIR, alpha=0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.selected) >= 25
+    assert peak < 2e6
 
 
 def _noise_dataset(seed, n=300, p=10):
