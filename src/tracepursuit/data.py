@@ -233,7 +233,6 @@ class MomentStats:
     h_count: int
     proportions: np.ndarray
     slice_rows: tuple[np.ndarray, ...]
-    zero_variance: IndexSet = ()
     _read_v: Callable[[], np.ndarray] = field(kw_only=True, repr=False, compare=False)
 
     @property
@@ -425,8 +424,6 @@ def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentS
         u[:, a:b] = tile_u[:, loc]
     sigma = _gather_blocks(runs, cache.sigma_block, ())
 
-    zero_var = tuple(j for a, j in enumerate(fs) if sigma[a, a] == 0.0)
-
     return MomentStats(
         f=fs,
         sigma_f=sigma,
@@ -436,6 +433,5 @@ def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentS
         h_count=s.h_count,
         proportions=np.asarray(s.proportions),
         slice_rows=s.rows,
-        zero_variance=zero_var,
         _read_v=partial(_gather_blocks, runs, cache.v_block, (s.h_count,)),
     )

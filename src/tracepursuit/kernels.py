@@ -21,6 +21,7 @@ and are computed once per working set; ``residualize`` and
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,19 @@ from .errors import CollinearCandidateError, SingularDesignError, WorkingSetInde
 # Residual variance below this fraction of the candidate's own variance is
 # treated as exact collinearity.
 COLLINEARITY_FLOOR = 1e-12
+
+# ScanState drops the members from its residual block once they fill
+# 1/_REPACK of it, and updates the block in row chunks of about _BLOCK
+# entries: narrow blocks in one call, wide ones with a small temporary.
+_REPACK = 8
+_BLOCK = 1 << 16
+# ScanState grows its factor L of Sigma_F - c I by one row when the new pivot
+# d^2 exceeds this fraction of the new member's variance s_jj.  Rounding puts
+# an error of about eps cond(L) s_jj on the computed d^2, which stays below
+# 1e-10 s_jj while cond(Sigma_F - c I) <= 1e12, the spread the
+# EIGENVALUE_FLOOR rule admits; smaller pivots are refactored.  The forward
+# paths of the benchmark designs have no pivot below 4e-2 s_jj.
+_PIVOT_MARGIN = 1e-8
 
 
 class Method(enum.Enum):
@@ -230,30 +244,33 @@ class ScanState:
     The vectorized counterpart of ``residualize``, ``auxiliary_stats`` and
     ``trace_diff`` for scans: the candidates are the ``columns`` (1-based,
     ascending) outside F, and ``f`` lists the members in the order added.
-    It holds the residuals given F of the centered columns (n x m), an
-    orthonormal basis Q of the centered working set, the slice indicator
-    matrix and Sigma_F.  ``add`` grows F by one member: one modified
-    Gram-Schmidt vector q, one in-place rank-1 projection of every residual
-    column onto the complement of q, and one new row and column of Sigma_F,
-    so an addition costs O(n m) plus one Cholesky factorization of Sigma_F,
-    and nothing is rebuilt.  ``gains`` then
-    scores all candidates with a few BLAS calls: O(n m H) for SIR and
-    O(n m |F|) for SAVE and DR, which need the slice cross-moments Q_h' R_h.
+    It holds the residuals given F of the centered candidate columns, an
+    orthonormal basis Q and the triangular factor R_Q of the centered working
+    set (X_F = Q R_Q, so Sigma_F = R_Q' R_Q / n), the projections Q'X of the
+    held columns, the slice indicator matrix and L^{-1}, where L is the
+    Cholesky factor of Sigma_F - c I.  ``add`` grows F by one member: one
+    modified Gram-Schmidt vector q, one in-place rank-1 projection of every
+    held residual column onto the complement of q, one new column of R_Q
+    read from Q'X, and one new row of L^{-1}, so with m columns an addition
+    costs O(n (m - |F|) + |F|^2) and nothing is rebuilt.  ``gains`` then
+    scores all candidates with a few BLAS calls: O(n (m - |F|) H) for SIR and
+    O(n (m - |F|) |F|) for SAVE and DR, which need the slice cross-moments
+    Q_h' R_h.
 
-    Rows are kept slice by slice, so each slice is a contiguous block; the
-    gains are sums over samples within slices, which row order does not
-    change.  With Q the whitening is W = sqrt(n) R_Q^{-1} (X_F = Q R_Q),
-    which satisfies W W' = Sigma_F^{-1}; the gains depend on the whitening
-    only through such products, so no Sigma_F^{-1/2} is formed.
+    The residual block holds the columns at positions ``live`` (ascending)
+    and stays C-contiguous: once members fill 1/``_REPACK`` of its width it
+    is copied without them, in the same order.  Rows are kept slice by
+    slice, so each slice is a contiguous block; the gains are sums over
+    samples within slices, which row order does not change.  With Q the
+    whitening is W = sqrt(n) R_Q^{-1} (X_F = Q R_Q), which satisfies
+    W W' = Sigma_F^{-1}; the gains depend on the whitening only through such
+    products, so no Sigma_F^{-1/2} is formed.
     """
 
     def __init__(self, d: Dataset, s: SliceAssignment, columns: IndexSet, f: IndexSet = ()):
         self.n = d.n
         self.columns = np.asarray(columns, dtype=np.int64)
         self.f: list[int] = []
-        self._x = d.x
-        self._means = d.column_means()
-        self._rows = np.concatenate(s.rows)
         self._pos = {int(j): i for i, j in enumerate(self.columns)}
         self.member = np.zeros(self.columns.size, dtype=bool)
         self.counts = s.counts.astype(np.float64)
@@ -264,23 +281,27 @@ class ScanState:
         for h, (a, b) in enumerate(self.bounds):
             self.indicator[a:b, h] = 1.0
         idx = self.columns - 1
-        self.resid = self._x[np.ix_(self._rows, idx)]
-        self.resid -= self._means[idx]
+        self.resid = d.x[np.ix_(np.concatenate(s.rows), idx)]
+        self.resid -= d.column_means()[idx]
+        self.live = np.arange(self.columns.size)  # positions of the resid columns
+        self._dead = 0  # members among them
         sums, sq = self._slice_sums()
         self.var = sq.sum(0) / d.n - (sums.sum(0) / d.n) ** 2  # as in residualize
         cap = min(self.columns.size, d.n)
         self.q = np.empty((d.n, cap), order="F")
-        self.xf = np.empty((d.n, cap), order="F")
         self.slice_q = np.empty((s.h_count, cap))  # S'Q, slice sums of the basis
-        self.sigma = np.empty((cap, cap))
+        self.qx = np.empty((cap, self.live.size))  # Q'X of the held columns
+        self.rq = np.zeros((cap, cap))
         self.singular = False
         # c >= EIGENVALUE_FLOOR * tr(Sigma_F) for every F drawn from these columns
         self._shift = EIGENVALUE_FLOOR * float(sq.sum()) / d.n
+        self._linv = np.zeros((cap, cap))  # L^{-1}, L L' = Sigma_F - c I
+        self._factored = True  # whether _linv holds the factor of the current F
         for j in f:
             self.add(j)
 
     def _slice_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Slice sums of the residuals and of their squares, each (H, m)."""
+        """Slice sums of the held residuals and of their squares, each (H, width)."""
         r = self.resid
         sq = np.array([np.einsum("ij,ij->j", r[a:b], r[a:b]) for a, b in self.bounds])
         return self.indicator.T @ r, sq
@@ -295,36 +316,61 @@ class ScanState:
         self.f.append(int(j))
         if self.singular:
             return  # a singular Sigma_F stays singular as F grows (interlacing)
-        xc = self._x[self._rows, j - 1] - self._means[j - 1]
-        row = (self.xf[:, :k].T @ xc) / self.n
-        self.sigma[k, :k] = row
-        self.sigma[:k, k] = row
-        self.sigma[k, k] = float(xc @ xc) / self.n
-        self.xf[:, k] = xc
+        slot = int(self.live.searchsorted(i))
+        r = self.resid[:, slot]
+        self.rq[:k, k] = self.qx[:k, slot]
+        self.rq[k, k] = math.sqrt(r @ r)
         self.singular = self._is_singular(k + 1)
         if self.singular:
             return
-        r = self.resid[:, i]
-        q = r / np.linalg.norm(r)
+        q = r / self.rq[k, k]
         self.q[:, k] = q
         self.slice_q[:, k] = self.indicator.T @ q
+        self._dead += 1
+        if _REPACK * self._dead >= self.live.size:  # drop members, keep the order
+            keep = ~self.member[self.live]
+            self.live, self.var = self.live[keep], self.var[keep]
+            self.resid = self.resid[:, keep]
+            qx = np.empty((self.qx.shape[0], self.live.size))
+            qx[:k] = self.qx[:k, keep]
+            self.qx = qx
+            self._dead = 0
         w = q @ self.resid
-        for a, b in self.bounds:  # slice by slice, so no n x m temporary
-            self.resid[a:b] -= np.outer(q[a:b], w)
+        self.qx[k] = w
+        step = max(1, _BLOCK // max(1, w.size))
+        for a in range(0, self.n, step):
+            self.resid[a : a + step] -= q[a : a + step, None] * w
 
     def _is_singular(self, k: int) -> bool:
         """The ``EIGENVALUE_FLOOR`` verdict on Sigma_F, usually without eigvalsh.
 
-        A Cholesky factor of Sigma_F - c I proves lambda_min > c >=
-        EIGENVALUE_FLOOR * lambda_max, and costs a fraction of eigvalsh; only
-        when it fails do the eigenvalues decide.
+        A Cholesky factor L of Sigma_F - c I proves lambda_min > c >=
+        EIGENVALUE_FLOOR * lambda_max.  While L^{-1} is held, it grows by one
+        row when the new pivot d^2 clears ``_PIVOT_MARGIN``.  Otherwise
+        Sigma_F - c I is factored afresh, and only when that fails do the
+        eigenvalues decide.
         """
-        sigma = self.sigma[:k, :k]
+        rk = self.rq[:k, :k]
+        if self._factored:
+            linv = self._linv[: k - 1, : k - 1]
+            rj = rk[:, -1]
+            s_jj = float(rj @ rj) / self.n
+            ell = linv @ (rk[:-1, :-1].T @ rj[:-1] / self.n)
+            d2 = s_jj - self._shift - float(ell @ ell)
+            if d2 > _PIVOT_MARGIN * s_jj:
+                d = math.sqrt(d2)
+                self._linv[k - 1, : k - 1] = (ell @ linv) / -d
+                self._linv[k - 1, k - 1] = 1.0 / d
+                return False
+        sigma = rk.T @ rk / self.n
         try:
-            np.linalg.cholesky(sigma - self._shift * np.eye(k))
-            return False
+            chol = np.linalg.cholesky(sigma - self._shift * np.eye(k))
         except np.linalg.LinAlgError:
+            self._factored = False  # Sigma_F - c I stays indefinite as F grows
             return is_singular_spectrum(np.linalg.eigvalsh(sigma))
+        self._linv[:k, :k] = np.tril(np.linalg.inv(chol))
+        self._factored = True
+        return False
 
     def gains(self, method: Method) -> tuple[np.ndarray, list[tuple[int, str]]]:
         """Trace gain of each column over F, with the skipped candidates.
@@ -335,18 +381,18 @@ class ScanState:
         fails the ``EIGENVALUE_FLOOR`` rule, otherwise those whose residual
         variance fails the ``COLLINEARITY_FLOOR`` rule of ``residualize``.
         """
-        cand = ~self.member
-        out = np.full(cand.size, -np.inf)
+        out = np.full(self.columns.size, -np.inf)
         if self.singular:
             category = SingularDesignError.category
-            return out, [(int(j), category) for j in self.columns[cand]]
+            return out, [(int(j), category) for j in self.columns[~self.member]]
         n = self.n
+        cand = ~self.member[self.live]
         sums, sq = self._slice_sums()
         sigma2 = sq.sum(0) / n - (sums.sum(0) / n) ** 2
         collinear = cand & ((sigma2 <= 0.0) | (sigma2 < COLLINEARITY_FLOOR * self.var))
         ok = cand & ~collinear
         category = CollinearCandidateError.category
-        skipped = [(int(j), category) for j in self.columns[collinear]]
+        skipped = [(int(j), category) for j in self.columns[self.live[collinear]]]
         sigma2 = np.where(ok, sigma2, 1.0)
         nh = self.counts[:, None]
         p_hat = self.proportions
@@ -363,7 +409,7 @@ class ScanState:
             nu2 = np.empty_like(g)
             mc = np.empty_like(g)
             for h, (a, b) in enumerate(self.bounds):
-                c = q[a:b].T @ self.resid[a:b]  # slice-h cross-moments, (k, m)
+                c = q[a:b].T @ self.resid[a:b]  # slice-h cross-moments, (k, width)
                 nu2[h] = np.einsum("ij,ij->j", c, c)
                 mc[h] = mh[h] @ c
             nu2 *= n / (nh**2 * sigma2)  # |nu_h|^2
@@ -385,5 +431,5 @@ class ScanState:
                 )
             else:
                 raise ValueError(f"unknown method {method!r}")
-        out[ok] = gain[ok]
+        out[self.live[ok]] = gain[ok]
         return out, skipped

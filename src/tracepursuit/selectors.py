@@ -8,15 +8,15 @@ below its own threshold).  FTP greedily grows a nested solution
 path by trace gain alone and scores each prefix with a modified BIC; HTP
 screens with FTP, keeps the BIC-minimizing prefix, and refines it with STP.
 
-Forward scans are vectorized: a ``ScanState`` keeps the residuals of every
-column given the working set, updated by one rank-1 projection per
-addition, and scores all candidates with a few BLAS calls, so an FTP step
-costs O(n p H) for SIR (O(n p |F|) for SAVE and DR).  FTP keeps one state
-for its whole path; STP keeps one across its forward passes and builds a
-new one only after a deletion.  The scalar route (``residualize``,
-``auxiliary_stats``, ``trace_diff``) scores single candidates: the winner of
-an STP forward scan, whose statistic and threshold are then computed, and
-the members in the STP backward pass.
+Forward scans are vectorized: a ``ScanState`` keeps the residuals of the
+candidate columns given the working set, updated by one rank-1 projection
+per addition, and scores all candidates with a few BLAS calls, so an FTP
+step costs O(n (p - |F|) H + |F|^2) for SIR (O(n (p - |F|) |F|) for SAVE
+and DR).  FTP keeps one state for its whole path; STP keeps one across its
+forward passes and builds a new one only after a deletion.  The scalar
+route (``residualize``, ``auxiliary_stats``, ``trace_diff``) scores single
+candidates: the winner of an STP forward scan, whose statistic and
+threshold are then computed, and the members in the STP backward pass.
 
 Every STP decision is a pure function of the question (F, j): the moments
 of F are the same bits whenever they are read.  So each test is computed
@@ -39,7 +39,7 @@ import numpy as np
 from .data import Dataset, IndexSet, SliceAssignment, compute_moments, validate_working_set
 from .errors import TracePursuitError
 from .kernels import Method, ScanState, auxiliary_stats, residualize, trace_diff
-from .nulldist import statistic_and_threshold
+from .nulldist import influence_dim, statistic_and_threshold
 
 
 # Relative gap below which two trace gains are a tie.  Gains that agree in
@@ -55,7 +55,9 @@ class StpConfig:
 
     ``alpha`` defaults to 0.1/p when left as None; ``max_set_size`` defaults
     to min(p, n - H - 2), keeping the working-set covariance invertible with
-    slack for the slices.
+    slack for the slices.  Either is lowered, for SAVE and DR, until every
+    test the run can make has fewer influence dimensions than samples, so no
+    null law rests on a rank-deficient weight matrix.
     """
 
     method: Method
@@ -74,7 +76,11 @@ class StpConfig:
         size = cap if self.max_set_size is None else self.max_set_size
         if not 1 <= size < n:
             raise ValueError(f"max_set_size must be in 1..n-1, got {size}")
-        return min(size, cap)
+        size = min(size, cap)
+        # the largest working set tested has size - 1 members
+        while size > 0 and influence_dim(self.method, size - 1, h_count) >= n:
+            size -= 1
+        return size
 
 
 def default_path_cap(n: int, p: int, h_count: int) -> int:

@@ -117,7 +117,6 @@ class TestComputeMoments:
         m = compute_moments(d, s, (1, 2))
         assert m.sigma_f[0, 0] == 0.0
         assert np.all(m.sigma_f[0, 1:] == 0.0)
-        assert m.zero_variance == (1,)
 
     def test_against_naive_oracle(self, rng):
         d = make_dataset(rng, 50, 6)

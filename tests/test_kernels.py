@@ -5,14 +5,17 @@ import pytest
 
 from tracepursuit import (
     Dataset,
+    SimDesign,
     auxiliary_stats,
     compute_moments,
+    generate,
     influence_samples,
     residualize,
     slice_response,
     trace_diff,
     trace_kernel,
 )
+from tracepursuit.data import is_singular_spectrum
 from tracepursuit.errors import CollinearCandidateError, SingularDesignError
 from tracepursuit.kernels import AuxiliaryStats, Method, ResidualStats, ScanState
 
@@ -221,6 +224,105 @@ class TestScanState:
         gains, skipped = state.gains(Method.DR)
         assert skipped == [(3, "singular-design"), (4, "singular-design")]
         assert np.all(gains == -np.inf)
+
+
+def _certificate_designs():
+    """(name, x, order of additions) reaching every branch of the scan's verdict."""
+    ar1 = generate(SimDesign(model="I", n=200, p=40, rho=0.99, seed=5))[0].x
+    yield "ar1-0.99", ar1, range(1, 41)
+    ar1 = generate(SimDesign(model="I", n=40, p=60, rho=0.999, seed=5))[0].x
+    yield "ar1-0.999", ar1, range(1, 40)  # up to |F| = n - 1
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((100, 12))
+    e = rng.standard_normal((100, 3))
+    # column 13 repeats column 3 up to 1e-5 noise: a pivot too small to extend
+    # the factor but positive, so the factor is rebuilt.  Each later column
+    # makes F singular: 14 is that noise up to 1e-7 noise, in the span of F
+    # only through column 13; 15 repeats column 8 and 16 sums columns 4-12,
+    # each up to 1e-7 noise.
+    near = np.column_stack(
+        [
+            x,
+            x[:, 2] + 1e-5 * e[:, 0],
+            e[:, 0] + 1e-7 * e[:, 1],
+            x[:, 7] + 1e-7 * e[:, 2],
+            x[:, 3:].sum(axis=1) + 1e-7 * e[:, 1],
+        ]
+    )
+    for last in (14, 15, 16):
+        yield f"near-duplicate-{last}", near, (1, 2, 3, 13, *range(4, 13), last)
+    for scale in (1e8, 1e-8):
+        scaled = x.copy()
+        scaled[:, 4] *= scale
+        yield f"scaled-{scale:g}", scaled, range(1, 13)
+
+
+class TestScanCertificateAndRepack:
+    def test_singular_verdict_matches_eigenvalues_at_every_add(self, monkeypatch):
+        cholesky = np.linalg.cholesky
+        factored = []  # outcome of each Cholesky factorization during one add
+
+        def spy(a):
+            try:
+                out = cholesky(a)
+            except np.linalg.LinAlgError:
+                factored.append(False)
+                raise
+            factored.append(True)
+            return out
+
+        monkeypatch.setattr(np.linalg, "cholesky", spy)
+        branch = {(): "extend", (True,): "refactor", (False,): "eigenvalues"}
+        seen = set()
+        for name, x, order in _certificate_designs():
+            d = Dataset.from_arrays(x, np.random.default_rng(0).standard_normal(x.shape[0]))
+            s = slice_response(d.y, 4)
+            state = ScanState(d, s, tuple(range(1, d.p + 1)))
+            taken = []
+            for j in order:
+                factored.clear()
+                state.add(j)
+                sigma = compute_moments(d, s, state.f).sigma_f
+                assert state.singular == is_singular_spectrum(np.linalg.eigvalsh(sigma)), (
+                    name,
+                    state.f,
+                )
+                taken.append("reject" if state.singular else branch[tuple(factored)])
+                if state.singular:
+                    break
+            if name.startswith("ar1"):  # well-posed pivots: the held factor grows
+                assert set(taken) == {"extend"}, name
+            seen.update(taken)
+        assert seen == {"extend", "refactor", "eigenvalues", "reject"}
+
+    def test_repacked_block_keeps_gains(self):
+        rng = np.random.default_rng(9)
+        d = make_dataset(rng, 200, 60)
+        s = slice_response(d.y, 4)
+        columns = tuple(j for j in range(1, 61) if j % 7)
+        f = [int(j) for j in rng.choice(columns, 14, replace=False)]
+        grown = ScanState(d, s, columns)
+        for j in f:
+            grown.add(j)
+        assert grown.live.size < len(columns) - 1  # members were dropped
+        built = ScanState(d, s, columns, sorted(f))
+        m = compute_moments(d, s, f)
+        rq = grown.rq[: len(f), : len(f)]  # Sigma_F = R_Q' R_Q / n, in the order added
+        order = np.argsort(f)
+        sigma = (rq.T @ rq / d.n)[np.ix_(order, order)]
+        assert np.allclose(sigma, m.sigma_f, rtol=1e-10, atol=1e-12)
+        for method in METHODS:
+            gains, skipped = grown.gains(method)
+            built_gains, built_skipped = built.gains(method)
+            assert skipped == built_skipped == []
+            assert np.allclose(gains, built_gains, rtol=1e-10)
+            for j, gain in zip(columns, gains):
+                if j in f:
+                    assert gain == -np.inf
+                    continue
+                r = residualize(d, s, m, j)
+                aux = None if method is Method.SIR else auxiliary_stats(m, r)
+                assert gain == pytest.approx(trace_diff(method, m, r, aux), rel=1e-10)
 
 
 def _synthetic_parts(p_hat, gamma_by_slice, zeta_by_slice, k=0):

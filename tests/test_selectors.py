@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from tracepursuit import (
     trace_kernel,
 )
 from tracepursuit.kernels import Method, ScanState
+from tracepursuit.nulldist import influence_dim
 from tracepursuit.selectors import StpConfig, _scan_candidates, default_path_cap
 
 from conftest import make_dataset
@@ -399,3 +401,21 @@ class TestHtp:
         m = res.metrics
         assert m.cf >= 85
         assert 3.8 <= m.ms <= 4.3
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_stp_cap_keeps_every_weight_matrix_full_rank(method):
+    """At n=60, H=4 a SAVE test on 14 members or a DR test on 11 has at least
+    as many influence dimensions as samples; STP stops before making one."""
+    d, _ = generate(SimDesign(model="I", n=60, p=40, seed=1), replication=0)
+    s = slice_response(d.y, 4)
+    cfg = StpConfig(method=method, alpha=0.45)
+    cap = cfg.resolved_max_set_size(d.n, d.p, 4)
+    if method is Method.SIR:
+        assert cap == default_path_cap(d.n, d.p, 4)
+    else:
+        assert influence_dim(method, cap - 1, 4) < d.n <= influence_dim(method, cap, 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = stp_run(d, s, cfg)
+    assert len(report.selected) <= cap
