@@ -4,6 +4,11 @@ Conditional-independence trace tests built on the SIR, SAVE, and
 directional-regression kernels, calibrated against weighted chi-square null
 laws, and the stepwise / forward / hybrid selection algorithms on top of
 them, plus a simulation bench.
+
+The names below are the supported API.  The pieces of the per-candidate
+scalar route (``residualize``, ``auxiliary_stats``, ``trace_diff``,
+``influence_samples``, ``omega_hat``, ...) are imported from their modules,
+``tracepursuit.kernels`` and ``tracepursuit.nulldist``.
 """
 
 from .data import (
@@ -14,23 +19,8 @@ from .data import (
     slice_response,
 )
 from .errors import TracePursuitError
-from .kernels import (
-    AuxiliaryStats,
-    Method,
-    ResidualStats,
-    auxiliary_stats,
-    residualize,
-    trace_diff,
-    trace_kernel,
-)
-from .nulldist import (
-    TraceTestResult,
-    influence_samples,
-    omega_hat,
-    trace_test,
-    weighted_chisq_quantile_mc,
-    weighted_chisq_upper_quantile,
-)
+from .kernels import Method, trace_kernel
+from .nulldist import TraceTestResult, trace_test, weighted_chisq_upper_quantile
 from .selectors import (
     SelectionReport,
     SolutionPath,
@@ -54,12 +44,10 @@ from .simbench import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxiliaryStats",
     "Dataset",
     "ExperimentResult",
     "Method",
     "MomentStats",
-    "ResidualStats",
     "SelectionMetrics",
     "SelectionReport",
     "SimDesign",
@@ -69,23 +57,17 @@ __all__ = [
     "TraceTestResult",
     "TracePursuitError",
     "TrailEntry",
-    "auxiliary_stats",
     "bic_score",
     "compute_moments",
     "evaluate",
     "ftp_run",
     "generate",
     "htp_run",
-    "influence_samples",
-    "omega_hat",
     "replay_trail",
-    "residualize",
     "run_experiment",
     "slice_response",
     "stp_run",
-    "trace_diff",
     "trace_kernel",
     "trace_test",
-    "weighted_chisq_quantile_mc",
     "weighted_chisq_upper_quantile",
 ]

@@ -20,12 +20,14 @@ reference to the slicing, is not thread-safe, and is neither pickled nor
 copied with the dataset.
 
 ``MomentStats`` also owns the working-set algebra: the terms that depend
-on F alone, and so are shared by all candidates of a scan, are built on one
-``eigh(sigma_f)`` that runs at most once per instance, and are cached there.
-These are ``solve`` (Sigma_F^{-1} b), ``inverse`` (Sigma_F^{-1}),
-``inverse_sqrt`` (Sigma_F^{-1/2}), ``whitened_means`` (u Sigma_F^{-1/2})
-and ``kappa``, the SIR kernel trace on F.  The kernels module keeps only
-the work that depends on the candidate.
+on F alone, and so are shared by all candidates of a scan, come from one
+whitening W with W W' = Sigma_F^{-1}, built on one ``eigh(sigma_f)`` that
+runs at most once per instance, and are cached there.  These are W itself,
+the whitened moments X_F W, u W and W' v W, and ``kappa``, the SIR kernel
+trace on F.  The traces, gains and null weights depend on Sigma_F only
+through W W', so any other whitening W O, O orthogonal, gives the same
+values.  The kernels module keeps only the work that depends on the
+candidate.
 
 Everything here is a pure function of its inputs; the returned objects are
 treated as immutable apart from those caches.
@@ -220,9 +222,10 @@ class MomentStats:
     these.  ``v`` is read on first use.
 
     Instances are immutable after construction apart from cached properties.
-    The operations built on ``sigma_f`` raise ``SingularDesignError`` when its
-    smallest eigenvalue falls below ``EIGENVALUE_FLOOR`` times the largest
-    (condition number above 1e12).
+    ``whitening`` and the whitened moments built on it raise
+    ``SingularDesignError`` when the smallest eigenvalue of ``sigma_f`` falls
+    below ``EIGENVALUE_FLOOR`` times the largest (condition number above
+    1e12).
     """
 
     f: IndexSet
@@ -249,42 +252,37 @@ class MomentStats:
         evals, evecs = np.linalg.eigh(self.sigma_f)
         return evals, evecs, is_singular_spectrum(evals)
 
-    def _spectrum(self) -> tuple[np.ndarray, np.ndarray]:
-        """``eigh(sigma_f)`` after the singularity check (empty when F is)."""
+    @cached_property
+    def whitening(self) -> np.ndarray:
+        """W = V Lambda^{-1/2} from ``eigh(sigma_f)``, so W W' = Sigma_F^{-1}."""
         evals, evecs, singular = self._eigh
         if singular:
             raise SingularDesignError(
                 f"working-set covariance is numerically singular "
                 f"(eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])"
             )
-        return evals, evecs
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Sigma_F^{-1} b."""
-        evals, evecs = self._spectrum()
-        return evecs @ ((evecs.T @ b) / evals)
+        return evecs / np.sqrt(evals)
 
     @cached_property
-    def inverse(self) -> np.ndarray:
-        evals, evecs = self._spectrum()
-        return evecs @ (evecs / evals).T
+    def white_xc(self) -> np.ndarray:
+        """Whitened centered columns Z = X_F W, (n, |F|), with Z'Z/n = I."""
+        return self.xc @ self.whitening
 
     @cached_property
-    def inverse_sqrt(self) -> np.ndarray:
-        evals, evecs = self._spectrum()
-        return evecs @ (evecs / np.sqrt(evals)).T
+    def white_u(self) -> np.ndarray:
+        """Whitened slice means u W, (H, |F|)."""
+        return self.u @ self.whitening
 
     @cached_property
-    def whitened_means(self) -> np.ndarray:
-        """Slice means in whitened coordinates, (H, |F|)."""
-        return self.u @ self.inverse_sqrt
+    def white_v(self) -> np.ndarray:
+        """Whitened slice second moments W' v_h W, (H, |F|, |F|)."""
+        w = self.whitening
+        return w.T @ self.v @ w
 
     @cached_property
     def kappa(self) -> float:
-        """SIR kernel trace on F, sum_h p_h u_h' Sigma_F^{-1} u_h (0 when empty)."""
-        return float(
-            self.proportions @ np.einsum("ha,ab,hb->h", self.u, self.inverse, self.u)
-        )
+        """SIR kernel trace on F, sum_h p_h |u_h W|^2 (0 when empty)."""
+        return float(self.proportions @ np.einsum("ha,ha->h", self.white_u, self.white_u))
 
 
 def validate_working_set(f: Iterable[int], p: int) -> IndexSet:

@@ -12,10 +12,13 @@ The two routes agree to floating point because every sample moment is an
 n-divisor empirical average over the same observations and the candidate
 residual is exactly orthogonal to the working set in sample.
 
-The terms that depend on the working set alone (Sigma_F^{-1},
-Sigma_F^{-1/2}, the whitened slice means and kappa) live on ``MomentStats``
-and are computed once per working set; ``residualize`` and
-``auxiliary_stats`` do only the per-candidate work on top of them.
+The scalar route works in whitened coordinates: the terms that depend on
+the working set alone (the whitening W with W W' = Sigma_F^{-1}, the
+whitened moments Z = X_F W, u W and W' v W, and kappa) live on
+``MomentStats`` and are computed once per working set; ``residualize`` and
+``auxiliary_stats`` do only the per-candidate work on top of them.  Every
+trace and gain depends on W only through W W', so it does not matter which
+whitening ``MomentStats`` picks.
 """
 
 from __future__ import annotations
@@ -67,33 +70,16 @@ class Method(enum.Enum):
 class ResidualStats:
     """Standardized residual of a candidate column given the working set.
 
-    ``theta`` solves the n-divisor normal equations of the candidate on the
-    centered working-set columns; ``gamma_per_sample`` is the residual divided
-    by its sample standard deviation; ``gamma_by_slice`` / ``zeta_by_slice``
-    are slice means of the residual and of its square.
+    The residual is that of the n-divisor least-squares fit of the candidate
+    on the centered working-set columns; ``gamma_per_sample`` is the residual
+    divided by its sample standard deviation; ``gamma_by_slice`` /
+    ``zeta_by_slice`` are slice means of the residual and of its square.
     """
 
-    theta: np.ndarray
     sigma2_jf: float
     gamma_by_slice: np.ndarray
     zeta_by_slice: np.ndarray
     gamma_per_sample: np.ndarray
-
-
-@dataclass(frozen=True)
-class AuxiliaryStats:
-    """Slice summaries needed by the second-order (SAVE and DR) formulas.
-
-    ``cross_by_slice[h-1]`` holds the slice-h mean of (centered working-set
-    columns) times the standardized residual and ``nu_by_slice`` its whitened
-    form; ``phi_by_slice`` and ``iota_sum`` combine it with the whitened
-    slice means.
-    """
-
-    phi_by_slice: np.ndarray  # (H, |F|)
-    nu_by_slice: np.ndarray  # (H, |F|)
-    iota_sum: np.ndarray  # (|F|,)
-    cross_by_slice: np.ndarray  # (H, |F|)
 
 
 def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> ResidualStats:
@@ -109,14 +95,12 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
         raise WorkingSetIndexError(f"candidate {j} already in working set {m.f}")
 
     xj = d.centered_column(j - 1)
-    k = m.size
-    if k == 0:
-        theta = np.empty(0)
+    if m.size == 0:
         resid = xj
     else:
         b = (m.xc.T @ xj) / d.n
-        theta = m.solve(b)
-        resid = xj - m.xc @ theta
+        w = m.whitening
+        resid = xj - m.xc @ (w @ (w.T @ b))
 
     mean_r = resid.mean()
     sigma2 = float(resid @ resid) / d.n - mean_r**2
@@ -137,7 +121,6 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
         zeta_by_slice[idx] = float(g @ g) / rows.size
 
     return ResidualStats(
-        theta=theta,
         sigma2_jf=sigma2,
         gamma_by_slice=gamma_by_slice,
         zeta_by_slice=zeta_by_slice,
@@ -145,29 +128,27 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
     )
 
 
-def auxiliary_stats(m: MomentStats, r: ResidualStats) -> AuxiliaryStats:
-    """Whitened slice cross-moments of the residual with the working set."""
-    p_hat = m.proportions
+def auxiliary_stats(m: MomentStats, r: ResidualStats) -> np.ndarray:
+    """Whitened slice cross-moments nu of the residual with the working set.
+
+    ``nu[h-1]`` is the slice-h mean of Z times the standardized residual,
+    where Z = X_F W are the whitened working-set columns; (H, |F|).
+    """
+    z = m.white_xc
     gamma = r.gamma_per_sample
-
-    cross = np.empty((m.h_count, m.size))
+    nu = np.empty((m.h_count, m.size))
     for idx, rows in enumerate(m.slice_rows):
-        cross[idx] = (m.xc[rows].T @ gamma[rows]) / rows.size
-
-    nu = cross @ m.inverse_sqrt
-    iota = m.whitened_means * r.gamma_by_slice[:, None]
-    phi = iota - nu
-
-    return AuxiliaryStats(
-        phi_by_slice=phi,
-        nu_by_slice=nu,
-        iota_sum=p_hat @ iota,
-        cross_by_slice=cross,
-    )
+        nu[idx] = (z[rows].T @ gamma[rows]) / rows.size
+    return nu
 
 
 def trace_kernel(method: Method, m: MomentStats) -> float:
-    """Trace of the method's kernel matrix on the working set (0 when empty)."""
+    """Trace of the method's kernel matrix on the working set (0 when empty).
+
+    In whitened moments ub_h = u_h W and vt_h = W' v_h W: SIR is kappa =
+    sum_h p_h |ub_h|^2, SAVE sum_h p_h |I - vt_h + ub_h ub_h'|_F^2, and DR
+    2 sum_h p_h |vt_h|_F^2 + 2 |sum_h p_h ub_h ub_h'|_F^2 + 2 kappa^2 - 2|F|.
+    """
     k = m.size
     if k == 0:
         return 0.0
@@ -176,23 +157,15 @@ def trace_kernel(method: Method, m: MomentStats) -> float:
     if method is Method.SIR:
         return m.kappa
 
-    inv = m.inverse
+    ub, vt = m.white_u, m.white_v
     if method is Method.SAVE:
-        total = 0.0
-        for h in range(m.h_count):
-            b = m.sigma_f - m.v[h] + np.outer(m.u[h], m.u[h])
-            c = inv @ b
-            total += p_hat[h] * float(np.sum(c * c.T))
-        return total
+        b = np.eye(k) - vt + ub[:, :, None] * ub[:, None, :]
+        return float(p_hat @ np.einsum("hab,hab->h", b, b))
 
     if method is Method.DR:
-        w = np.einsum("h,ha,hb->ab", p_hat, m.u, m.u)
-        cw = inv @ w
-        second = float(np.sum(cw * cw.T))
-        first = 0.0
-        for h in range(m.h_count):
-            cv = inv @ m.v[h]
-            first += p_hat[h] * float(np.sum(cv * cv.T))
+        w = np.einsum("h,ha,hb->ab", p_hat, ub, ub)
+        first = float(p_hat @ np.einsum("hab,hab->h", vt, vt))
+        second = float(np.sum(w * w))
         return 2.0 * first + 2.0 * second + 2.0 * m.kappa**2 - 2.0 * k
 
     raise ValueError(f"unknown method {method!r}")
@@ -202,11 +175,11 @@ def trace_diff(
     method: Method,
     m: MomentStats,
     r: ResidualStats,
-    aux: AuxiliaryStats | None = None,
+    nu: np.ndarray | None = None,
 ) -> float:
     """Closed-form trace gain from adding the candidate of ``r`` to ``m.f``.
 
-    SAVE and DR require the auxiliary slice summaries; SIR ignores them.
+    SAVE and DR require ``nu`` from ``auxiliary_stats``; SIR ignores it.
     The SIR gain is a weighted sum of squares and hence always >= 0.
     """
     p_hat = m.proportions
@@ -215,23 +188,26 @@ def trace_diff(
     if method is Method.SIR:
         return float(p_hat @ g**2)
 
-    if aux is None:
+    if nu is None:
         raise ValueError(f"{method.value} trace gain requires auxiliary stats")
 
     z = r.zeta_by_slice
+    iota = m.white_u * g[:, None]
     if method is Method.SAVE:
         diag = (1.0 - z + g**2) ** 2
-        cross = 2.0 * np.einsum("ha,ha->h", aux.phi_by_slice, aux.phi_by_slice)
+        phi = iota - nu
+        cross = 2.0 * np.einsum("ha,ha->h", phi, phi)
         return float(p_hat @ (diag + cross))
 
     if method is Method.DR:
         diag = (1.0 - z) ** 2
-        cross = 2.0 * np.einsum("ha,ha->h", aux.nu_by_slice, aux.nu_by_slice)
+        cross = 2.0 * np.einsum("ha,ha->h", nu, nu)
         varrho = float(p_hat @ g**2)
+        iota_sum = p_hat @ iota
         return float(
             2.0 * (p_hat @ (diag + cross))
             + 4.0 * varrho**2
-            + 4.0 * (aux.iota_sum @ aux.iota_sum)
+            + 4.0 * (iota_sum @ iota_sum)
             + 4.0 * m.kappa * varrho
         )
 

@@ -11,7 +11,13 @@ with influence columns averaging to zero up to float roundoff).
 
 Per-coordinate signs of the stacked influence vector do not affect the
 weights: flipping signs conjugates the outer product by a diagonal
-orthogonal matrix, which preserves eigenvalues.
+orthogonal matrix, which preserves eigenvalues.  Nor does the whitening of
+the working set: the vector is written in the coordinates of
+``MomentStats.whitening``, and another whitening W O (O orthogonal, since
+W O O' W' = W W' = Sigma_F^{-1}) right-multiplies each |F|-dimensional
+block by the same O.  The stacked vector is then multiplied by a
+block-diagonal orthogonal matrix, which conjugates the outer product and
+again preserves its eigenvalues.
 
 The path from moments to threshold passes plain arrays: ``influence_samples``
 returns the (n, dim) samples, ``omega_hat`` returns ``(omega, weights)``, and
@@ -28,14 +34,7 @@ from scipy.special import gammainccinv
 
 from .data import Dataset, IndexSet, MomentStats, SliceAssignment, compute_moments
 from .errors import DegenerateDistributionError, NumericalFailureError
-from .kernels import (
-    AuxiliaryStats,
-    Method,
-    ResidualStats,
-    auxiliary_stats,
-    residualize,
-    trace_diff,
-)
+from .kernels import Method, ResidualStats, auxiliary_stats, residualize, trace_diff
 
 # Clamp window for trailing eigenvalues of the estimated weight matrix; more
 # negative values indicate a bug since the matrix is an outer product.
@@ -59,43 +58,40 @@ def influence_samples(
     s: SliceAssignment,
     m: MomentStats,
     r: ResidualStats,
-    aux: AuxiliaryStats | None = None,
+    nu: np.ndarray | None = None,
 ) -> np.ndarray:
     """The method's stacked influence vector at every sample, (n, dim).
 
-    ``aux`` is required for SAVE and DR and ignored for SIR.  All population
-    symbols in the first-order expansions are replaced by their full-sample
-    estimates; each resulting column has exactly zero sample mean (up to
-    roundoff) by the normal equations and the exactness of slice averages.
+    ``nu`` from ``auxiliary_stats`` is required for SAVE and DR and ignored
+    for SIR.  The |F|-dimensional blocks are in the whitened coordinates of
+    ``m.whitening``.  All population symbols in the first-order expansions
+    are replaced by their full-sample estimates; each resulting column has
+    exactly zero sample mean (up to roundoff) by the normal equations and
+    the exactness of slice averages.
     """
     n = d.n
     h = s.h_count
-    k = m.size
     p_hat = np.asarray(s.proportions)
     sqrt_p = np.sqrt(p_hat)
 
     gamma = r.gamma_per_sample
     g_h = r.gamma_by_slice
     z_h = r.zeta_by_slice
-    sigma = np.sqrt(r.sigma2_jf)
+    z = m.white_xc  # (n, k), Z'Z/n = I
+    ubar = m.white_u  # (H, k)
 
     # indic[i, h] = 1{sample i in slice h} / p_hat[h]
     indic = np.zeros((n, h))
     for idx, rows in enumerate(s.rows):
         indic[rows, idx] = 1.0 / p_hat[idx]
 
-    # theta_star rows: delta of the regression coefficient at sample i,
-    # Sigma^{-1} X_i times the unstandardized residual.
-    theta_star = (m.xc @ m.inverse) * (sigma * gamma)[:, None]
-    proj = (theta_star @ m.u.T) / sigma  # (n, H): theta*_i' u_h / sigma
-
-    # gamma*_(i,h): slice-mean influence of the standardized residual.
-    g_star = (gamma[:, None] - g_h[None, :]) * indic - gamma[:, None] - proj
+    # gamma*_(i,h): slice-mean influence of the standardized residual; the
+    # last term is that of the fit on F, gamma_i Z_i' (u_h W).
+    g_star = (gamma[:, None] - g_h[None, :]) * indic - gamma[:, None]
+    g_star -= (z @ ubar.T) * gamma[:, None]
 
     if method is Method.SIR:
         return g_star * sqrt_p[None, :]
-
-    cross = aux.cross_by_slice  # (H, k) slice means of xc * gamma
 
     # zeta*_(i,h): slice-mean influence of the squared standardized residual.
     z_star = (
@@ -104,16 +100,15 @@ def influence_samples(
         - gamma[:, None] ** 2
         + 1.0
     )
-    z_star -= 2.0 * (theta_star @ cross.T) / sigma
+    z_star -= 2.0 * (z @ nu.T) * gamma[:, None]
 
-    nu_star = np.empty((h, n, k))
-    for idx in range(h):
-        a = (m.xc * gamma[:, None] - cross[idx][None, :]) * indic[:, idx][:, None]
-        a -= gamma[:, None] * m.u[idx][None, :]
-        a -= g_h[idx] * m.xc
-        a -= (theta_star @ m.v[idx]) / sigma
-        nu_star[idx] = a @ m.inverse_sqrt
-    iota_star = g_star.T[:, :, None] * m.whitened_means[:, None, :]  # (H, n, k)
+    # nu*_(i,h): influence of the whitened slice cross-moments, (H, n, k).
+    zg = z * gamma[:, None]
+    nu_star = (zg - nu[:, None, :]) * indic.T[:, :, None]
+    nu_star -= gamma[None, :, None] * ubar[:, None, :]
+    nu_star -= g_h[:, None, None] * z
+    nu_star -= zg @ m.white_v
+    iota_star = g_star.T[:, :, None] * ubar[:, None, :]  # (H, n, k)
     phi_star = iota_star - nu_star
 
     if method is Method.SAVE:
@@ -219,15 +214,15 @@ def statistic_and_threshold(
     s: SliceAssignment,
     m: MomentStats,
     r: ResidualStats,
-    aux: AuxiliaryStats | None,
+    nu: np.ndarray | None,
     alpha: float,
     quantile: str = "two-moment",
     mc_draws: int = 100_000,
     seed: int = 0,
 ) -> tuple[float, float, np.ndarray]:
     """Test statistic, its calibrated threshold, and the estimated weights."""
-    statistic = d.n * trace_diff(method, m, r, aux)
-    _, weights = omega_hat(influence_samples(method, d, s, m, r, aux))
+    statistic = d.n * trace_diff(method, m, r, nu)
+    _, weights = omega_hat(influence_samples(method, d, s, m, r, nu))
     if quantile == "two-moment":
         threshold = weighted_chisq_upper_quantile(weights, alpha)
     elif quantile == "monte-carlo":
@@ -255,9 +250,9 @@ def trace_test(
     """
     m = compute_moments(d, s, f)
     r = residualize(d, s, m, j)
-    aux = None if method is Method.SIR else auxiliary_stats(m, r)
+    nu = None if method is Method.SIR else auxiliary_stats(m, r)
     statistic, threshold, weights = statistic_and_threshold(
-        method, d, s, m, r, aux, alpha, quantile, mc_draws, seed
+        method, d, s, m, r, nu, alpha, quantile, mc_draws, seed
     )
     return TraceTestResult(
         method=method,

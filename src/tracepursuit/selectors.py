@@ -228,7 +228,10 @@ def stp_run(
 
     Each pass attempts one tested addition and one tested deletion; the run
     stops when a full pass changes nothing, a prior working set recurs, or
-    the pass budget is exhausted.
+    the pass budget is exhausted.  The final trail entry names the reason:
+    "converged", "set-size cap reached" (no addition was tried because the
+    working set has ``resolved_max_set_size`` members), "cycle detected" or
+    "iteration cap reached".
     """
     method = cfg.method
     if universe is None:
@@ -339,7 +342,8 @@ def stp_run(
                         return _finish(current, trail, method, uni)
 
         if not changed:
-            stop_note = "converged"
+            # a pass with no forward step ends at the cap, not at a test
+            stop_note = "set-size cap reached" if len(current) >= max_size else "converged"
             break
     else:
         stop_note = "iteration cap reached"

@@ -185,9 +185,9 @@ def scalar_scan(d, s, method, f, candidates):
     Returns (best_j, best_gain, best (m, r, aux), [(j, category), ...]); gains
     within ``TIE_RTOL`` of the best are ties, broken toward the smallest index.
     """
-    from tracepursuit import auxiliary_stats, compute_moments, residualize, trace_diff
+    from tracepursuit import compute_moments
     from tracepursuit.errors import TracePursuitError
-    from tracepursuit.kernels import Method
+    from tracepursuit.kernels import Method, auxiliary_stats, residualize, trace_diff
     from tracepursuit.selectors import TIE_RTOL
 
     m = compute_moments(d, s, f)
@@ -227,9 +227,9 @@ def reference_stp_trail(d, s, method, alpha, max_size, universe, max_iterations=
     """Stepwise trail as (action, index, statistic, threshold, note) tuples,
     forward additions chosen by ``scalar_scan``; deletions and tests as in
     the selector."""
-    from tracepursuit import auxiliary_stats, compute_moments, residualize, trace_diff
+    from tracepursuit import compute_moments
     from tracepursuit.errors import TracePursuitError
-    from tracepursuit.kernels import Method
+    from tracepursuit.kernels import Method, auxiliary_stats, residualize, trace_diff
     from tracepursuit.nulldist import statistic_and_threshold
 
     uni = tuple(sorted(universe))
@@ -287,7 +287,8 @@ def reference_stp_trail(d, s, method, alpha, max_size, universe, max_iterations=
                     if record_change("delete", best_d, stat, thr):
                         return trail
         if not changed:
-            trail.append(("stop", None, None, None, "converged"))
+            note = "set-size cap reached" if len(current) >= max_size else "converged"
+            trail.append(("stop", None, None, None, note))
             return trail
     trail.append(("stop", None, None, None, "iteration cap reached"))
     return trail

@@ -15,23 +15,20 @@ import pytest
 from tracepursuit import (
     Dataset,
     SimDesign,
-    auxiliary_stats,
     bic_score,
     compute_moments,
     evaluate,
     ftp_run,
     generate,
     replay_trail,
-    residualize,
     run_experiment,
     slice_response,
     stp_run,
-    trace_diff,
     trace_kernel,
     trace_test,
     weighted_chisq_upper_quantile,
 )
-from tracepursuit.kernels import Method
+from tracepursuit.kernels import Method, auxiliary_stats, residualize, trace_diff
 from tracepursuit.selectors import StpConfig
 
 from conftest import make_dataset, random_case
@@ -58,10 +55,10 @@ def test_criterion_1_trace_identity_oracle():
         d, s, f, j = random_case(rng, n_range=(30, 100), p_range=(2, 8), fmax=4)
         m = compute_moments(d, s, f)
         r = residualize(d, s, m, j)
-        aux = auxiliary_stats(m, r)
+        nu = auxiliary_stats(m, r)
         m_full = compute_moments(d, s, tuple(sorted(f + (j,))))
         for method in METHODS:
-            diff = trace_diff(method, m, r, aux)
+            diff = trace_diff(method, m, r, nu)
             t_full = trace_kernel(method, m_full)
             direct = t_full - trace_kernel(method, m)
             rel = abs(diff - direct) / max(1.0, t_full)

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepursuit import Dataset, compute_moments, residualize, slice_response, trace_test
+from tracepursuit import Dataset, compute_moments, slice_response, trace_test
 from tracepursuit.errors import (
     DegenerateSlicingError,
     IllPosedMomentsError,
     WorkingSetIndexError,
 )
-from tracepursuit.kernels import Method
+from tracepursuit.kernels import Method, residualize
 
 from conftest import make_dataset
 from oracles import naive_moments

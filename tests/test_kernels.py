@@ -6,18 +6,22 @@ import pytest
 from tracepursuit import (
     Dataset,
     SimDesign,
-    auxiliary_stats,
     compute_moments,
     generate,
-    influence_samples,
-    residualize,
     slice_response,
-    trace_diff,
     trace_kernel,
 )
 from tracepursuit.data import is_singular_spectrum
 from tracepursuit.errors import CollinearCandidateError, SingularDesignError
-from tracepursuit.kernels import AuxiliaryStats, Method, ResidualStats, ScanState
+from tracepursuit.kernels import (
+    Method,
+    ResidualStats,
+    ScanState,
+    auxiliary_stats,
+    residualize,
+    trace_diff,
+)
+from tracepursuit.nulldist import influence_samples, omega_hat, statistic_and_threshold
 
 from conftest import make_dataset, random_case
 from oracles import explicit_trace_kernel, ols_slice_means
@@ -51,8 +55,7 @@ class TestResidualize:
             s = slice_response(d.y, 4)
             m = compute_moments(d, s, (1, 3))
             r = residualize(d, s, m, 4)
-            theta, sigma2, gbs, gamma = ols_slice_means(d.x, s.membership, [0, 2], 3)
-            assert np.allclose(r.theta, theta, atol=1e-10)
+            _, sigma2, gbs, gamma = ols_slice_means(d.x, s.membership, [0, 2], 3)
             assert r.sigma2_jf == pytest.approx(sigma2, rel=1e-10)
             assert np.allclose(r.gamma_by_slice, gbs, atol=1e-10)
             assert np.allclose(r.gamma_per_sample, gamma, atol=1e-10)
@@ -66,6 +69,9 @@ class TestResidualize:
             assert abs(p_hat @ r.gamma_by_slice) < 1e-10
             assert abs(p_hat @ r.zeta_by_slice - 1.0) < 1e-10
             assert r.sigma2_jf > 0
+            # the residual is orthogonal to the working set, so the
+            # proportion-weighted whitened cross-moments sum to zero
+            assert np.all(np.abs(p_hat @ auxiliary_stats(m, r)) < 1e-10)
 
     def test_singular_design_error(self):
         rng = np.random.default_rng(5)
@@ -135,10 +141,16 @@ def eigh_calls(monkeypatch):
 
 
 class TestWorkingSetAlgebra:
-    def test_inverse_sqrt_whitens(self, small_case):
-        _, _, m = small_case
-        white = m.inverse_sqrt @ m.sigma_f @ m.inverse_sqrt
-        assert np.allclose(white, np.eye(m.size), atol=1e-12)
+    def test_whitening_whitens(self, rng):
+        for _ in range(10):
+            d, s, f, j = random_case(rng)
+            m = compute_moments(d, s, tuple(sorted(f + (j,))))
+            z = m.white_xc
+            assert np.allclose(z.T @ z / d.n, np.eye(m.size), atol=1e-12)
+            w = m.whitening
+            assert np.allclose(w @ w.T @ m.sigma_f, np.eye(m.size), atol=1e-10)
+            assert np.allclose(m.white_u, m.u @ w, atol=1e-12)
+            assert np.allclose(m.white_v, np.einsum("ab,hac,cd->hbd", w, m.v, w), atol=1e-12)
 
     def test_kappa_is_sir_trace(self, rng):
         for _ in range(10):
@@ -151,9 +163,8 @@ class TestWorkingSetAlgebra:
 
     def test_terms_are_cached(self, small_case):
         _, _, m = small_case
-        assert m.inverse is m.inverse
-        assert m.inverse_sqrt is m.inverse_sqrt
-        assert m.whitened_means is m.whitened_means
+        for name in ("whitening", "white_xc", "white_u", "white_v", "kappa"):
+            assert getattr(m, name) is getattr(m, name), name
 
     def test_empty_set_kappa_is_zero(self, small_case):
         d, s, _ = small_case
@@ -163,11 +174,11 @@ class TestWorkingSetAlgebra:
         d, s, m = small_case
         for j in (3, 4, 5):
             r = residualize(d, s, m, j)
-            aux = auxiliary_stats(m, r)
+            nu = auxiliary_stats(m, r)
             for method in METHODS:
-                trace_diff(method, m, r, aux)
+                trace_diff(method, m, r, nu)
                 trace_kernel(method, m)
-                influence_samples(method, d, s, m, r, aux)
+                influence_samples(method, d, s, m, r, nu)
         assert len(eigh_calls) == 1
 
     def test_singular_set_decomposed_once(self, eigh_calls):
@@ -178,8 +189,40 @@ class TestWorkingSetAlgebra:
         m = compute_moments(d, slice_response(d.y, 2), (1, 2))
         for _ in range(3):
             with pytest.raises(SingularDesignError):
-                m.inverse
+                m.whitening
         assert len(eigh_calls) == 1
+
+
+def _rotation(rng, k):
+    """A random orthogonal k x k matrix."""
+    q, r = np.linalg.qr(rng.standard_normal((k, k)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("size", [1, 3, 5])
+def test_results_do_not_depend_on_the_whitening(method, size):
+    """Replacing W by W O, O orthogonal, keeps W W' = Sigma_F^{-1}: gains,
+    kernel traces, statistics and null weights stay the same."""
+    rng = np.random.default_rng(100 + size)
+    d, _ = generate(SimDesign(model="I", n=150, p=8, rho=0.5, seed=size))
+    s = slice_response(d.y, 4)
+    f, j = tuple(range(2, 2 + size)), 8
+
+    def results(rotation):
+        m = compute_moments(d, s, f)
+        if rotation is not None:
+            m.whitening = m.whitening @ rotation
+        r = residualize(d, s, m, j)
+        nu = None if method is Method.SIR else auxiliary_stats(m, r)
+        stat, thr, _ = statistic_and_threshold(method, d, s, m, r, nu, 0.05)
+        _, weights = omega_hat(influence_samples(method, d, s, m, r, nu))
+        return trace_diff(method, m, r, nu), trace_kernel(method, m), stat, thr, weights
+
+    *plain, w_plain = results(None)
+    *rotated, w_rotated = results(_rotation(rng, size))
+    assert rotated == pytest.approx(plain, rel=1e-10)
+    assert np.allclose(w_rotated, w_plain, rtol=1e-10, atol=1e-10 * w_plain[0])
 
 
 class TestScanState:
@@ -198,8 +241,8 @@ class TestScanState:
                         assert gain == -np.inf
                         continue
                     r = residualize(d, s, m, j)
-                    aux = None if method is Method.SIR else auxiliary_stats(m, r)
-                    assert gain == pytest.approx(trace_diff(method, m, r, aux), rel=1e-10)
+                    nu = None if method is Method.SIR else auxiliary_stats(m, r)
+                    assert gain == pytest.approx(trace_diff(method, m, r, nu), rel=1e-10)
 
     def test_growing_equals_building(self, rng):
         d, s, _, _ = random_case(rng, p_range=(8, 8))
@@ -321,45 +364,37 @@ class TestScanCertificateAndRepack:
                     assert gain == -np.inf
                     continue
                 r = residualize(d, s, m, j)
-                aux = None if method is Method.SIR else auxiliary_stats(m, r)
-                assert gain == pytest.approx(trace_diff(method, m, r, aux), rel=1e-10)
+                nu = None if method is Method.SIR else auxiliary_stats(m, r)
+                assert gain == pytest.approx(trace_diff(method, m, r, nu), rel=1e-10)
 
 
-def _synthetic_parts(p_hat, gamma_by_slice, zeta_by_slice, k=0):
-    h = len(p_hat)
-    r = ResidualStats(
-        theta=np.zeros(k),
+def _synthetic_residual(gamma_by_slice, zeta_by_slice):
+    return ResidualStats(
         sigma2_jf=1.0,
         gamma_by_slice=np.asarray(gamma_by_slice, dtype=float),
         zeta_by_slice=np.asarray(zeta_by_slice, dtype=float),
         gamma_per_sample=np.zeros(2),
     )
-    aux = AuxiliaryStats(
-        phi_by_slice=np.zeros((h, k)),
-        nu_by_slice=np.zeros((h, k)),
-        iota_sum=np.zeros(k),
-        cross_by_slice=np.zeros((h, k)),
-    )
-    return r, aux
 
 
 class TestTraceDiff:
     def test_null_summaries_give_zero(self):
-        # gamma = 0, zeta = 1, phi = nu = 0 in every slice
+        # gamma = 0, zeta = 1, nu = 0 in every slice, so iota = phi = 0
         class _M:
             proportions = np.array([0.25, 0.25, 0.25, 0.25])
+            white_u = np.arange(8.0).reshape(4, 2)
             kappa = 3.0
 
-        r, aux = _synthetic_parts(_M.proportions, np.zeros(4), np.ones(4), k=2)
+        r = _synthetic_residual(np.zeros(4), np.ones(4))
         for method in METHODS:
-            assert trace_diff(method, _M, r, aux) == pytest.approx(0.0, abs=1e-15)
+            assert trace_diff(method, _M, r, np.zeros((4, 2))) == pytest.approx(0.0, abs=1e-15)
 
     def test_sir_direct_formula(self):
         class _M:
             proportions = np.array([0.5, 0.5])
 
-        r, aux = _synthetic_parts(_M.proportions, [0.3, -0.3], [1.0, 1.0])
-        assert trace_diff(Method.SIR, _M, r, aux) == pytest.approx(0.09)
+        r = _synthetic_residual([0.3, -0.3], [1.0, 1.0])
+        assert trace_diff(Method.SIR, _M, r) == pytest.approx(0.09)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_matches_direct_kernel_difference(self, method, rng):
@@ -368,9 +403,9 @@ class TestTraceDiff:
             d, s, f, j = random_case(rng)
             m = compute_moments(d, s, f)
             r = residualize(d, s, m, j)
-            aux = auxiliary_stats(m, r)
+            nu = auxiliary_stats(m, r)
             m_full = compute_moments(d, s, tuple(sorted(f + (j,))))
-            diff = trace_diff(method, m, r, aux)
+            diff = trace_diff(method, m, r, nu)
             direct = trace_kernel(method, m_full) - trace_kernel(method, m)
             denom = max(1.0, trace_kernel(method, m_full))
             worst = max(worst, abs(diff - direct) / denom)
@@ -394,9 +429,9 @@ class TestTraceDiff:
         s = slice_response(d.y, 4)
         m0 = compute_moments(d, s, ())
         r = residualize(d, s, m0, 2)
-        aux = auxiliary_stats(m0, r)
+        nu = auxiliary_stats(m0, r)
         m1 = compute_moments(d, s, (2,))
         for method in METHODS:
-            assert trace_diff(method, m0, r, aux) == pytest.approx(
+            assert trace_diff(method, m0, r, nu) == pytest.approx(
                 trace_kernel(method, m1), rel=1e-10, abs=1e-12
             )

@@ -7,20 +7,20 @@ from hypothesis import strategies as st
 
 from tracepursuit import (
     Dataset,
-    auxiliary_stats,
     compute_moments,
     htp_run,
-    influence_samples,
-    omega_hat,
-    residualize,
     slice_response,
     trace_test,
-    weighted_chisq_quantile_mc,
     weighted_chisq_upper_quantile,
 )
 from tracepursuit.errors import DegenerateDistributionError, NumericalFailureError
-from tracepursuit.kernels import Method
-from tracepursuit.nulldist import influence_dim
+from tracepursuit.kernels import Method, auxiliary_stats, residualize
+from tracepursuit.nulldist import (
+    influence_dim,
+    influence_samples,
+    omega_hat,
+    weighted_chisq_quantile_mc,
+)
 
 from conftest import make_dataset, random_case
 from oracles import mc_weighted_chisq_quantile, sir_omega_from_components
@@ -31,8 +31,8 @@ METHODS = list(Method)
 def _parts(d, s, f, j):
     m = compute_moments(d, s, f)
     r = residualize(d, s, m, j)
-    aux = auxiliary_stats(m, r)
-    return m, r, aux
+    nu = auxiliary_stats(m, r)
+    return m, r, nu
 
 
 class TestInfluenceSamples:
@@ -40,8 +40,8 @@ class TestInfluenceSamples:
     def test_columns_have_zero_mean(self, method, rng):
         for _ in range(5):
             d, s, f, j = random_case(rng, n_range=(50, 120))
-            m, r, aux = _parts(d, s, f, j)
-            ell = influence_samples(method, d, s, m, r, aux)
+            m, r, nu = _parts(d, s, f, j)
+            ell = influence_samples(method, d, s, m, r, nu)
             mu = np.abs(ell.mean(axis=0))
             sd = ell.std(axis=0)
             live = sd > 0
@@ -59,15 +59,15 @@ class TestInfluenceSamples:
     @pytest.mark.parametrize("method", METHODS)
     def test_realized_shapes(self, method, rng):
         d, s, f, j = random_case(rng)
-        m, r, aux = _parts(d, s, f, j)
-        ell = influence_samples(method, d, s, m, r, aux)
+        m, r, nu = _parts(d, s, f, j)
+        ell = influence_samples(method, d, s, m, r, nu)
         assert ell.shape == (d.n, influence_dim(method, len(f), s.h_count))
 
     def test_sir_empty_set_closed_form(self, rng):
         d = make_dataset(rng, 60, 3)
         s = slice_response(d.y, 4)
-        m, r, aux = _parts(d, s, (), 2)
-        ell = influence_samples(Method.SIR, d, s, m, r, aux)
+        m, r, nu = _parts(d, s, (), 2)
+        ell = influence_samples(Method.SIR, d, s, m, r, nu)
         xj = d.x[:, 1] - d.x[:, 1].mean()
         sd = np.sqrt(np.mean(xj**2) - xj.mean() ** 2)
         p_hat = np.asarray(s.proportions)
@@ -81,8 +81,8 @@ class TestInfluenceSamples:
     def test_sir_omega_matches_component_oracle(self, rng):
         for _ in range(3):
             d, s, f, j = random_case(rng, n_range=(40, 90), p_range=(3, 6))
-            m, r, aux = _parts(d, s, f, j)
-            omega, _ = omega_hat(influence_samples(Method.SIR, d, s, m, r, aux))
+            m, r, nu = _parts(d, s, f, j)
+            omega, _ = omega_hat(influence_samples(Method.SIR, d, s, m, r, nu))
             want = sir_omega_from_components(
                 d.x, s.membership, [i - 1 for i in f], j - 1
             )
@@ -93,9 +93,9 @@ class TestInfluenceSamples:
         # of the weighted chi-square then matches the weight sum (trace of
         # omega), which pins the stacking order and scale.
         d, s, f, j = random_case(rng, n_range=(80, 120))
-        m, r, aux = _parts(d, s, f, j)
+        m, r, nu = _parts(d, s, f, j)
         for method in METHODS:
-            _, w = omega_hat(influence_samples(method, d, s, m, r, aux))
+            _, w = omega_hat(influence_samples(method, d, s, m, r, nu))
             rng2 = np.random.default_rng(99)
             draws = rng2.chisquare(1.0, size=(20000, w.size)) @ w
             se = draws.std() / np.sqrt(draws.size)
@@ -112,9 +112,9 @@ class TestOmegaHat:
 
     def test_psd_and_sorted(self, rng):
         d, s, f, j = random_case(rng)
-        m, r, aux = _parts(d, s, f, j)
+        m, r, nu = _parts(d, s, f, j)
         for method in METHODS:
-            omega, weights = omega_hat(influence_samples(method, d, s, m, r, aux))
+            omega, weights = omega_hat(influence_samples(method, d, s, m, r, nu))
             assert np.all(weights >= 0.0)
             assert np.all(np.diff(weights) <= 0.0)
             assert np.max(np.abs(omega - omega.T)) < 1e-10

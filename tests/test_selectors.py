@@ -324,6 +324,23 @@ class TestStp:
         assert set(report.selected) <= {1, 3, 4}
         assert report.stage_sizes[0] == 3
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_stop_note_names_the_set_size_cap(self, method):
+        """A run whose growth the cap ended says so; one a test ended converges."""
+        d, _ = generate(SimDesign(model="I", n=300, p=10, seed=1))
+        s = slice_response(d.y, 4)
+        for cap, note in ((1, "set-size cap reached"), (2, "set-size cap reached"), (8, "converged")):
+            cfg = StpConfig(method=method, max_set_size=cap)
+            report = stp_run(d, s, cfg)
+            assert report.trail[-1].note == note
+            assert (len(report.selected) == cap) == (note != "converged")
+            expected = reference_stp_trail(
+                d, s, method, cfg.resolved_alpha(d.p),
+                cfg.resolved_max_set_size(d.n, d.p, 4), range(1, d.p + 1),
+            )
+            got = [(e.action, e.index, e.statistic, e.threshold, e.note) for e in report.trail]
+            assert got == expected
+
     def test_terminates_within_iteration_cap(self):
         d = _noise_dataset(5, n=120, p=6)
         s = slice_response(d.y, 4)
