@@ -28,7 +28,7 @@ from .errors import (
     TracePursuitError,
 )
 from .kernels import Method
-from .nulldist import trace_test
+from .nulldist import null_weights, trace_test
 from .selectors import StpConfig, ftp_run, htp_run, stp_run
 from .simbench import SimDesign, generate, run_experiment
 
@@ -317,7 +317,7 @@ def _run_test(cfg: RunConfig, emitter: _Emitter) -> None:
         cfg.method, d, s, cfg.working_set, cfg.candidate, alpha,
         quantile=cfg.quantile, seed=cfg.seed,
     )
-    w = res.weights
+    w = null_weights(cfg.method, d, s, res.f, res.j)
     result = {
         "method": cfg.method.value,
         "working_set": list(res.f),

@@ -76,7 +76,6 @@ class ResidualStats:
     ``zeta_by_slice`` are slice means of the residual and of its square.
     """
 
-    sigma2_jf: float
     gamma_by_slice: np.ndarray
     zeta_by_slice: np.ndarray
     gamma_per_sample: np.ndarray
@@ -121,7 +120,6 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
         zeta_by_slice[idx] = float(g @ g) / rows.size
 
     return ResidualStats(
-        sigma2_jf=sigma2,
         gamma_by_slice=gamma_by_slice,
         zeta_by_slice=zeta_by_slice,
         gamma_per_sample=gamma,

@@ -20,8 +20,12 @@ block-diagonal orthogonal matrix, which conjugates the outer product and
 again preserves its eigenvalues.
 
 The path from moments to threshold passes plain arrays: ``influence_samples``
-returns the (n, dim) samples, ``omega_hat`` returns ``(omega, weights)``, and
-the quantile functions take the weights.
+returns the (n, dim) samples L and ``omega_hat`` the weight matrix
+Omega = L'L/n.  The two-moment threshold needs only sum w = tr Omega and
+sum w^2 = ||Omega||_F^2 (``weight_moments``), so a test decomposes no
+Omega.  Eigenvalue weights, with their PSD clamp check, come from
+``omega_weights`` only where they are used: the Monte Carlo quantile and
+reports (``null_weights``).
 """
 
 from __future__ import annotations
@@ -39,6 +43,13 @@ from .kernels import Method, ResidualStats, auxiliary_stats, residualize, trace_
 # Clamp window for trailing eigenvalues of the estimated weight matrix; more
 # negative values indicate a bug since the matrix is an outer product.
 NEGATIVE_WEIGHT_TOLERANCE = 1e-10
+
+# Relative roundoff allowed in the PSD invariant sum w^2 <= (sum w)^2 of the
+# two-moment threshold, i.e. in effective dof >= 1.
+DOF_TOLERANCE = 1e-10
+
+# Rows of chi-square draws the Monte Carlo quantile holds at once.
+MC_CHUNK_ROWS = 10_000
 
 
 def influence_dim(method: Method, f_size: int, h_count: int) -> int:
@@ -129,9 +140,8 @@ def influence_samples(
     raise ValueError(f"unknown method {method!r}")
 
 
-def omega_hat(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Empirical outer product of the (n, dim) influence samples and its
-    eigenvalue weights: (omega, weights), the weights nonincreasing."""
+def omega_hat(ell: np.ndarray) -> np.ndarray:
+    """Weight matrix Omega = L'L/n of the (n, dim) influence samples L."""
     if not np.all(np.isfinite(ell)):
         raise NumericalFailureError("influence samples contain non-finite entries")
     n, dim = ell.shape
@@ -142,7 +152,15 @@ def omega_hat(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             stacklevel=2,
         )
     omega = (ell.T @ ell) / n
-    omega = 0.5 * (omega + omega.T)
+    return 0.5 * (omega + omega.T)
+
+
+def omega_weights(omega: np.ndarray) -> np.ndarray:
+    """Eigenvalue weights of a weight matrix, nonincreasing and clamped at 0.
+
+    Raises ``NumericalFailureError`` for an eigenvalue below the
+    ``NEGATIVE_WEIGHT_TOLERANCE`` clamp window.
+    """
     weights = np.linalg.eigvalsh(omega)[::-1].copy()
     scale = max(weights[0], 1.0) if weights.size else 1.0
     if weights.size and weights[-1] < -NEGATIVE_WEIGHT_TOLERANCE * scale:
@@ -150,7 +168,12 @@ def omega_hat(ell: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             f"weight matrix has eigenvalue {weights[-1]:.3e} below the clamp window"
         )
     np.clip(weights, 0.0, None, out=weights)
-    return omega, weights
+    return weights
+
+
+def weight_moments(omega: np.ndarray) -> tuple[float, float]:
+    """(sum w, sum w^2) of the weights of ``omega``: tr Omega and ||Omega||_F^2."""
+    return float(np.trace(omega)), float(np.vdot(omega, omega))
 
 
 def _checked_weights(weights: np.ndarray, alpha: float) -> np.ndarray:
@@ -165,19 +188,42 @@ def _checked_weights(weights: np.ndarray, alpha: float) -> np.ndarray:
     return w
 
 
+def scaled_chisq_upper_quantile(sum_w: float, sum_w2: float, alpha: float) -> float:
+    """Two-moment upper quantile of sum_k w_k chi2_1 from sum w and sum w^2.
+
+    The law a * chi2_d with a = sum_w2/sum_w and d = sum_w^2/sum_w2 has the
+    mean and variance of the weighted sum (Box 1954).  Nonnegative weights
+    give d >= 1; a ``sum_w2`` above ``sum_w^2`` by more than
+    ``DOF_TOLERANCE`` relative cannot come from a PSD weight matrix and
+    raises ``NumericalFailureError``.
+    """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    if not (np.isfinite(sum_w) and np.isfinite(sum_w2) and sum_w >= 0.0 and sum_w2 >= 0.0):
+        raise ValueError("weight moments must be finite and nonnegative")
+    if sum_w == 0.0 or sum_w2 == 0.0:
+        raise DegenerateDistributionError("no positive weights")
+    if sum_w2 > (1.0 + DOF_TOLERANCE) * sum_w**2:
+        raise NumericalFailureError(
+            f"weight moments sum_w={sum_w:.6e}, sum_w2={sum_w2:.6e} give an "
+            "effective dof below 1, so the weight matrix is not PSD"
+        )
+    scale = sum_w2 / sum_w
+    dof = sum_w**2 / sum_w2
+    return scale * 2.0 * float(gammainccinv(dof / 2.0, alpha))
+
+
 def weighted_chisq_upper_quantile(weights: np.ndarray, alpha: float) -> float:
     """Two-moment (scaled chi-square) upper quantile of sum_k w_k chi2_1.
 
     Matches the mean and variance with a * chi2_d, a = sum(w^2)/sum(w) and
     d = sum(w)^2/sum(w^2); exact for a single weight and for equal weights,
-    and exactly scale-equivariant in the weights.
+    and exactly scale-equivariant in the weights.  Only the two sums enter,
+    so the trace tests call ``scaled_chisq_upper_quantile`` with tr Omega
+    and ||Omega||_F^2 and never form the weights.
     """
     w = _checked_weights(weights, alpha)
-    sw = float(w.sum())
-    sw2 = float(w @ w)
-    scale = sw2 / sw
-    dof = sw**2 / sw2
-    return scale * 2.0 * float(gammainccinv(dof / 2.0, alpha))
+    return scaled_chisq_upper_quantile(float(w.sum()), float(w @ w), alpha)
 
 
 def weighted_chisq_quantile_mc(
@@ -186,17 +232,29 @@ def weighted_chisq_quantile_mc(
     n_draws: int = 100_000,
     seed: int = 0,
 ) -> float:
-    """Monte Carlo upper quantile of the weighted chi-square (diagnostics)."""
+    """Monte Carlo upper quantile of the weighted chi-square (diagnostics).
+
+    The draws come ``MC_CHUNK_ROWS`` rows at a time from one generator, so
+    memory stays bounded in the weight count and the draws are those of a
+    single (n_draws, k) block.
+    """
     w = _checked_weights(weights, alpha)
     rng = np.random.default_rng(seed)
     pos = w[w > 0.0]
-    draws = rng.chisquare(1.0, size=(n_draws, pos.size)) @ pos
+    draws = np.empty(n_draws)
+    for start in range(0, n_draws, MC_CHUNK_ROWS):
+        rows = min(MC_CHUNK_ROWS, n_draws - start)
+        draws[start : start + rows] = rng.chisquare(1.0, size=(rows, pos.size)) @ pos
     return float(np.quantile(draws, 1.0 - alpha))
 
 
 @dataclass(frozen=True)
 class TraceTestResult:
-    """Outcome of one conditional-independence trace test."""
+    """Outcome of one conditional-independence trace test.
+
+    ``weight_sum`` is sum w = tr Omega and ``effective_dof`` is
+    (sum w)^2 / sum w^2, the degrees of freedom of the two-moment law.
+    """
 
     method: Method
     f: IndexSet
@@ -205,7 +263,8 @@ class TraceTestResult:
     statistic: float
     threshold: float
     reject: bool
-    weights: np.ndarray
+    weight_sum: float
+    effective_dof: float
 
 
 def statistic_and_threshold(
@@ -219,17 +278,37 @@ def statistic_and_threshold(
     quantile: str = "two-moment",
     mc_draws: int = 100_000,
     seed: int = 0,
-) -> tuple[float, float, np.ndarray]:
-    """Test statistic, its calibrated threshold, and the estimated weights."""
+) -> tuple[float, float, tuple[float, float]]:
+    """Test statistic, its calibrated threshold, and the weight moments
+    (sum w, sum w^2) of the estimated null law."""
     statistic = d.n * trace_diff(method, m, r, nu)
-    _, weights = omega_hat(influence_samples(method, d, s, m, r, nu))
+    omega = omega_hat(influence_samples(method, d, s, m, r, nu))
+    moments = weight_moments(omega)
     if quantile == "two-moment":
-        threshold = weighted_chisq_upper_quantile(weights, alpha)
+        threshold = scaled_chisq_upper_quantile(*moments, alpha)
     elif quantile == "monte-carlo":
-        threshold = weighted_chisq_quantile_mc(weights, alpha, mc_draws, seed)
+        threshold = weighted_chisq_quantile_mc(omega_weights(omega), alpha, mc_draws, seed)
     else:
         raise ValueError(f"unknown quantile scheme {quantile!r}")
-    return statistic, threshold, weights
+    return statistic, threshold, moments
+
+
+def _test_parts(
+    method: Method, d: Dataset, s: SliceAssignment, f: IndexSet, j: int
+) -> tuple[MomentStats, ResidualStats, np.ndarray | None]:
+    """Moments of ``f``, the residual of ``j`` and, for SAVE/DR, its cross-moments."""
+    m = compute_moments(d, s, f)
+    r = residualize(d, s, m, j)
+    return m, r, None if method is Method.SIR else auxiliary_stats(m, r)
+
+
+def null_weights(
+    method: Method, d: Dataset, s: SliceAssignment, f: IndexSet, j: int
+) -> np.ndarray:
+    """Eigenvalue weights of the null law of the test of ``j`` given ``f``,
+    for reports; the test itself reads only their two moments."""
+    m, r, nu = _test_parts(method, d, s, f, j)
+    return omega_weights(omega_hat(influence_samples(method, d, s, m, r, nu)))
 
 
 def trace_test(
@@ -248,10 +327,8 @@ def trace_test(
     The statistic is n times the closed-form trace gain; the threshold is the
     upper-alpha quantile of the estimated weighted chi-square null law.
     """
-    m = compute_moments(d, s, f)
-    r = residualize(d, s, m, j)
-    nu = None if method is Method.SIR else auxiliary_stats(m, r)
-    statistic, threshold, weights = statistic_and_threshold(
+    m, r, nu = _test_parts(method, d, s, f, j)
+    statistic, threshold, (sum_w, sum_w2) = statistic_and_threshold(
         method, d, s, m, r, nu, alpha, quantile, mc_draws, seed
     )
     return TraceTestResult(
@@ -262,5 +339,6 @@ def trace_test(
         statistic=statistic,
         threshold=threshold,
         reject=bool(statistic > threshold),
-        weights=weights,
+        weight_sum=sum_w,
+        effective_dof=sum_w**2 / sum_w2,
     )

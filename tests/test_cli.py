@@ -12,6 +12,8 @@ from tracepursuit.errors import (
     NonNumericCellError,
     TooFewSamplesError,
 )
+from tracepursuit.kernels import Method
+from tracepursuit.nulldist import influence_dim
 
 
 @pytest.fixture
@@ -107,6 +109,19 @@ class TestCommands:
         res = record["result"]
         assert res["reject"] == (res["statistic"] > res["threshold"])
         assert res["weights"]["dim"] == 4
+
+    @pytest.mark.parametrize("mc", [[], ["--mc-quantile"]])
+    def test_trace_test_reports_every_dr_weight(self, model_csv, capsys, mc):
+        rc = main(
+            ["test", model_csv, "--working-set", "1,2", "--candidate", "3",
+             "--method", "dr", "--format", "json-lines", *mc]
+        )
+        out = capsys.readouterr().out
+        assert rc == 0
+        weights = json.loads(out)["result"]["weights"]
+        assert weights["dim"] == influence_dim(Method.DR, 2, 4)
+        assert 0 < weights["positive"] <= weights["dim"]
+        assert 0.0 < weights["largest"] <= weights["sum"]
 
     def test_bench_partition_and_determinism(self, tmp_path):
         out1 = tmp_path / "b1.jsonl"

@@ -21,7 +21,12 @@ from tracepursuit.kernels import (
     residualize,
     trace_diff,
 )
-from tracepursuit.nulldist import influence_samples, omega_hat, statistic_and_threshold
+from tracepursuit.nulldist import (
+    influence_samples,
+    omega_hat,
+    omega_weights,
+    statistic_and_threshold,
+)
 
 from conftest import make_dataset, random_case
 from oracles import explicit_trace_kernel, ols_slice_means
@@ -55,8 +60,7 @@ class TestResidualize:
             s = slice_response(d.y, 4)
             m = compute_moments(d, s, (1, 3))
             r = residualize(d, s, m, 4)
-            _, sigma2, gbs, gamma = ols_slice_means(d.x, s.membership, [0, 2], 3)
-            assert r.sigma2_jf == pytest.approx(sigma2, rel=1e-10)
+            _, _, gbs, gamma = ols_slice_means(d.x, s.membership, [0, 2], 3)
             assert np.allclose(r.gamma_by_slice, gbs, atol=1e-10)
             assert np.allclose(r.gamma_per_sample, gamma, atol=1e-10)
 
@@ -68,7 +72,8 @@ class TestResidualize:
             p_hat = np.asarray(s.proportions)
             assert abs(p_hat @ r.gamma_by_slice) < 1e-10
             assert abs(p_hat @ r.zeta_by_slice - 1.0) < 1e-10
-            assert r.sigma2_jf > 0
+            gamma = r.gamma_per_sample
+            assert np.mean(gamma**2) - np.mean(gamma) ** 2 == pytest.approx(1.0, rel=1e-10)
             # the residual is orthogonal to the working set, so the
             # proportion-weighted whitened cross-moments sum to zero
             assert np.all(np.abs(p_hat @ auxiliary_stats(m, r)) < 1e-10)
@@ -216,7 +221,7 @@ def test_results_do_not_depend_on_the_whitening(method, size):
         r = residualize(d, s, m, j)
         nu = None if method is Method.SIR else auxiliary_stats(m, r)
         stat, thr, _ = statistic_and_threshold(method, d, s, m, r, nu, 0.05)
-        _, weights = omega_hat(influence_samples(method, d, s, m, r, nu))
+        weights = omega_weights(omega_hat(influence_samples(method, d, s, m, r, nu)))
         return trace_diff(method, m, r, nu), trace_kernel(method, m), stat, thr, weights
 
     *plain, w_plain = results(None)
@@ -370,7 +375,6 @@ class TestScanCertificateAndRepack:
 
 def _synthetic_residual(gamma_by_slice, zeta_by_slice):
     return ResidualStats(
-        sigma2_jf=1.0,
         gamma_by_slice=np.asarray(gamma_by_slice, dtype=float),
         zeta_by_slice=np.asarray(zeta_by_slice, dtype=float),
         gamma_per_sample=np.zeros(2),

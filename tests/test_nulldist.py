@@ -1,24 +1,38 @@
 from __future__ import annotations
 
+import dataclasses
+import pickle
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracepursuit.nulldist as nulldist
 from tracepursuit import (
     Dataset,
+    SimDesign,
+    StpConfig,
     compute_moments,
+    generate,
     htp_run,
     slice_response,
+    stp_run,
     trace_test,
     weighted_chisq_upper_quantile,
 )
 from tracepursuit.errors import DegenerateDistributionError, NumericalFailureError
 from tracepursuit.kernels import Method, auxiliary_stats, residualize
 from tracepursuit.nulldist import (
+    MC_CHUNK_ROWS,
     influence_dim,
     influence_samples,
     omega_hat,
+    omega_weights,
+    scaled_chisq_upper_quantile,
+    statistic_and_threshold,
+    weight_moments,
     weighted_chisq_quantile_mc,
 )
 
@@ -82,7 +96,7 @@ class TestInfluenceSamples:
         for _ in range(3):
             d, s, f, j = random_case(rng, n_range=(40, 90), p_range=(3, 6))
             m, r, nu = _parts(d, s, f, j)
-            omega, _ = omega_hat(influence_samples(Method.SIR, d, s, m, r, nu))
+            omega = omega_hat(influence_samples(Method.SIR, d, s, m, r, nu))
             want = sir_omega_from_components(
                 d.x, s.membership, [i - 1 for i in f], j - 1
             )
@@ -95,7 +109,7 @@ class TestInfluenceSamples:
         d, s, f, j = random_case(rng, n_range=(80, 120))
         m, r, nu = _parts(d, s, f, j)
         for method in METHODS:
-            _, w = omega_hat(influence_samples(method, d, s, m, r, nu))
+            w = omega_weights(omega_hat(influence_samples(method, d, s, m, r, nu)))
             rng2 = np.random.default_rng(99)
             draws = rng2.chisquare(1.0, size=(20000, w.size)) @ w
             se = draws.std() / np.sqrt(draws.size)
@@ -106,7 +120,7 @@ class TestOmegaHat:
     def test_rank_one(self):
         c = np.linspace(1.0, 2.0, 30)
         ell = np.column_stack([c, np.zeros(30), np.zeros(30)])
-        _, weights = omega_hat(ell)
+        weights = omega_weights(omega_hat(ell))
         assert weights[0] == pytest.approx(float(c @ c) / 30)
         assert np.all(weights[1:] == 0.0)
 
@@ -114,7 +128,8 @@ class TestOmegaHat:
         d, s, f, j = random_case(rng)
         m, r, nu = _parts(d, s, f, j)
         for method in METHODS:
-            omega, weights = omega_hat(influence_samples(method, d, s, m, r, nu))
+            omega = omega_hat(influence_samples(method, d, s, m, r, nu))
+            weights = omega_weights(omega)
             assert np.all(weights >= 0.0)
             assert np.all(np.diff(weights) <= 0.0)
             assert np.max(np.abs(omega - omega.T)) < 1e-10
@@ -125,11 +140,53 @@ class TestOmegaHat:
         with pytest.raises(NumericalFailureError):
             omega_hat(ell)
 
+    def test_eigenvalue_below_the_clamp_window_rejected(self):
+        with pytest.raises(NumericalFailureError, match="clamp window"):
+            omega_weights(np.diag([1.0, -1e-6]))
+
     def test_warns_when_underdetermined(self):
         ell = np.random.default_rng(0).standard_normal((5, 8))
         ell -= ell.mean(axis=0)
         with pytest.warns(RuntimeWarning):
             omega_hat(ell)
+
+
+class TestWeightMoments:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_threshold_matches_the_eigenvalue_route(self, method, rng):
+        for _ in range(30):
+            d, s, f, j = random_case(rng)
+            m, r, nu = _parts(d, s, f, j)
+            weights = omega_weights(omega_hat(influence_samples(method, d, s, m, r, nu)))
+            _, thr, (sum_w, _) = statistic_and_threshold(method, d, s, m, r, nu, 0.05)
+            assert thr == pytest.approx(weighted_chisq_upper_quantile(weights, 0.05), rel=1e-12)
+            assert sum_w == pytest.approx(weights.sum(), rel=1e-12)
+
+    def test_rank_one_omega_is_a_scaled_chisq1(self):
+        c = np.linspace(1.0, 2.0, 30)
+        ell = np.column_stack([c, np.zeros(30), np.zeros(30)])
+        q = scaled_chisq_upper_quantile(*weight_moments(omega_hat(ell)), 0.05)
+        assert q == pytest.approx(float(c @ c) / 30 * 3.841459, rel=1e-6)
+
+    def test_dof_below_one_is_a_numerical_failure(self):
+        # eigenvalues 3 and -1: tr = 2, ||.||_F^2 = 10 > 2^2
+        moments = weight_moments(np.array([[1.0, 2.0], [2.0, 1.0]]))
+        assert moments == (2.0, 10.0)
+        with pytest.raises(NumericalFailureError, match="not PSD"):
+            scaled_chisq_upper_quantile(*moments, 0.05)
+
+    def test_zero_trace_is_degenerate(self):
+        with pytest.raises(DegenerateDistributionError):
+            scaled_chisq_upper_quantile(*weight_moments(np.zeros((3, 3))), 0.05)
+
+    @pytest.mark.parametrize(
+        "moments, alpha",
+        [((1.0, 1.0), 0.0), ((1.0, 1.0), 1.0), ((np.nan, 1.0), 0.05),
+         ((1.0, np.inf), 0.05), ((-1.0, 1.0), 0.05)],
+    )
+    def test_bad_alpha_or_moments_rejected(self, moments, alpha):
+        with pytest.raises(ValueError):
+            scaled_chisq_upper_quantile(*moments, alpha)
 
 
 class TestWeightedChisqQuantile:
@@ -190,6 +247,26 @@ class TestWeightedChisqQuantile:
         assert a == b
         assert a == pytest.approx(weighted_chisq_upper_quantile(w, 0.05), rel=0.05)
 
+    def test_mc_draws_in_chunks_match_one_block(self):
+        w = np.linspace(0.1, 1.0, 60)
+        n_draws = 2 * MC_CHUNK_ROWS + 5_000
+        q = weighted_chisq_quantile_mc(w, 0.05, n_draws=n_draws, seed=5)
+        block = np.random.default_rng(5).chisquare(1.0, size=(n_draws, w.size)) @ w
+        assert q == pytest.approx(float(np.quantile(block, 0.95)), rel=1e-12)
+
+    def test_mc_memory_is_bounded_by_the_chunk(self):
+        w = np.linspace(0.1, 1.0, 60)
+        n_draws = 100_000
+        tracemalloc.start()
+        try:
+            q = weighted_chisq_quantile_mc(w, 0.05, n_draws=n_draws, seed=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one chunk of draws plus a few n_draws vectors; one block would be 48 MB
+        assert peak < 8 * (MC_CHUNK_ROWS * w.size + 4 * n_draws) < 8 * n_draws * w.size
+        assert q == pytest.approx(mc_weighted_chisq_quantile(w, 0.05, n_draws, seed=6), rel=0.03)
+
 
 class TestTraceTest:
     def test_decision_contract(self, rng):
@@ -219,6 +296,17 @@ class TestTraceTest:
         assert res.threshold == pytest.approx(base.threshold, rel=0.15)
 
     @pytest.mark.parametrize("method", METHODS)
+    def test_result_size_does_not_grow_with_the_working_set(self, method):
+        d, _ = generate(SimDesign(model="I", n=300, p=40, seed=0))
+        s = slice_response(d.y, 4)
+        small = trace_test(method, d, s, (), 35, 0.05)
+        large = trace_test(method, d, s, tuple(range(3, 33)), 35, 0.05)
+        # with the working-set tuple set equal, the pickles are the same size
+        same_f = dataclasses.replace(large, f=small.f)
+        assert len(pickle.dumps(same_f)) == len(pickle.dumps(small))
+        assert large.effective_dof >= 1.0 and small.effective_dof >= 1.0
+
+    @pytest.mark.parametrize("method", METHODS)
     def test_same_bits_before_and_after_a_selection_run(self, method, rng):
         d = make_dataset(rng, 150, 40)
         twin = Dataset.from_arrays(np.array(d.x), np.array(d.y))
@@ -229,4 +317,45 @@ class TestTraceTest:
         after = trace_test(method, twin, s, f, j, 0.05)
         assert first.statistic == after.statistic
         assert first.threshold == after.threshold
-        assert np.array_equal(first.weights, after.weights)
+        assert first.weight_sum == after.weight_sum
+        assert first.effective_dof == after.effective_dof
+
+
+class TestNoDecompositionOnTheDecisionPath:
+    @pytest.fixture
+    def decomposed(self, monkeypatch):
+        """(weight matrices built, those later passed to a numpy
+        eigenvalue or singular value routine)."""
+        built, hits = [], []
+        real_omega_hat = nulldist.omega_hat
+
+        def spy_omega_hat(ell):
+            built.append(real_omega_hat(ell))
+            return built[-1]
+
+        monkeypatch.setattr(nulldist, "omega_hat", spy_omega_hat)
+        for name in ("eig", "eigh", "eigvals", "eigvalsh", "svd"):
+
+            def spy(a, *args, _real=getattr(np.linalg, name), **kwargs):
+                hits.extend(omega for omega in built if a is omega)
+                return _real(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        return built, hits
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_trace_test_and_stp_run(self, method, decomposed):
+        built, hits = decomposed
+        d = make_dataset(np.random.default_rng(3), 150, 8)
+        s = slice_response(d.y, 4)
+        trace_test(method, d, s, (1, 2), 5, 0.05)
+        report = stp_run(d, s, StpConfig(method=method, alpha=0.2))
+        assert len(built) > 1 + len(report.selected)
+        assert hits == []
+
+    def test_the_spy_sees_the_monte_carlo_quantile(self, decomposed):
+        built, hits = decomposed
+        d = make_dataset(np.random.default_rng(3), 150, 8)
+        s = slice_response(d.y, 4)
+        trace_test(Method.DR, d, s, (1, 2), 5, 0.05, quantile="monte-carlo", mc_draws=1_000)
+        assert len(hits) == len(built) == 1
