@@ -109,7 +109,22 @@ class Dataset:
         names = tuple(column_names) if column_names is not None else None
         if names is not None and len(names) != p:
             raise ValueError("column_names length must equal p")
-        return cls(x=x, y=y, n=n, p=p, column_names=names)
+        d = cls(x=x, y=y, n=n, p=p, column_names=names)
+        # Every moment sums squares and products of centered columns, so the
+        # squared deviations of a nonconstant column must stay normal floats:
+        # below that they lose digits, above it they overflow.
+        means = d.column_means()
+        top, bottom = x.max(axis=0), x.min(axis=0)
+        with np.errstate(over="ignore", under="ignore"):
+            dev2 = np.maximum(top - means, means - bottom) ** 2
+            bad = (top > bottom) & ~((dev2 >= np.finfo(np.float64).tiny) & np.isfinite(n * dev2))
+        if bad.any():
+            a = int(np.argmax(bad))
+            label = f"{a + 1}" + (f" ({names[a]!r})" if names is not None else "")
+            raise ValueError(
+                f"x column {label} has squared deviations outside the normal float range"
+            )
+        return d
 
     def __getstate__(self) -> dict:
         """The fields alone: the caches are rebuilt on use, not pickled."""

@@ -49,13 +49,6 @@ COLLINEARITY_FLOOR = 1e-12
 # entries: narrow blocks in one call, wide ones with a small temporary.
 _REPACK = 8
 _BLOCK = 1 << 16
-# ScanState grows its factor L of Sigma_F - c I by one row when the new pivot
-# d^2 exceeds this fraction of the new member's variance s_jj.  Rounding puts
-# an error of about eps cond(L) s_jj on the computed d^2, which stays below
-# 1e-10 s_jj while cond(Sigma_F - c I) <= 1e12, the spread the
-# EIGENVALUE_FLOOR rule admits; smaller pivots are refactored.  The forward
-# paths of the benchmark designs have no pivot below 4e-2 s_jj.
-_PIVOT_MARGIN = 1e-8
 
 
 class Method(enum.Enum):
@@ -221,15 +214,16 @@ class ScanState:
     It holds the residuals given F of the centered candidate columns, an
     orthonormal basis Q and the triangular factor R_Q of the centered working
     set (X_F = Q R_Q, so Sigma_F = R_Q' R_Q / n), the projections Q'X of the
-    held columns, the slice indicator matrix and L^{-1}, where L is the
-    Cholesky factor of Sigma_F - c I.  ``add`` grows F by one member: one
-    modified Gram-Schmidt vector q, one in-place rank-1 projection of every
-    held residual column onto the complement of q, one new column of R_Q
-    read from Q'X, and one new row of L^{-1}, so with m columns an addition
-    costs O(n (m - |F|) + |F|^2) and nothing is rebuilt.  ``gains`` then
-    scores all candidates with a few BLAS calls: O(n (m - |F|) H) for SIR and
-    O(n (m - |F|) |F|) for SAVE and DR, which need the slice cross-moments
-    Q_h' R_h.
+    held columns, the slice indicator matrix and R_Q^{-1} with the squared
+    Frobenius norms of R_Q and R_Q^{-1}, which bound the spread of Sigma_F's
+    eigenvalues.  ``add`` grows F by one member: one modified Gram-Schmidt
+    vector q, one in-place rank-1 projection of every held residual column
+    onto the complement of q, one new column of R_Q read from Q'X, and one
+    new column of R_Q^{-1} from one matrix-vector product, so with m columns
+    an addition costs O(n (m - |F|) + |F|^2) and nothing is rebuilt.
+    ``gains`` then scores all candidates with a few BLAS calls:
+    O(n (m - |F|) H) for SIR and O(n (m - |F|) |F|) for SAVE and DR, which
+    need the slice cross-moments Q_h' R_h.
 
     The residual block holds the columns at positions ``live`` (ascending)
     and stays C-contiguous: once members fill 1/``_REPACK`` of its width it
@@ -267,10 +261,9 @@ class ScanState:
         self.qx = np.empty((cap, self.live.size))  # Q'X of the held columns
         self.rq = np.zeros((cap, cap))
         self.singular = False
-        # c >= EIGENVALUE_FLOOR * tr(Sigma_F) for every F drawn from these columns
-        self._shift = EIGENVALUE_FLOOR * float(sq.sum()) / d.n
-        self._linv = np.zeros((cap, cap))  # L^{-1}, L L' = Sigma_F - c I
-        self._factored = True  # whether _linv holds the factor of the current F
+        self._rinv_t = np.zeros((cap, cap))  # R_Q^{-T}: row k is column k of R_Q^{-1}
+        self._norm2 = 0.0  # |R_Q|_F^2
+        self._inv_norm2 = 0.0  # |R_Q^{-1}|_F^2
         for j in f:
             self.add(j)
 
@@ -318,33 +311,25 @@ class ScanState:
     def _is_singular(self, k: int) -> bool:
         """The ``EIGENVALUE_FLOOR`` verdict on Sigma_F, usually without eigvalsh.
 
-        A Cholesky factor L of Sigma_F - c I proves lambda_min > c >=
-        EIGENVALUE_FLOOR * lambda_max.  While L^{-1} is held, it grows by one
-        row when the new pivot d^2 clears ``_PIVOT_MARGIN``.  Otherwise
-        Sigma_F - c I is factored afresh, and only when that fails do the
-        eigenvalues decide.
+        With Sigma_F = R_Q' R_Q / n, lambda_max <= |R_Q|_F^2 / n and
+        lambda_min >= 1 / (n |R_Q^{-1}|_F^2), so a product of the two squared
+        norms below 1 / EIGENVALUE_FLOOR proves the rule passes; half that
+        bound leaves room for rounding in R_Q^{-1} and the sums.  The new
+        column (r; rho) of R_Q extends R_Q^{-1} by the column
+        (-R^{-1} r / rho; 1 / rho) and each sum by one term.  A zero pivot or
+        a failed bound leaves the verdict to the eigenvalues of R_Q' R_Q / n.
         """
         rk = self.rq[:k, :k]
-        if self._factored:
-            linv = self._linv[: k - 1, : k - 1]
-            rj = rk[:, -1]
-            s_jj = float(rj @ rj) / self.n
-            ell = linv @ (rk[:-1, :-1].T @ rj[:-1] / self.n)
-            d2 = s_jj - self._shift - float(ell @ ell)
-            if d2 > _PIVOT_MARGIN * s_jj:
-                d = math.sqrt(d2)
-                self._linv[k - 1, : k - 1] = (ell @ linv) / -d
-                self._linv[k - 1, k - 1] = 1.0 / d
+        r, rho = rk[:-1, -1], float(rk[-1, -1])
+        if rho > 0.0:
+            t = r @ self._rinv_t[: k - 1, : k - 1]  # R^{-1} r
+            self._rinv_t[k - 1, : k - 1] = t / -rho
+            self._rinv_t[k - 1, k - 1] = 1.0 / rho
+            self._norm2 += float(r @ r) + rho * rho
+            self._inv_norm2 += (float(t @ t) + 1.0) / rho / rho
+            if self._norm2 * self._inv_norm2 < 0.5 / EIGENVALUE_FLOOR:
                 return False
-        sigma = rk.T @ rk / self.n
-        try:
-            chol = np.linalg.cholesky(sigma - self._shift * np.eye(k))
-        except np.linalg.LinAlgError:
-            self._factored = False  # Sigma_F - c I stays indefinite as F grows
-            return is_singular_spectrum(np.linalg.eigvalsh(sigma))
-        self._linv[:k, :k] = np.tril(np.linalg.inv(chol))
-        self._factored = True
-        return False
+        return is_singular_spectrum(np.linalg.eigvalsh(rk.T @ rk / self.n))
 
     def gains(self, method: Method) -> tuple[np.ndarray, list[tuple[int, str]]]:
         """Trace gain of each column over F, with the skipped candidates.

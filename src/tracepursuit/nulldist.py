@@ -238,6 +238,8 @@ def weighted_chisq_quantile_mc(
     memory stays bounded in the weight count and the draws are those of a
     single (n_draws, k) block.
     """
+    if n_draws < 1:
+        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     w = _checked_weights(weights, alpha)
     rng = np.random.default_rng(seed)
     pos = w[w > 0.0]

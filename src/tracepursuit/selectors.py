@@ -31,6 +31,7 @@ STP terminate on data that oscillates at a threshold boundary.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Iterable
 
@@ -64,6 +65,19 @@ class StpConfig:
     alpha: float | None = None
     max_iterations: int = 100
     max_set_size: int | None = None
+
+    def __post_init__(self) -> None:
+        try:
+            operator.index(self.max_iterations)
+            if self.max_set_size is not None:
+                operator.index(self.max_set_size)
+        except TypeError:
+            raise ValueError(
+                "max_iterations and max_set_size must be integers, got "
+                f"{self.max_iterations!r} and {self.max_set_size!r}"
+            ) from None
+        if self.max_iterations < 1:
+            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
     def resolved_alpha(self, p: int) -> float:
         alpha = 0.1 / p if self.alpha is None else self.alpha

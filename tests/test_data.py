@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepursuit import Dataset, compute_moments, slice_response, trace_test
+from tracepursuit import Dataset, compute_moments, htp_run, slice_response, trace_test
 from tracepursuit.errors import (
     DegenerateSlicingError,
     IllPosedMomentsError,
@@ -97,6 +97,43 @@ class TestDataset:
             Dataset.from_arrays(bad, np.ones(5))
         with pytest.raises(ValueError):
             Dataset.from_arrays(np.ones((5, 2)), np.array([1, 2, np.inf, 4, 5.0]))
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-160])
+    def test_squares_outside_the_normal_range_are_rejected(self, scale):
+        x, y = _scaled_design(scale)
+        with pytest.raises(ValueError, match="x column 3"):
+            Dataset.from_arrays(x, y)
+        with pytest.raises(ValueError, match="x column 3 \\('c'\\)"):
+            Dataset.from_arrays(x, y, column_names="abcdef")
+
+    def test_constant_columns_pass_at_any_scale(self):
+        x, y = _scaled_design(1.0)
+        x[:, 1], x[:, 4] = 1e-300, 1e300
+        assert Dataset.from_arrays(x, y).p == 6
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_extreme_normal_scales_keep_tests_and_selections(self, scale, method):
+        def results(x, y):
+            d = Dataset.from_arrays(x, y)
+            s = slice_response(d.y, 4)
+            tests = [trace_test(method, d, s, f, j, 0.05) for f, j in (((1,), 3), ((3,), 1))]
+            values = [v for t in tests for v in (t.statistic, t.threshold)]
+            return values, htp_run(d, s, method).selected
+
+        values, selected = results(*_scaled_design(1.0))
+        scaled_values, scaled_selected = results(*_scaled_design(scale))
+        assert scaled_values == pytest.approx(values, rel=1e-8)
+        assert scaled_selected == selected
+
+
+def _scaled_design(scale):
+    """50 x 6 normal design with y = x1 + 0.1 noise and column 3 times ``scale``."""
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((50, 6))
+    y = x[:, 0] + 0.1 * rng.standard_normal(50)
+    x[:, 2] *= scale
+    return x, y
 
 
 class TestComputeMoments:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracepursuit import (
     Dataset,
@@ -275,7 +277,7 @@ class TestScanState:
 
 
 def _certificate_designs():
-    """(name, x, order of additions) reaching every branch of the scan's verdict."""
+    """(name, x, order of additions) reaching every outcome of the scan's verdict."""
     ar1 = generate(SimDesign(model="I", n=200, p=40, rho=0.99, seed=5))[0].x
     yield "ar1-0.99", ar1, range(1, 41)
     ar1 = generate(SimDesign(model="I", n=40, p=60, rho=0.999, seed=5))[0].x
@@ -283,15 +285,16 @@ def _certificate_designs():
     rng = np.random.default_rng(5)
     x = rng.standard_normal((100, 12))
     e = rng.standard_normal((100, 3))
-    # column 13 repeats column 3 up to 1e-5 noise: a pivot too small to extend
-    # the factor but positive, so the factor is rebuilt.  Each later column
-    # makes F singular: 14 is that noise up to 1e-7 noise, in the span of F
-    # only through column 13; 15 repeats column 8 and 16 sums columns 4-12,
-    # each up to 1e-7 noise.
+    # column 13 repeats column 3 up to 3e-6 noise: lambda_min / lambda_max of
+    # 2.4e-12 passes the rule, but too close to the floor for the norm bound,
+    # so the eigenvalues decide (1e-6 noise would fail the rule).  Each later
+    # column makes F singular: 14 is that noise up to 1e-7 noise, in the span
+    # of F only through column 13; 15 repeats column 8 and 16 sums columns
+    # 4-12, each up to 1e-7 noise.
     near = np.column_stack(
         [
             x,
-            x[:, 2] + 1e-5 * e[:, 0],
+            x[:, 2] + 3e-6 * e[:, 0],
             e[:, 0] + 1e-7 * e[:, 1],
             x[:, 7] + 1e-7 * e[:, 2],
             x[:, 3:].sum(axis=1) + 1e-7 * e[:, 1],
@@ -307,20 +310,9 @@ def _certificate_designs():
 
 class TestScanCertificateAndRepack:
     def test_singular_verdict_matches_eigenvalues_at_every_add(self, monkeypatch):
-        cholesky = np.linalg.cholesky
-        factored = []  # outcome of each Cholesky factorization during one add
-
-        def spy(a):
-            try:
-                out = cholesky(a)
-            except np.linalg.LinAlgError:
-                factored.append(False)
-                raise
-            factored.append(True)
-            return out
-
-        monkeypatch.setattr(np.linalg, "cholesky", spy)
-        branch = {(): "extend", (True,): "refactor", (False,): "eigenvalues"}
+        eigvalsh = np.linalg.eigvalsh
+        calls = []  # eigvalsh calls made by the scan during one add
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
         seen = set()
         for name, x, order in _certificate_designs():
             d = Dataset.from_arrays(x, np.random.default_rng(0).standard_normal(x.shape[0]))
@@ -328,20 +320,56 @@ class TestScanCertificateAndRepack:
             state = ScanState(d, s, tuple(range(1, d.p + 1)))
             taken = []
             for j in order:
-                factored.clear()
+                calls.clear()
                 state.add(j)
+                outcome = "eigenvalues" if calls else "certified"
+                taken.append("reject" if state.singular else outcome)
                 sigma = compute_moments(d, s, state.f).sigma_f
-                assert state.singular == is_singular_spectrum(np.linalg.eigvalsh(sigma)), (
-                    name,
-                    state.f,
-                )
-                taken.append("reject" if state.singular else branch[tuple(factored)])
+                assert state.singular == is_singular_spectrum(eigvalsh(sigma)), (name, state.f)
                 if state.singular:
                     break
-            if name.startswith("ar1"):  # well-posed pivots: the held factor grows
-                assert set(taken) == {"extend"}, name
+            if name.startswith("ar1"):  # well-conditioned: the norm bound decides
+                assert set(taken) == {"certified"}, name
             seen.update(taken)
-        assert seen == {"extend", "refactor", "eigenvalues", "reject"}
+        assert seen == {"certified", "eigenvalues", "reject"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_verdict_and_gains_on_ill_conditioned_designs(self, data):
+        """Near-duplicate columns at scales 1e-7..1e7, added in random order:
+        the verdict is the eigenvalue rule at every add, and every gain is
+        finite or a categorized skip."""
+        n = data.draw(st.integers(12, 80), label="n")
+        p = data.draw(st.integers(2, 10), label="p")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.standard_normal((n, p))
+        for _ in range(data.draw(st.integers(1, 3), label="near-duplicates")):
+            a, b = data.draw(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)))
+            noise = 10.0 ** data.draw(st.floats(-9, -2), label="log10 noise")
+            x[:, b] = x[:, a] + noise * rng.standard_normal(n)
+        scales = st.lists(st.floats(-7, 7), min_size=p, max_size=p)
+        x *= 10.0 ** np.array(data.draw(scales, label="log10 scales"))
+        order = data.draw(st.permutations(range(1, p + 1)), label="order")
+        d = Dataset.from_arrays(x, rng.standard_normal(n))
+        s = slice_response(d.y, data.draw(st.sampled_from([2, 4]), label="H"))
+        state = ScanState(d, s, tuple(range(1, p + 1)))
+        categories = {CollinearCandidateError.category, SingularDesignError.category}
+        for j in order[: n - 1]:
+            state.add(j)
+            k = len(state.f)
+            rq = state.rq[:k, :k]
+            assert state.singular == is_singular_spectrum(np.linalg.eigvalsh(rq.T @ rq / n))
+            evals = np.linalg.eigvalsh(compute_moments(d, s, state.f).sigma_f)
+            if not 1e-13 <= evals[0] / evals[-1] <= 1e-11:  # both solvers clear of the floor
+                assert state.singular == is_singular_spectrum(evals), state.f
+            for method in METHODS:
+                gains, skipped = state.gains(method)
+                assert np.all(np.isfinite(gains) | (gains == -np.inf))
+                outside = set(state.columns[gains == -np.inf].tolist()) - set(state.f)
+                assert {j for j, _ in skipped} == outside
+                assert {c for _, c in skipped} <= categories
+            if state.singular:
+                break
 
     def test_repacked_block_keeps_gains(self):
         rng = np.random.default_rng(9)

@@ -240,6 +240,17 @@ class TestWeightedChisqQuantile:
         with pytest.raises(ValueError, match="finite and nonnegative"):
             quantile(np.array([1.0, bad]), 0.05)
 
+    @pytest.mark.parametrize("n_draws", [0, -5])
+    def test_mc_draw_count_must_be_positive(self, n_draws):
+        with pytest.raises(ValueError, match="n_draws must be >= 1"):
+            weighted_chisq_quantile_mc(np.array([1.0, 0.5]), 0.05, n_draws=n_draws)
+
+    def test_mc_trace_test_draw_count_must_be_positive(self):
+        d = make_dataset(np.random.default_rng(4), 80, 4)
+        s = slice_response(d.y, 4)
+        with pytest.raises(ValueError, match="n_draws must be >= 1"):
+            trace_test(Method.SIR, d, s, (1,), 2, 0.05, quantile="monte-carlo", mc_draws=0)
+
     def test_mc_fallback_reproducible_and_close(self):
         w = np.array([1.0, 0.5, 0.25])
         a = weighted_chisq_quantile_mc(w, 0.05, n_draws=200_000, seed=11)

@@ -341,6 +341,20 @@ class TestStp:
             got = [(e.action, e.index, e.statistic, e.threshold, e.note) for e in report.trail]
             assert got == expected
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"max_set_size": 2.5},
+            {"max_set_size": "3"},
+            {"max_iterations": 10.0},
+            {"max_iterations": 0},
+            {"max_iterations": -3},
+        ],
+    )
+    def test_misread_integer_settings_are_rejected(self, fields):
+        with pytest.raises(ValueError):
+            StpConfig(method=Method.SIR, **fields)
+
     def test_terminates_within_iteration_cap(self):
         d = _noise_dataset(5, n=120, p=6)
         s = slice_response(d.y, 4)
