@@ -21,7 +21,9 @@ import numpy as np
 
 from .data import Dataset, SliceAssignment, slice_response
 from .errors import (
+    CellValueError,
     FileAccessError,
+    IngestionError,
     MissingResponseError,
     NonNumericCellError,
     TooFewSamplesError,
@@ -104,7 +106,12 @@ def ingest_csv(path: str) -> Dataset:
             xs.append([v for i, v in enumerate(vals) if i != y_idx])
     if len(xs) < 10:
         raise TooFewSamplesError(f"{path}: only {len(xs)} data rows, need at least 10")
-    d = Dataset.from_arrays(np.asarray(xs), np.asarray(ys), column_names=names)
+    if not names:
+        raise IngestionError(f"{path}: no predictor columns besides '{header[y_idx]}'")
+    try:
+        d = Dataset.from_arrays(np.asarray(xs), np.asarray(ys), column_names=names)
+    except ValueError as err:
+        raise CellValueError(f"{path}: {err}") from None
     print(f"loaded {path}: n={d.n}, p={d.p}", file=sys.stderr)
     return d
 

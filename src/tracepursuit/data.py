@@ -4,28 +4,16 @@ All moment estimators use the n-divisor convention and a single global
 centering of the predictors; a working set selects sub-blocks of the
 centered columns rather than re-centering.
 
-The moments of every working set are read from one moment cache per
-(dataset, slicing) pair, which splits the columns into fixed tiles of
-``_TILE`` columns.  A tile's centered columns and slice means are kept once
-a working set touches it; the covariance block of a pair of tiles is one
-matrix product over whole tiles, and its slice second-moment blocks are one
-product per slice, made on the first read of ``MomentStats.v``.  The block
-of tiles (J, I) is the exact transpose of (I, J), and each diagonal block
-is mirrored from its lower triangle.  Every entry therefore comes from a
-product of fixed shape, so the moments of a working set are the same bits
-whatever working sets filled the cache before, the moments of a subset are
-exact sub-blocks of a superset's, and ``sigma_f`` and every ``v[h]`` are
-exactly symmetric.  The cache lives as long as the dataset, holds a strong
-reference to the slicing, is not thread-safe, and is neither pickled nor
-copied with the dataset.
-
-``MomentStats`` also owns the working-set algebra: the terms that depend
-on F alone, and so are shared by all candidates of a scan, come from one
-whitening W with W W' = Sigma_F^{-1}, built on one ``eigh(sigma_f)`` that
+``MomentStats`` holds the centered columns X_F of a working set and owns
+the working-set algebra: the terms that depend on F alone, and so are shared
+by all candidates of a scan, come from one whitening W with
+W W' = Sigma_F^{-1}, built on one ``eigh`` of Sigma_F = X_F' X_F / n that
 runs at most once per instance, and are cached there.  These are W itself,
-the whitened moments X_F W, u W and W' v W, and ``kappa``, the SIR kernel
-trace on F.  The traces, gains and null weights depend on Sigma_F only
-through W W', so any other whitening W O, O orthogonal, gives the same
+the whitened columns Z = X_F W, the whitened slice moments, which are read
+from Z alone (slice means M Z with the slice-averaging matrix M of the
+slicing, and slice second moments Z_h' Z_h / n_h), and ``kappa``, the SIR
+kernel trace on F.  The traces, gains and null weights depend on Sigma_F
+only through W W', so any other whitening W O, O orthogonal, gives the same
 values.  The kernels module keeps only the work that depends on the
 candidate.
 
@@ -37,8 +25,8 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from functools import cached_property, partial
-from typing import Callable, Iterable, Sequence
+from functools import cached_property
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -56,10 +44,6 @@ EIGENVALUE_FLOOR = 1e-12
 
 # Working sets are tuples of 1-based predictor indices, strictly increasing.
 IndexSet = tuple[int, ...]
-
-# Column tile width of the moment cache.  Small enough that the blocks of a
-# few scattered columns stay small next to the data when p >> n.
-_TILE = 16
 
 
 def is_singular_spectrum(evals: np.ndarray) -> bool:
@@ -102,13 +86,18 @@ class Dataset:
             raise ValueError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
         if y.shape != (n,):
             raise ValueError(f"y has length {y.shape[0]}, expected {n}")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x contains non-finite entries")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y contains non-finite entries")
         names = tuple(column_names) if column_names is not None else None
         if names is not None and len(names) != p:
             raise ValueError("column_names length must equal p")
+
+        def label(a: int) -> str:
+            return f"{a + 1}" + (f" ({names[a]!r})" if names is not None else "")
+
+        finite = np.isfinite(x).all(axis=0)
+        if not finite.all():
+            raise ValueError(f"x column {label(int(np.argmin(finite)))} has non-finite entries")
+        if not np.all(np.isfinite(y)):
+            raise ValueError("y contains non-finite entries")
         d = cls(x=x, y=y, n=n, p=p, column_names=names)
         # Every moment sums squares and products of centered columns, so the
         # squared deviations of a nonconstant column must stay normal floats:
@@ -119,10 +108,9 @@ class Dataset:
             dev2 = np.maximum(top - means, means - bottom) ** 2
             bad = (top > bottom) & ~((dev2 >= np.finfo(np.float64).tiny) & np.isfinite(n * dev2))
         if bad.any():
-            a = int(np.argmax(bad))
-            label = f"{a + 1}" + (f" ({names[a]!r})" if names is not None else "")
             raise ValueError(
-                f"x column {label} has squared deviations outside the normal float range"
+                f"x column {label(int(np.argmax(bad)))} has squared deviations "
+                "outside the normal float range"
             )
         return d
 
@@ -170,6 +158,16 @@ class SliceAssignment:
     def counts(self) -> np.ndarray:
         return np.array([r.size for r in self.rows])
 
+    @cached_property
+    def averaging(self) -> np.ndarray:
+        """Slice-averaging matrix M, (H, n): M[h-1, i] = 1/n_h if sample i is
+        in slice h, else 0, so M a holds the slice means of a per-sample a."""
+        m = np.zeros((self.h_count, self.membership.size))
+        for idx, rows in enumerate(self.rows):
+            m[idx, rows] = 1.0 / rows.size
+        m.setflags(write=False)
+        return m
+
 
 def slice_response(y: np.ndarray, h_count: int, discrete: bool = False) -> SliceAssignment:
     """Partition the response sample into nonempty slices.
@@ -181,6 +179,10 @@ def slice_response(y: np.ndarray, h_count: int, discrete: bool = False) -> Slice
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     n = y.size
+    try:
+        h_count = operator.index(h_count)
+    except TypeError:
+        raise ValueError(f"h_count must be an integer, got {h_count!r}") from None
     if h_count < 2:
         raise ValueError(f"h_count must be >= 2, got {h_count}")
     if n < h_count:
@@ -224,52 +226,42 @@ def slice_response(y: np.ndarray, h_count: int, discrete: bool = False) -> Slice
 class MomentStats:
     """Slice-conditional moments of the centered predictors on a working set.
 
-    Fields follow the n-divisor convention throughout: ``sigma_f`` is the
-    sample covariance of the centered working-set columns, ``u[h-1]`` the
-    slice-h mean and ``v[h-1]`` the slice-h second-moment matrix of the same
-    centered columns.  ``xc`` holds the centered column block itself (n x |F|)
-    so downstream residual computations do not re-center.
-
-    ``sigma_f``, ``u``, ``xc`` and ``v`` are read from the moment cache of
-    the dataset and slicing, so they are the same bits for every call that
-    names the same working set, ``sigma_f`` and each ``v[h]`` are exactly
-    symmetric, and the moments of a subset of F are exact sub-blocks of
-    these.  ``v`` is read on first use.
+    ``xc`` holds the centered working-set columns X_F (n x |F|), in the
+    sorted order of ``f``, so downstream residual computations do not
+    re-center.  Every other moment is derived from it with the n-divisor
+    convention: the covariance Sigma_F = X_F' X_F / n is decomposed once and
+    not stored, and the slice moments are kept only in the whitened
+    coordinates of ``whitening``.  Each is a product of fixed shape in the
+    dataset, the slicing and the sorted F, so it is the same bits for every
+    call that names the same working set.
 
     Instances are immutable after construction apart from cached properties.
     ``whitening`` and the whitened moments built on it raise
-    ``SingularDesignError`` when the smallest eigenvalue of ``sigma_f`` falls
+    ``SingularDesignError`` when the smallest eigenvalue of Sigma_F falls
     below ``EIGENVALUE_FLOOR`` times the largest (condition number above
     1e12).
     """
 
     f: IndexSet
-    sigma_f: np.ndarray
-    u: np.ndarray  # (H, |F|) slice means
     xc: np.ndarray  # (n, |F|) centered working-set columns
     n: int
     h_count: int
     proportions: np.ndarray
     slice_rows: tuple[np.ndarray, ...]
-    _read_v: Callable[[], np.ndarray] = field(kw_only=True, repr=False, compare=False)
+    averaging: np.ndarray = field(repr=False)  # (H, n) slice-averaging matrix M
 
     @property
     def size(self) -> int:
         return len(self.f)
 
     @cached_property
-    def v(self) -> np.ndarray:
-        """Slice second moments (H, |F|, |F|)."""
-        return self._read_v()
-
-    @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        evals, evecs = np.linalg.eigh(self.sigma_f)
+        evals, evecs = np.linalg.eigh(self.xc.T @ self.xc / self.n)
         return evals, evecs, is_singular_spectrum(evals)
 
     @cached_property
     def whitening(self) -> np.ndarray:
-        """W = V Lambda^{-1/2} from ``eigh(sigma_f)``, so W W' = Sigma_F^{-1}."""
+        """W = V Lambda^{-1/2} from ``eigh`` of Sigma_F, so W W' = Sigma_F^{-1}."""
         evals, evecs, singular = self._eigh
         if singular:
             raise SingularDesignError(
@@ -285,18 +277,18 @@ class MomentStats:
 
     @cached_property
     def white_u(self) -> np.ndarray:
-        """Whitened slice means u W, (H, |F|)."""
-        return self.u @ self.whitening
+        """Whitened slice means M Z, (H, |F|)."""
+        return self.averaging @ self.white_xc
 
     @cached_property
     def white_v(self) -> np.ndarray:
-        """Whitened slice second moments W' v_h W, (H, |F|, |F|)."""
-        w = self.whitening
-        return w.T @ self.v @ w
+        """Whitened slice second moments Z_h' Z_h / n_h, (H, |F|, |F|)."""
+        z = self.white_xc
+        return np.stack([z[rows].T @ z[rows] / rows.size for rows in self.slice_rows])
 
     @cached_property
     def kappa(self) -> float:
-        """SIR kernel trace on F, sum_h p_h |u_h W|^2 (0 when empty)."""
+        """SIR kernel trace on F, sum_h p_h |(M Z)_h|^2 (0 when empty)."""
         return float(self.proportions @ np.einsum("ha,ha->h", self.white_u, self.white_u))
 
 
@@ -315,104 +307,6 @@ def validate_working_set(f: Iterable[int], p: int) -> IndexSet:
     return tuple(sorted(fs))
 
 
-# A run of working-set members in one tile: (tile, 0-based columns within the
-# tile, start, stop), where start:stop is the run's position in F.
-_Run = tuple[int, np.ndarray, int, int]
-
-
-class _MomentCache:
-    """Moments of one dataset's centered columns under one slicing, by tile.
-
-    Tile t holds the 0-based columns t*_TILE .. (t+1)*_TILE - 1.  Blocks are
-    filled on first use and kept: ``tile`` (centered columns and slice
-    means), ``sigma_block`` and ``v_block`` (tile pairs a <= b).
-    """
-
-    def __init__(self, d: Dataset, s: SliceAssignment):
-        self.x = d.x
-        self.means = d.column_means()
-        self.n = d.n
-        self.rows = s.rows
-        self.tiles: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self.sigma: dict[tuple[int, int], np.ndarray] = {}
-        self.v: dict[tuple[int, int], np.ndarray] = {}
-
-    def tile(self, t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Centered columns (n, w) and slice means (H, w) of tile ``t``."""
-        entry = self.tiles.get(t)
-        if entry is None:
-            cols = slice(t * _TILE, (t + 1) * _TILE)
-            xc = self.x[:, cols] - self.means[cols]
-            u = np.stack([xc[rows].sum(axis=0) / rows.size for rows in self.rows])
-            entry = self.tiles[t] = (xc, u)
-        return entry
-
-    def sigma_block(self, a: int, b: int) -> np.ndarray:
-        block = self.sigma.get((a, b))
-        if block is None:
-            block = (self.tile(a)[0].T @ self.tile(b)[0]) / self.n
-            if a == b:
-                block = _mirror_lower(block)
-            self.sigma[a, b] = block
-        return block
-
-    def v_block(self, a: int, b: int) -> np.ndarray:
-        block = self.v.get((a, b))
-        if block is None:
-            xa, xb = self.tile(a)[0], self.tile(b)[0]
-            block = np.stack([(xa[rows].T @ xb[rows]) / rows.size for rows in self.rows])
-            if a == b:
-                block = _mirror_lower(block)
-            self.v[a, b] = block
-        return block
-
-
-def _mirror_lower(m: np.ndarray) -> np.ndarray:
-    """The symmetric matrix (or stack) with the lower triangle of ``m``."""
-    return np.tril(m) + np.swapaxes(np.tril(m, -1), -1, -2)
-
-
-def _gather_blocks(
-    runs: list[_Run], block_of: Callable[[int, int], np.ndarray], lead: tuple[int, ...]
-) -> np.ndarray:
-    """The (lead..., |F|, |F|) working-set matrix assembled from tile blocks."""
-    k = runs[-1][3] if runs else 0
-    out = np.empty(lead + (k, k))
-    for i, (t, loc, a, b) in enumerate(runs):
-        for t2, loc2, a2, b2 in runs[: i + 1]:
-            block = block_of(t2, t)[..., loc2[:, None], loc]
-            out[..., a2:b2, a:b] = block
-            if t2 != t:
-                out[..., a:b, a2:b2] = np.swapaxes(block, -1, -2)
-    return out
-
-
-def _tile_runs(fs: IndexSet) -> list[_Run]:
-    """Split a sorted working set into runs that share a tile."""
-    runs: list[tuple[int, list[int], int]] = []
-    for pos, j in enumerate(fs):
-        t, c = divmod(j - 1, _TILE)
-        if runs and runs[-1][0] == t:
-            runs[-1][1].append(c)
-        else:
-            runs.append((t, [c], pos))
-    return [(t, np.array(cols), a, a + len(cols)) for t, cols, a in runs]
-
-
-def _moment_cache(d: Dataset, s: SliceAssignment) -> _MomentCache:
-    """The moment cache of ``d`` under ``s``, kept on the dataset."""
-    caches = getattr(d, "_moment_caches", None)
-    if caches is None:
-        caches = []
-        object.__setattr__(d, "_moment_caches", caches)
-    for slicing, cache in caches:
-        if slicing is s:
-            return cache
-    cache = _MomentCache(d, s)
-    caches.append((s, cache))
-    return cache
-
-
 def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentStats:
     """Estimate working-set moments shared by every kernel and test.
 
@@ -427,24 +321,13 @@ def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentS
             f"working set of size {k} with only n={d.n} samples"
         )
 
-    cache = _moment_cache(d, s)
-    runs = _tile_runs(fs)
-    xc = np.empty((d.n, k))
-    u = np.empty((s.h_count, k))
-    for t, loc, a, b in runs:
-        tile_xc, tile_u = cache.tile(t)
-        xc[:, a:b] = tile_xc[:, loc]
-        u[:, a:b] = tile_u[:, loc]
-    sigma = _gather_blocks(runs, cache.sigma_block, ())
-
+    idx = np.array(fs, dtype=np.int64) - 1
     return MomentStats(
         f=fs,
-        sigma_f=sigma,
-        u=u,
-        xc=xc,
+        xc=d.x[:, idx] - d.column_means()[idx],
         n=d.n,
         h_count=s.h_count,
         proportions=np.asarray(s.proportions),
         slice_rows=s.rows,
-        _read_v=partial(_gather_blocks, runs, cache.v_block, (s.h_count,)),
+        averaging=s.averaging,
     )

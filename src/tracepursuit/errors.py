@@ -69,6 +69,14 @@ class NonNumericCellError(IngestionError):
     hint = "every predictor/response cell must parse as a number"
 
 
+class CellValueError(IngestionError):
+    category = "invalid-cell-value"
+    hint = (
+        "every cell must be finite, and a predictor's largest deviation from its "
+        "mean must lie within about 1e-154..1e154; rescale or drop the named column"
+    )
+
+
 class TooFewSamplesError(IngestionError):
     category = "too-few-samples"
     hint = "at least 10 rows are required"

@@ -14,9 +14,10 @@ residual is exactly orthogonal to the working set in sample.
 
 The scalar route works in whitened coordinates: the terms that depend on
 the working set alone (the whitening W with W W' = Sigma_F^{-1}, the
-whitened moments Z = X_F W, u W and W' v W, and kappa) live on
-``MomentStats`` and are computed once per working set; ``residualize`` and
-``auxiliary_stats`` do only the per-candidate work on top of them.  Every
+whitened columns Z = X_F W and slice moments M Z and Z_h' Z_h / n_h, and
+kappa) live on ``MomentStats`` and are computed once per working set;
+``residualize`` and ``auxiliary_stats`` do only the per-candidate work on
+top of them, taking slice means with the same averaging matrix M.  Every
 trace and gain depends on W only through W W', so it does not matter which
 whitening ``MomentStats`` picks.
 """
@@ -102,19 +103,10 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
             f"candidate {j} has residual variance {sigma2:.3e} given {m.f}"
         )
 
-    sigma = np.sqrt(sigma2)
-    gamma = resid / sigma
-    h = s.h_count
-    gamma_by_slice = np.empty(h)
-    zeta_by_slice = np.empty(h)
-    for idx, rows in enumerate(s.rows):
-        g = gamma[rows]
-        gamma_by_slice[idx] = g.sum() / rows.size
-        zeta_by_slice[idx] = float(g @ g) / rows.size
-
+    gamma = resid / np.sqrt(sigma2)
     return ResidualStats(
-        gamma_by_slice=gamma_by_slice,
-        zeta_by_slice=zeta_by_slice,
+        gamma_by_slice=s.averaging @ gamma,
+        zeta_by_slice=s.averaging @ gamma**2,
         gamma_per_sample=gamma,
     )
 
@@ -125,12 +117,7 @@ def auxiliary_stats(m: MomentStats, r: ResidualStats) -> np.ndarray:
     ``nu[h-1]`` is the slice-h mean of Z times the standardized residual,
     where Z = X_F W are the whitened working-set columns; (H, |F|).
     """
-    z = m.white_xc
-    gamma = r.gamma_per_sample
-    nu = np.empty((m.h_count, m.size))
-    for idx, rows in enumerate(m.slice_rows):
-        nu[idx] = (z[rows].T @ gamma[rows]) / rows.size
-    return nu
+    return m.averaging @ (m.white_xc * r.gamma_per_sample[:, None])
 
 
 def trace_kernel(method: Method, m: MomentStats) -> float:

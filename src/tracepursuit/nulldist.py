@@ -91,10 +91,7 @@ def influence_samples(
     z = m.white_xc  # (n, k), Z'Z/n = I
     ubar = m.white_u  # (H, k)
 
-    # indic[i, h] = 1{sample i in slice h} / p_hat[h]
-    indic = np.zeros((n, h))
-    for idx, rows in enumerate(s.rows):
-        indic[rows, idx] = 1.0 / p_hat[idx]
+    indic = n * s.averaging.T  # indic[i, h] = 1{sample i in slice h} / p_hat[h]
 
     # gamma*_(i,h): slice-mean influence of the standardized residual; the
     # last term is that of the fit on F, gamma_i Z_i' (u_h W).

@@ -18,8 +18,9 @@ route (``residualize``, ``auxiliary_stats``, ``trace_diff``) scores single
 candidates: the winner of an STP forward scan, whose statistic and
 threshold are then computed, and the members in the STP backward pass.
 
-Every STP decision is a pure function of the question (F, j): the moments
-of F are the same bits whenever they are read.  So each test is computed
+Every STP decision is a pure function of the question (F, j): each moment
+of F is a product of fixed shape in the dataset, the slicing and the sorted
+F, so it is the same bits whenever it is read.  So each test is computed
 once per run and reused, as when the backward pass asks about the member
 just added, and each gain once while the working set stays the same.
 
@@ -199,8 +200,10 @@ def ftp_run(
     nonnegative so the path trace is nondecreasing.
     """
     cap = default_path_cap(d.n, d.p, s.h_count)
-    if k_max is None:
-        k_max = cap
+    try:
+        k_max = cap if k_max is None else operator.index(k_max)
+    except TypeError:
+        raise ValueError(f"k_max must be an integer, got {k_max!r}") from None
     if not 1 <= k_max <= cap:
         raise ValueError(f"k_max must be in 1..{cap}, got {k_max}")
 

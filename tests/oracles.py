@@ -2,8 +2,8 @@
 
 Everything here is written from scratch against the defining formulas with
 explicit loops and full matrix materialization, deliberately avoiding the
-shortcuts the production code takes (pair-dot accumulation, closed-form
-trace gains, collapsed influence terms).
+shortcuts the production code takes (whitened moments, closed-form trace
+gains, collapsed influence terms).
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ import pytest
 from tracepursuit import SimDesign, generate
 from tracepursuit.cli import ingest_csv, main, write_csv
 from tracepursuit.errors import (
+    IngestionError,
     MissingResponseError,
     NonNumericCellError,
     TooFewSamplesError,
@@ -46,6 +47,13 @@ class TestIngest:
         with pytest.raises(NonNumericCellError) as exc:
             ingest_csv(str(path))
         assert "row 6" in str(exc.value) and "x2" in str(exc.value)
+
+    def test_no_predictor_columns(self, tmp_path):
+        path = tmp_path / "yonly.csv"
+        path.write_text("y\n" + "\n".join(str(i) for i in range(12)) + "\n")
+        with pytest.raises(IngestionError) as exc:
+            ingest_csv(str(path))
+        assert exc.value.category == "ingestion"
 
     def test_case_insensitive_response(self, tmp_path):
         path = tmp_path / "upper.csv"
@@ -209,6 +217,29 @@ class TestCommands:
         assert "error[io-error]" in captured.err
         if fmt == "json-lines":
             assert json.loads(captured.out)["error"]["category"] == "io-error"
+
+    @pytest.mark.parametrize("fmt", ["table", "json-lines"])
+    @pytest.mark.parametrize("cell", ["huge", "inf"])
+    def test_bad_cell_value_is_a_data_error(self, cell, fmt, tmp_path, capsys):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((40, 5))  # the last column is the response
+        if cell == "huge":
+            x[:, 2] *= 1e160
+        else:
+            x[7, 2] = np.inf
+        path = tmp_path / "bad.csv"
+        rows = [",".join(repr(float(v)) for v in row) for row in x]
+        path.write_text("x1,x2,x3,x4,y\n" + "\n".join(rows) + "\n")
+        rc = main(["select", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error[invalid-cell-value]" in captured.err
+        assert "bad.csv" in captured.err and "'x3'" in captured.err
+        assert "flag" not in captured.err
+        if fmt == "json-lines":
+            error = json.loads(captured.out)["error"]
+            assert error["category"] == "invalid-cell-value"
+            assert "'x3'" in error["message"]
 
     def test_bench_model_one_row_recovers_actives(self, capsys):
         rc = main(

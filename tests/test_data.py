@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import copy
-import gc
 import pickle
 import tracemalloc
 
@@ -14,12 +13,13 @@ from tracepursuit import Dataset, compute_moments, htp_run, slice_response, trac
 from tracepursuit.errors import (
     DegenerateSlicingError,
     IllPosedMomentsError,
+    SingularDesignError,
     WorkingSetIndexError,
 )
 from tracepursuit.kernels import Method, residualize
 
 from conftest import make_dataset
-from oracles import naive_moments
+from oracles import center_columns, naive_moments
 
 
 class TestSliceResponse:
@@ -68,6 +68,14 @@ class TestSliceResponse:
         with pytest.raises(ValueError):
             slice_response(np.arange(6.0), 1)
 
+    @pytest.mark.parametrize(
+        "h_count, discrete", [(2.5, False), (4.0, False), (3.0, True), ("3", True)]
+    )
+    def test_non_integer_h_count_rejected(self, h_count, discrete):
+        y = np.repeat([0.0, 1.0, 2.0], 4) if discrete else np.arange(12.0)
+        with pytest.raises(ValueError, match="h_count must be an integer"):
+            slice_response(y, h_count, discrete=discrete)
+
     def test_proportions_sum_to_one(self, rng):
         for _ in range(10):
             y = rng.standard_normal(int(rng.integers(20, 200)))
@@ -92,8 +100,8 @@ class TestDataset:
         with pytest.raises(ValueError):
             Dataset.from_arrays(np.ones((1, 3)), np.ones(1))
         bad = np.ones((5, 2))
-        bad[0, 0] = np.nan
-        with pytest.raises(ValueError):
+        bad[0, 1] = np.nan
+        with pytest.raises(ValueError, match="x column 2 has non-finite"):
             Dataset.from_arrays(bad, np.ones(5))
         with pytest.raises(ValueError):
             Dataset.from_arrays(np.ones((5, 2)), np.array([1, 2, np.inf, 4, 5.0]))
@@ -143,17 +151,17 @@ class TestComputeMoments:
         )
         s = slice_response(d.y, 2)
         m = compute_moments(d, s, (1,))
-        assert m.u[0, 0] == pytest.approx(0.0, abs=1e-15)
-        assert m.u[1, 0] == pytest.approx(0.0, abs=1e-15)
-        assert m.sigma_f[0, 0] == pytest.approx(1.0)
+        assert m.white_u[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert m.white_u[1, 0] == pytest.approx(0.0, abs=1e-15)
+        assert abs(m.whitening[0, 0]) == pytest.approx(1.0)
 
-    def test_constant_column_gives_zero_row(self):
+    def test_constant_column_is_singular(self):
         x = np.column_stack([np.ones(20), np.arange(20.0)])
         d = Dataset.from_arrays(x, np.arange(20.0))
         s = slice_response(d.y, 2)
         m = compute_moments(d, s, (1, 2))
-        assert m.sigma_f[0, 0] == 0.0
-        assert np.all(m.sigma_f[0, 1:] == 0.0)
+        with pytest.raises(SingularDesignError):
+            m.whitening
 
     def test_against_naive_oracle(self, rng):
         d = make_dataset(rng, 50, 6)
@@ -161,9 +169,13 @@ class TestComputeMoments:
         f = (2, 3, 5)
         m = compute_moments(d, s, f)
         p_hat, sigma, u, v = naive_moments(d.x, s.membership, [1, 2, 4])
-        assert np.allclose(m.sigma_f, sigma, atol=1e-12)
-        assert np.allclose(m.u, u, atol=1e-12)
-        assert np.allclose(m.v, v, atol=1e-12)
+        xc = center_columns(d.x)[:, [1, 2, 4]]
+        w = m.whitening
+        assert np.allclose(w @ w.T @ sigma, np.eye(3), atol=1e-12)
+        assert np.allclose(m.white_u, u @ w, atol=1e-12)
+        assert np.allclose(m.white_v, np.einsum("ab,hac,cd->hbd", w, v, w), atol=1e-12)
+        assert np.allclose(m.xc, xc, atol=1e-12)
+        assert np.allclose(m.white_xc, xc @ w, atol=1e-12)
         assert np.allclose(m.proportions, p_hat)
 
     def test_weighted_slice_means_vanish(self, rng):
@@ -171,31 +183,23 @@ class TestComputeMoments:
             d = make_dataset(rng, int(rng.integers(20, 120)), 5)
             s = slice_response(d.y, 4)
             m = compute_moments(d, s, (1, 3, 5))
-            assert np.max(np.abs(m.proportions @ m.u)) < 1e-10
+            assert np.max(np.abs(m.proportions @ m.white_u)) < 1e-10
 
     def test_law_of_total_second_moment(self, rng):
         for _ in range(5):
             d = make_dataset(rng, int(rng.integers(20, 120)), 5)
             s = slice_response(d.y, 4)
             m = compute_moments(d, s, (1, 2, 4))
-            recon = np.einsum("h,hab->ab", m.proportions, m.v)
-            assert np.max(np.abs(recon - m.sigma_f)) < 1e-10
-
-    def test_subset_is_exact_subblock(self, rng):
-        d = make_dataset(rng, 60, 8)
-        s = slice_response(d.y, 4)
-        big = compute_moments(d, s, (1, 3, 4, 6, 8))
-        small = compute_moments(d, s, (3, 6, 8))
-        pos = [big.f.index(j) for j in small.f]
-        assert np.array_equal(small.sigma_f, big.sigma_f[np.ix_(pos, pos)])
-        assert np.array_equal(small.u, big.u[:, pos])
-        assert np.array_equal(small.v, big.v[np.ix_(range(4), pos, pos)])
+            recon = np.einsum("h,hab->ab", m.proportions, m.white_v)
+            assert np.max(np.abs(recon - np.eye(3))) < 1e-10
 
     def test_empty_working_set(self, small_case):
         d, s, _ = small_case
         m = compute_moments(d, s, ())
         assert m.size == 0
-        assert m.sigma_f.shape == (0, 0)
+        assert m.xc.shape == (d.n, 0)
+        assert m.whitening.shape == (0, 0)
+        assert m.white_v.shape == (s.h_count, 0, 0)
 
     def test_index_validation(self, small_case):
         d, s, _ = small_case
@@ -231,77 +235,34 @@ class TestComputeMoments:
 
 
 def _fields(m):
-    return (m.sigma_f, m.u, m.v, m.xc)
-
-
-def _matches_naive(d, s, f):
-    m = compute_moments(d, s, f)
-    p_hat, sigma, u, v = naive_moments(d.x, s.membership, [j - 1 for j in f])
-    return (
-        np.allclose(m.sigma_f, sigma, atol=1e-12)
-        and np.allclose(m.u, u, atol=1e-12)
-        and np.allclose(m.v, v, atol=1e-12)
-    )
+    return (m.xc, m.white_xc, m.white_u, m.white_v)
 
 
 class TestMomentCache:
-    F = (3, 17, 18, 40, 95, 96, 160, 233, 300)  # spread over several column tiles
+    F = (3, 17, 18, 40, 95, 96, 160, 233, 300)
 
     def test_history_independence(self, rng):
         d = make_dataset(rng, 70, 300)
         fresh = compute_moments(d, slice_response(d.y, 4), self.F)
         warm_s = slice_response(d.y, 4)
         for f in [(1, 2, 3), (17, 300), tuple(range(90, 130)), (5, 40, 160, 233, 299), (18,)]:
-            compute_moments(d, warm_s, f).v
+            compute_moments(d, warm_s, f).white_v
         compute_moments(d, warm_s, self.F[::2])
         warm = compute_moments(d, warm_s, self.F)
-        other = Dataset.from_arrays(np.array(d.x), np.array(d.y))  # a cold cache
+        other = Dataset.from_arrays(np.array(d.x), np.array(d.y))  # the same data, never used
         again = compute_moments(other, slice_response(other.y, 4), self.F)
         for a, b, c in zip(_fields(fresh), _fields(warm), _fields(again)):
             assert np.array_equal(a, b)
             assert np.array_equal(a, c)
 
-    @pytest.mark.parametrize("f", [(2, 5, 9), F])
-    def test_exact_symmetry(self, rng, f):
-        d = make_dataset(rng, 90, 300)
-        m = compute_moments(d, slice_response(d.y, 5), f)
-        assert np.array_equal(m.sigma_f, m.sigma_f.T)
-        for vh in m.v:
-            assert np.array_equal(vh, vh.T)
-
-    def test_datasets_sharing_a_slicing(self, rng):
-        d1 = make_dataset(rng, 60, 40)
-        d2 = make_dataset(rng, 60, 40)
-        s = slice_response(d1.y, 4)
-        assert _matches_naive(d1, s, (2, 20, 33))
-        assert _matches_naive(d2, s, (2, 20, 33))
-        assert _matches_naive(d1, s, (2, 20, 33))
-
-    def test_one_dataset_two_slicings(self, rng):
-        d = make_dataset(rng, 60, 40)
-        s4, s3 = slice_response(d.y, 4), slice_response(d.y, 3)
-        assert _matches_naive(d, s4, (1, 17, 39))
-        assert _matches_naive(d, s3, (1, 17, 39))
-        assert _matches_naive(d, s4, (1, 17, 39))
-
-    def test_replaced_dataset(self, rng):
-        d = make_dataset(rng, 60, 40)
-        s = slice_response(d.y, 4)
-        assert _matches_naive(d, s, (4, 30))
-        for _ in range(20):  # new datasets, some of which may reuse a freed id
-            del d
-            gc.collect()
-            d = make_dataset(rng, 60, 40)
-            assert _matches_naive(d, s, (4, 30))
-
     def test_memory_is_not_sized_by_p(self, rng):
         n, p = 100, 2000
         d = make_dataset(rng, n, p)
         s = slice_response(d.y, 4)
-        f = (1, 401, 801, 1201, 1601)  # one column in each of five tiles
+        f = (1, 401, 801, 1201, 1601)
         tracemalloc.start()
         try:
-            compute_moments(d, s, f).v
+            compute_moments(d, s, f).white_v
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -312,7 +273,7 @@ class TestMomentCache:
         fresh = Dataset.from_arrays(np.array(d.x), np.array(d.y))
         s = slice_response(d.y, 4)
         used = compute_moments(d, s, (1, 2, 3))
-        used.v
+        used.white_v
         assert len(pickle.dumps(d)) == len(pickle.dumps(fresh))
         for twin in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
             again = compute_moments(twin, s, (1, 2, 3))

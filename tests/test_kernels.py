@@ -31,7 +31,7 @@ from tracepursuit.nulldist import (
 )
 
 from conftest import make_dataset, random_case
-from oracles import explicit_trace_kernel, ols_slice_means
+from oracles import explicit_trace_kernel, naive_moments, ols_slice_means
 
 METHODS = list(Method)
 
@@ -65,6 +65,23 @@ class TestResidualize:
             _, _, gbs, gamma = ols_slice_means(d.x, s.membership, [0, 2], 3)
             assert np.allclose(r.gamma_by_slice, gbs, atol=1e-10)
             assert np.allclose(r.gamma_per_sample, gamma, atol=1e-10)
+
+    @pytest.mark.parametrize("rho", [0.99, 0.999])
+    @pytest.mark.parametrize("n, p", [(200, 40), (60, 40)])
+    @pytest.mark.parametrize("k", [5, 10, 20, 30])
+    def test_matches_lstsq_on_ar1_designs(self, rho, n, p, k):
+        """The whitened residual against a least-squares solve, with F the
+        first k columns of a strongly autocorrelated design and the candidate
+        their neighbour k + 1."""
+        d, _ = generate(SimDesign(model="I", n=n, p=p, rho=rho, seed=k))
+        s = slice_response(d.y, 4)
+        f = tuple(range(1, k + 1))
+        r = residualize(d, s, compute_moments(d, s, f), k + 1)
+        xc = d.x - d.x.mean(axis=0)
+        beta = np.linalg.lstsq(xc[:, :k], xc[:, k], rcond=None)[0]
+        resid = xc[:, k] - xc[:, :k] @ beta
+        gamma = resid / np.sqrt(np.mean(resid**2) - np.mean(resid) ** 2)
+        assert np.allclose(r.gamma_per_sample, gamma, rtol=0.0, atol=1e-9)
 
     def test_invariants(self, rng):
         for _ in range(10):
@@ -155,17 +172,19 @@ class TestWorkingSetAlgebra:
             z = m.white_xc
             assert np.allclose(z.T @ z / d.n, np.eye(m.size), atol=1e-12)
             w = m.whitening
-            assert np.allclose(w @ w.T @ m.sigma_f, np.eye(m.size), atol=1e-10)
-            assert np.allclose(m.white_u, m.u @ w, atol=1e-12)
-            assert np.allclose(m.white_v, np.einsum("ab,hac,cd->hbd", w, m.v, w), atol=1e-12)
+            _, sigma, u, v = naive_moments(d.x, s.membership, [a - 1 for a in m.f])
+            assert np.allclose(w @ w.T @ sigma, np.eye(m.size), atol=1e-10)
+            assert np.allclose(m.white_u, u @ w, atol=1e-12)
+            assert np.allclose(m.white_v, np.einsum("ab,hac,cd->hbd", w, v, w), atol=1e-12)
 
     def test_kappa_is_sir_trace(self, rng):
         for _ in range(10):
             d, s, f, j = random_case(rng)
             m = compute_moments(d, s, tuple(sorted(f + (j,))))
             assert m.kappa == trace_kernel(Method.SIR, m)
-            w = np.einsum("h,ha,hb->ab", m.proportions, m.u, m.u)
-            exact = float(np.trace(np.linalg.solve(m.sigma_f, w)))
+            _, sigma, u, _ = naive_moments(d.x, s.membership, [a - 1 for a in m.f])
+            w = np.einsum("h,ha,hb->ab", m.proportions, u, u)
+            exact = float(np.trace(np.linalg.solve(sigma, w)))
             assert m.kappa == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
     def test_terms_are_cached(self, small_case):
@@ -324,7 +343,8 @@ class TestScanCertificateAndRepack:
                 state.add(j)
                 outcome = "eigenvalues" if calls else "certified"
                 taken.append("reject" if state.singular else outcome)
-                sigma = compute_moments(d, s, state.f).sigma_f
+                xc = compute_moments(d, s, state.f).xc
+                sigma = xc.T @ xc / d.n
                 assert state.singular == is_singular_spectrum(eigvalsh(sigma)), (name, state.f)
                 if state.singular:
                     break
@@ -359,7 +379,8 @@ class TestScanCertificateAndRepack:
             k = len(state.f)
             rq = state.rq[:k, :k]
             assert state.singular == is_singular_spectrum(np.linalg.eigvalsh(rq.T @ rq / n))
-            evals = np.linalg.eigvalsh(compute_moments(d, s, state.f).sigma_f)
+            xc = compute_moments(d, s, state.f).xc
+            evals = np.linalg.eigvalsh(xc.T @ xc / n)
             if not 1e-13 <= evals[0] / evals[-1] <= 1e-11:  # both solvers clear of the floor
                 assert state.singular == is_singular_spectrum(evals), state.f
             for method in METHODS:
@@ -386,7 +407,7 @@ class TestScanCertificateAndRepack:
         rq = grown.rq[: len(f), : len(f)]  # Sigma_F = R_Q' R_Q / n, in the order added
         order = np.argsort(f)
         sigma = (rq.T @ rq / d.n)[np.ix_(order, order)]
-        assert np.allclose(sigma, m.sigma_f, rtol=1e-10, atol=1e-12)
+        assert np.allclose(sigma, m.xc.T @ m.xc / d.n, rtol=1e-10, atol=1e-12)
         for method in METHODS:
             gains, skipped = grown.gains(method)
             built_gains, built_skipped = built.gains(method)

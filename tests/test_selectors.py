@@ -105,6 +105,14 @@ class TestFtp:
         with pytest.raises(ValueError):
             ftp_run(d, s, Method.SIR, k_max=cap + 1)
 
+    @pytest.mark.parametrize("run", [ftp_run, htp_run])
+    @pytest.mark.parametrize("k_max", [2.5, 2.0, 3.0, "2"])
+    def test_non_integer_k_max_rejected(self, rng, run, k_max):
+        d = make_dataset(rng, 30, 5)
+        s = slice_response(d.y, 4)
+        with pytest.raises(ValueError, match="k_max must be an integer"):
+            run(d, s, Method.SIR, k_max=k_max)
+
 
 def _edge_case(name):
     """Inputs on which the vectorized scan must repeat the scalar reference."""
