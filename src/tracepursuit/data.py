@@ -307,13 +307,23 @@ def validate_working_set(f: Iterable[int], p: int) -> IndexSet:
     return tuple(sorted(fs))
 
 
+def check_slicing(d: Dataset, s: SliceAssignment) -> None:
+    """Raise ``ValueError`` unless the slicing labels the dataset's n rows."""
+    if s.membership.size != d.n:
+        raise ValueError(
+            f"slicing has {s.membership.size} rows but the dataset has n={d.n}"
+        )
+
+
 def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentStats:
     """Estimate working-set moments shared by every kernel and test.
 
     The empty working set is allowed and yields 0-dimensional moment blocks,
     which the kernel traces and residual computations treat as the
-    no-conditioning case.
+    no-conditioning case.  Raises ``ValueError`` when the slicing does not
+    have the dataset's n rows.
     """
+    check_slicing(d, s)
     fs = validate_working_set(f, d.p)
     k = len(fs)
     if k >= d.n:

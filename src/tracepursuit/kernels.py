@@ -4,11 +4,12 @@
 each method.  ``trace_diff`` evaluates the closed-form expression for the
 gain trace(kernel on F + j) - trace(kernel on F) directly from residual
 summaries, at O(|F|^2 H) per candidate instead of rebuilding both kernels;
-it scores single candidates (trace tests, the STP backward pass).
-``ScanState`` evaluates the same gains for every candidate of a forward
-scan at once, from residuals it keeps up to date as the working set grows.
+it scores single candidates (the trace tests).  ``ScanState`` evaluates the
+same gains for every candidate of a forward scan at once, from residuals it
+keeps up to date as the working set grows, and ``deletion_gains`` those of
+every member of F, from the whitening of F alone.
 
-The two routes agree to floating point because every sample moment is an
+The routes agree to floating point because every sample moment is an
 n-divisor empirical average over the same observations and the candidate
 residual is exactly orthogonal to the working set in sample.
 
@@ -36,6 +37,7 @@ from .data import (
     IndexSet,
     MomentStats,
     SliceAssignment,
+    check_slicing,
     is_singular_spectrum,
     validate_working_set,
 )
@@ -149,47 +151,70 @@ def trace_kernel(method: Method, m: MomentStats) -> float:
     raise ValueError(f"unknown method {method!r}")
 
 
+def _gain(method, p_hat, g, z=None, nu2=None, phi2=None, iota_sum2=None, kappa=None):
+    """The method's trace gain from inputs indexed by slice first: g and z are
+    the slice means of the standardized residual and of its square, nu2 =
+    |nu_h|^2, phi2 = |g_h ub_h - nu_h|^2, iota_sum2 = |sum_h p_h g_h ub_h|^2
+    and kappa the SIR trace of F.  SIR reads g alone, SAVE also z and phi2."""
+    varrho = p_hat @ g**2
+    if method is Method.SIR:
+        return varrho
+    if method is Method.SAVE:
+        return p_hat @ ((1.0 - z + g**2) ** 2 + 2.0 * phi2)
+    if method is Method.DR:
+        diag_cross = 2.0 * (p_hat @ ((1.0 - z) ** 2 + 2.0 * nu2))
+        return diag_cross + 4.0 * varrho**2 + 4.0 * iota_sum2 + 4.0 * kappa * varrho
+    raise ValueError(f"unknown method {method!r}")
+
+
 def trace_diff(
-    method: Method,
-    m: MomentStats,
-    r: ResidualStats,
-    nu: np.ndarray | None = None,
+    method: Method, m: MomentStats, r: ResidualStats, nu: np.ndarray | None = None
 ) -> float:
     """Closed-form trace gain from adding the candidate of ``r`` to ``m.f``.
 
     SAVE and DR require ``nu`` from ``auxiliary_stats``; SIR ignores it.
     The SIR gain is a weighted sum of squares and hence always >= 0.
     """
-    p_hat = m.proportions
     g = r.gamma_by_slice
-
     if method is Method.SIR:
-        return float(p_hat @ g**2)
-
+        return float(_gain(method, m.proportions, g))
     if nu is None:
         raise ValueError(f"{method.value} trace gain requires auxiliary stats")
-
-    z = r.zeta_by_slice
     iota = m.white_u * g[:, None]
-    if method is Method.SAVE:
-        diag = (1.0 - z + g**2) ** 2
-        phi = iota - nu
-        cross = 2.0 * np.einsum("ha,ha->h", phi, phi)
-        return float(p_hat @ (diag + cross))
+    phi, iota_sum = iota - nu, m.proportions @ iota
+    nu2, phi2 = np.einsum("ha,ha->h", nu, nu), np.einsum("ha,ha->h", phi, phi)
+    z = r.zeta_by_slice
+    return float(_gain(method, m.proportions, g, z, nu2, phi2, iota_sum @ iota_sum, m.kappa))
 
-    if method is Method.DR:
-        diag = (1.0 - z) ** 2
-        cross = 2.0 * np.einsum("ha,ha->h", nu, nu)
-        varrho = float(p_hat @ g**2)
-        iota_sum = p_hat @ iota
-        return float(
-            2.0 * (p_hat @ (diag + cross))
-            + 4.0 * varrho**2
-            + 4.0 * (iota_sum @ iota_sum)
-            + 4.0 * m.kappa * varrho
-        )
 
-    raise ValueError(f"unknown method {method!r}")
+def deletion_gains(method: Method, m: MomentStats) -> np.ndarray:
+    """Trace gain of each member j of ``m.f`` over F - j, aligned with ``m.f``.
+
+    With c_j row j of W scaled to unit length, Z c_j is the standardized
+    residual of j given the other members and Z (I - c_j c_j') whitens F - j
+    (the sweep operator, Goodnight 1979), so every input of the gain is a
+    form in c_j of the whitened moments of F: O(H |F|^3) on top of them.
+    Raises ``SingularDesignError`` when F fails the floor; when it passes, so
+    does every F - j (interlacing), and no member is collinear: its residual
+    keeps the share 1/(A_jj Sigma_jj) >= 1/cond(Sigma_F), A = W W', of its variance.
+    """
+    w, ub, p_hat = m.whitening, m.white_u, m.proportions
+    c = w.T / np.sqrt(np.einsum("ja,ja->j", w, w))  # column j is c_j
+    g = ub @ c
+    z = nu2 = phi2 = iota_sum2 = kappa = None
+    if method is not Method.SIR:
+        vc = m.white_v @ c  # vc[h, :, j] = vt_h c_j
+        z = np.einsum("haj,aj->hj", vc, c)
+        if method is Method.SAVE:
+            phi = ub[:, :, None] * g[:, None, :] - vc
+            phi2 = np.einsum("haj,haj->hj", phi, phi) - (g**2 - z) ** 2
+        else:
+            nu2 = np.einsum("haj,haj->hj", vc, vc) - z**2
+            varrho = p_hat @ g**2
+            iota_sum = np.einsum("h,ha,hj->aj", p_hat, ub, g)
+            iota_sum2 = np.einsum("aj,aj->j", iota_sum, iota_sum) - varrho**2
+            kappa = m.kappa - varrho
+    return _gain(method, p_hat, g, z, nu2, phi2, iota_sum2, kappa)
 
 
 class ScanState:
@@ -223,6 +248,7 @@ class ScanState:
     """
 
     def __init__(self, d: Dataset, s: SliceAssignment, columns: IndexSet, f: IndexSet = ()):
+        check_slicing(d, s)
         self.n = d.n
         self.columns = np.asarray(columns, dtype=np.int64)
         self.f: list[int] = []
@@ -343,39 +369,27 @@ class ScanState:
         nh = self.counts[:, None]
         p_hat = self.proportions
         g = sums / (nh * np.sqrt(sigma2))  # slice means of the standardized residual
-        varrho = p_hat @ g**2
 
-        if method is Method.SIR:
-            gain = varrho
-        else:
+        z = nu2 = phi2 = iota_sum2 = kappa = None
+        if method is not Method.SIR:
             z = sq / (nh * sigma2)
             k = len(self.f)
             q = self.q[:, :k]
             mh = self.slice_q[:, :k] / nh  # whitened slice means / sqrt(n)
-            nu2 = np.empty_like(g)
-            mc = np.empty_like(g)
+            nu2, mc = np.empty_like(g), np.empty_like(g)
             for h, (a, b) in enumerate(self.bounds):
                 c = q[a:b].T @ self.resid[a:b]  # slice-h cross-moments, (k, width)
                 nu2[h] = np.einsum("ij,ij->j", c, c)
                 mc[h] = mh[h] @ c
             nu2 *= n / (nh**2 * sigma2)  # |nu_h|^2
             gram = n * (mh @ mh.T)  # Gram of the whitened slice means
-            iota2 = g**2 * np.diag(gram)[:, None]
             if method is Method.SAVE:
                 iota_nu = g * mc * (n / (nh * np.sqrt(sigma2)))
-                phi2 = iota2 - 2.0 * iota_nu + nu2
-                gain = p_hat @ ((1.0 - z + g**2) ** 2 + 2.0 * phi2)
-            elif method is Method.DR:
+                phi2 = g**2 * np.diag(gram)[:, None] - 2.0 * iota_nu + nu2
+            else:
                 pg = p_hat[:, None] * g
                 iota_sum2 = np.einsum("hj,hj->j", pg, gram @ pg)
                 kappa = p_hat @ np.diag(gram)
-                gain = (
-                    2.0 * (p_hat @ ((1.0 - z) ** 2 + 2.0 * nu2))
-                    + 4.0 * varrho**2
-                    + 4.0 * iota_sum2
-                    + 4.0 * kappa * varrho
-                )
-            else:
-                raise ValueError(f"unknown method {method!r}")
+        gain = _gain(method, p_hat, g, z, nu2, phi2, iota_sum2, kappa)
         out[self.live[ok]] = gain[ok]
         return out, skipped

@@ -13,20 +13,18 @@ candidate columns given the working set, updated by one rank-1 projection
 per addition, and scores all candidates with a few BLAS calls, so an FTP
 step costs O(n (p - |F|) H + |F|^2) for SIR (O(n (p - |F|) |F|) for SAVE
 and DR).  FTP keeps one state for its whole path; STP keeps one across its
-forward passes and builds a new one only after a deletion.  The scalar
-route (``residualize``, ``auxiliary_stats``, ``trace_diff``) scores single
-candidates: the winner of an STP forward scan, whose statistic and
-threshold are then computed, and the members in the STP backward pass.
+forward passes and builds a new one only after a deletion.  The backward
+pass scores every member from one whitening of F (``deletion_gains``): one
+``eigh`` plus O(n |F|^2 + H |F|^3) work.  Only the question a pass tests,
+the forward winner or the cheapest member, goes through ``trace_test``, and
+each test is computed once per run: every STP decision is a pure function
+of (F, j), because each moment of F is a product of fixed shape in the
+dataset, the slicing and the sorted F.
 
-Every STP decision is a pure function of the question (F, j): each moment
-of F is a product of fixed shape in the dataset, the slicing and the sorted
-F, so it is the same bits whenever it is read.  So each test is computed
-once per run and reused, as when the backward pass asks about the member
-just added, and each gain once while the working set stays the same.
-
-Ties in every argmax break toward the smallest index (forward gains within
-``TIE_RTOL`` of the best count as tied), and a visited-set cycle guard makes
-STP terminate on data that oscillates at a threshold boundary.
+Ties break toward the smallest index (gains within ``TIE_RTOL`` of the
+best, the largest forward or the smallest backward, count as tied), and a
+visited-set cycle guard makes STP terminate on data that oscillates at a
+threshold boundary.
 """
 
 from __future__ import annotations
@@ -39,9 +37,9 @@ from typing import Iterable
 import numpy as np
 
 from .data import Dataset, IndexSet, SliceAssignment, compute_moments, validate_working_set
-from .errors import TracePursuitError
-from .kernels import Method, ScanState, auxiliary_stats, residualize, trace_diff
-from .nulldist import influence_dim, statistic_and_threshold
+from .errors import CollinearCandidateError, SingularDesignError
+from .kernels import Method, ScanState, deletion_gains
+from .nulldist import influence_dim, trace_test
 
 
 # Relative gap below which two trace gains are a tie.  Gains that agree in
@@ -173,6 +171,12 @@ def bic_score(trace_value: float, set_size: int, n: int, p: int) -> float:
     return -math.log(trace_value) + set_size * (math.log(n) + 2.0 * math.log(p)) / n
 
 
+def _first_best(values: np.ndarray) -> int:
+    """Position of the first value within ``TIE_RTOL`` of the largest."""
+    top = values.max()
+    return int(np.argmax(values >= top - TIE_RTOL * abs(top)))
+
+
 def _scan_candidates(state: ScanState, method: Method):
     """Best candidate of a scan state: (best_j, best_gain, skipped).
 
@@ -180,10 +184,9 @@ def _scan_candidates(state: ScanState, method: Method):
     ``TIE_RTOL`` of the best are ties, and ties go to the smallest index.
     """
     gains, skipped = state.gains(method)
-    top = gains.max()
-    if top == -math.inf:
+    if gains.max() == -math.inf:
         return None, -math.inf, skipped
-    i = int(np.argmax(gains >= top - TIE_RTOL * abs(top)))
+    i = _first_best(gains)
     return int(state.columns[i]), float(gains[i]), skipped
 
 
@@ -275,44 +278,24 @@ def stp_run(
                 skipped_seen.add(j)
                 trail.append(TrailEntry("skip", j, None, None, category))
 
-    # Decisions depend on (F, j) alone: each test is kept for the run, each
-    # untested gain until the working set changes.  The parts behind a gain
-    # grow as n |F|, so only those of the question a pass will test are held:
-    # the forward winner, or the first smallest new backward gain.
-    gains: dict = {}  # (F, j) -> trace gain, or the skip category
-    tests: dict = {}  # (F, j) -> (statistic, threshold)
-    held: dict = {}  # at most one (F, j) -> (m, r, aux)
-
-    def score(f, j, skips):
-        """Trace gain of adding ``j`` to ``f``; None after noting its skip."""
-        if (f, j) not in gains:
-            m = compute_moments(d, s, f)
-            try:
-                r = residualize(d, s, m, j)
-                aux = None if method is Method.SIR else auxiliary_stats(m, r)
-                gains[f, j] = trace_diff(method, m, r, aux)
-                if not held or gains[f, j] < gains[next(iter(held))]:
-                    held.clear()
-                    held[f, j] = (m, r, aux)
-            except TracePursuitError as err:
-                gains[f, j] = err.category
-        if isinstance(gains[f, j], str):
-            skips.append((j, gains[f, j]))
-            return None
-        return gains[f, j]
+    tests: dict = {}  # (F, j) -> (statistic, threshold), or the skip category
 
     def test(f, j):
-        """Statistic and threshold of adding the scored ``j`` to ``f``."""
+        """Statistic and threshold of adding ``j`` to ``f``; None after recording its skip."""
         if (f, j) not in tests:
-            tests[f, j] = statistic_and_threshold(method, d, s, *held[f, j], alpha)[:2]
-        held.clear()
+            try:
+                result = trace_test(method, d, s, f, j, alpha)
+                tests[f, j] = result.statistic, result.threshold
+            except (SingularDesignError, CollinearCandidateError) as err:
+                tests[f, j] = err.category
+        if isinstance(tests[f, j], str):
+            record_skips([(j, tests[f, j])])
+            return None
         return tests[f, j]
 
     def record_change(action, j, stat, thr) -> bool:
         """Log a tested add or delete; True when the new set recurs."""
         trail.append(TrailEntry(action, j, stat, thr))
-        for key in gains.keys() - tests.keys():
-            del gains[key]
         state = frozenset(current)
         if state in visited:
             trail.append(TrailEntry("stop", None, None, None, "cycle detected"))
@@ -321,6 +304,7 @@ def stp_run(
         return False
 
     scan = None  # the forward scan state of ``current``, kept while it only grows
+    kept = None  # the set whose backward pass last changed nothing
     for _ in range(cfg.max_iterations):
         changed = False
 
@@ -330,33 +314,35 @@ def stp_run(
             if scan is None:
                 scan = ScanState(d, s, uni, f)
             best_j, _, skips = _scan_candidates(scan, method)
-            gain = None if best_j is None else score(f, best_j, skips)
             record_skips(skips)
-            if gain is not None:
-                stat, thr = test(f, best_j)
-                if stat > thr:
-                    current.add(best_j)
-                    scan.add(best_j)
-                    changed = True
-                    if record_change("add", best_j, stat, thr):
-                        return _finish(current, trail, method, uni)
+            outcome = None if best_j is None else test(f, best_j)
+            if outcome is not None and outcome[0] > outcome[1]:
+                current.add(best_j)
+                scan.add(best_j)
+                changed = True
+                if record_change("add", best_j, *outcome):
+                    return _finish(current, trail, method, uni)
 
-        # backward deletion: the member whose removal costs least, then its test
-        if current:
-            best_d, best_loss, skips = None, math.inf, []
-            for j in sorted(current):
-                loss = score(tuple(sorted(current - {j})), j, skips)
-                if loss is not None and loss < best_loss:
-                    best_d, best_loss = j, loss
-            record_skips(skips)
-            if best_d is not None:
-                stat, thr = test(tuple(sorted(current - {best_d})), best_d)
-                if stat < thr:
-                    current.remove(best_d)
-                    scan = None
-                    changed = True
-                    if record_change("delete", best_d, stat, thr):
-                        return _finish(current, trail, method, uni)
+        # backward deletion: the member whose removal costs least, then its
+        # test; none on a set that fails the floor (its forward scan skipped
+        # every candidate) or whose last backward pass changed nothing
+        if current and current != kept:
+            kept = frozenset(current)
+            f = tuple(sorted(current))
+            best_d = f[0]  # the only member
+            if len(f) > 1:
+                try:
+                    best_d = f[_first_best(-deletion_gains(method, compute_moments(d, s, f)))]
+                except SingularDesignError:
+                    best_d = None
+            rest = tuple(j for j in f if j != best_d)
+            outcome = None if best_d is None else test(rest, best_d)
+            if outcome is not None and outcome[0] < outcome[1]:
+                current.remove(best_d)
+                scan = None
+                changed = True
+                if record_change("delete", best_d, *outcome):
+                    return _finish(current, trail, method, uni)
 
         if not changed:
             # a pass with no forward step ends at the cap, not at a test

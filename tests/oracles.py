@@ -225,12 +225,16 @@ def reference_ftp(d, s, method, k_max):
 
 def reference_stp_trail(d, s, method, alpha, max_size, universe, max_iterations=100):
     """Stepwise trail as (action, index, statistic, threshold, note) tuples,
-    forward additions chosen by ``scalar_scan``; deletions and tests as in
-    the selector."""
+    forward additions chosen by ``scalar_scan``.  The deletion candidate is
+    the member whose loss, scored one member at a time by the scalar route,
+    is smallest, with losses within ``TIE_RTOL`` of it tied and ties going to
+    the smallest index; a working set that fails the floor tests no
+    deletion."""
     from tracepursuit import compute_moments
-    from tracepursuit.errors import TracePursuitError
+    from tracepursuit.errors import SingularDesignError, TracePursuitError
     from tracepursuit.kernels import Method, auxiliary_stats, residualize, trace_diff
     from tracepursuit.nulldist import statistic_and_threshold
+    from tracepursuit.selectors import TIE_RTOL
 
     uni = tuple(sorted(universe))
     current, visited, trail, seen = set(), {frozenset()}, [], set()
@@ -266,20 +270,26 @@ def reference_stp_trail(d, s, method, alpha, max_size, universe, max_iterations=
                     if record_change("add", best_j, stat, thr):
                         return trail
         if current:
-            best_d, best_loss, best_parts, skips = None, np.inf, None, []
-            for j in sorted(current):
+            members = sorted(current)
+            try:
+                compute_moments(d, s, tuple(members)).whitening
+            except SingularDesignError:
+                members = []
+            scored, skips = [], []
+            for j in members:
                 m = compute_moments(d, s, tuple(sorted(current - {j})))
                 try:
                     r = residualize(d, s, m, j)
                     aux = None if method is Method.SIR else auxiliary_stats(m, r)
-                    loss = trace_diff(method, m, r, aux)
+                    scored.append((j, trace_diff(method, m, r, aux), (m, r, aux)))
                 except TracePursuitError as err:
                     skips.append((j, err.category))
-                    continue
-                if loss < best_loss:
-                    best_d, best_loss, best_parts = j, loss, (m, r, aux)
             record_skips(skips)
-            if best_d is not None:
+            if scored:
+                low = min(loss for _, loss, _ in scored)
+                best_d, _, best_parts = next(
+                    t for t in scored if t[1] <= low + TIE_RTOL * abs(low)
+                )
                 stat, thr, _ = statistic_and_threshold(method, d, s, *best_parts, alpha)
                 if stat < thr:
                     current.remove(best_d)

@@ -20,6 +20,7 @@ from tracepursuit.kernels import (
     ResidualStats,
     ScanState,
     auxiliary_stats,
+    deletion_gains,
     residualize,
     trace_diff,
 )
@@ -488,3 +489,62 @@ class TestTraceDiff:
             assert trace_diff(method, m0, r, nu) == pytest.approx(
                 trace_kernel(method, m1), rel=1e-10, abs=1e-12
             )
+
+
+class TestDeletionGains:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_matches_per_member_gains_and_kernel_oracle(self, data):
+        """Every leave-one-out gain from the one whitening of F is the scalar
+        route's gain of j over F - j and the difference of the materialized
+        kernel traces of F and F - j.  On an F that passes the floor every
+        F - j whitens and no member is a collinear skip."""
+        k = data.draw(st.integers(2, 30), label="|F|")
+        h = data.draw(st.sampled_from([2, 4, 8]), label="H")
+        discrete = data.draw(st.booleans(), label="discrete response")
+        rho = data.draw(st.sampled_from([0.0, 0.5, 0.95]), label="AR(1) rho")
+        n = data.draw(st.integers(k + h + 4, k + h + 40), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.standard_normal((n, k + 2))
+        for a in range(1, k + 2):
+            x[:, a] = rho * x[:, a - 1] + np.sqrt(1.0 - rho**2) * x[:, a]
+        y = x[:, 0] + np.exp(0.5 * x[:, -1]) + 0.3 * rng.standard_normal(n)
+        if discrete:  # h distinct values, most of them tied
+            y = np.searchsorted(np.quantile(y, np.arange(1, h) / h), y).astype(float)
+        d = Dataset.from_arrays(x, y)
+        s = slice_response(d.y, h, discrete=discrete)
+        f = tuple(sorted(rng.choice(np.arange(1, k + 3), size=k, replace=False).tolist()))
+        m = compute_moments(d, s, f)
+        try:
+            m.whitening
+        except SingularDesignError:
+            for method in METHODS:
+                with pytest.raises(SingularDesignError):
+                    deletion_gains(method, m)
+            return
+        pos = data.draw(st.integers(0, k - 1), label="oracle member")
+        method = data.draw(st.sampled_from(METHODS), label="oracle method")
+        for meth in METHODS:
+            gains = deletion_gains(meth, m)
+            ref = []
+            for j in f:
+                rest = compute_moments(d, s, tuple(i for i in f if i != j))
+                r = residualize(d, s, rest, j)  # no CollinearCandidateError
+                ref.append(trace_diff(meth, rest, r, auxiliary_stats(rest, r)))
+            # near-zero gains carry the rounding of the largest in both routes
+            assert np.allclose(gains, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref))), meth
+        f0 = [i - 1 for i in f]
+        full = explicit_trace_kernel(method.value, d.x, s.membership, f0)
+        loo = explicit_trace_kernel(method.value, d.x, s.membership, f0[:pos] + f0[pos + 1 :])
+        got = deletion_gains(method, m)[pos]
+        assert got == pytest.approx(full - loo, rel=1e-8, abs=1e-8 * max(1.0, abs(full)))
+
+    def test_singular_set_raises(self):
+        rng = np.random.default_rng(5)
+        base = rng.standard_normal(30)
+        x = np.column_stack([base, base, rng.standard_normal(30)])
+        d = Dataset.from_arrays(x, rng.standard_normal(30))
+        m = compute_moments(d, slice_response(d.y, 2), (1, 2, 3))
+        for method in METHODS:
+            with pytest.raises(SingularDesignError):
+                deletion_gains(method, m)

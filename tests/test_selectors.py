@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,8 +20,9 @@ from tracepursuit import (
     slice_response,
     stp_run,
     trace_kernel,
+    trace_test,
 )
-from tracepursuit.kernels import Method, ScanState
+from tracepursuit.kernels import Method, ScanState, deletion_gains
 from tracepursuit.nulldist import influence_dim
 from tracepursuit.selectors import StpConfig, _scan_candidates, default_path_cap
 
@@ -192,21 +194,14 @@ def test_each_working_set_and_candidate_tested_once(model, method, monkeypatch):
     reference, which tests every question afresh."""
     import tracepursuit.selectors as selectors
 
-    residualize, test = selectors.residualize, selectors.statistic_and_threshold
-    asked = {}  # id of a residual -> (F, j, residual); kept alive so ids stay unique
+    trace_test = selectors.trace_test
     tested = []
 
-    def spy_residualize(d, s, m, j):
-        r = residualize(d, s, m, j)
-        asked[id(r)] = (m.f, j, r)
-        return r
+    def spy_test(method, d, s, f, j, *rest):
+        tested.append((f, j))
+        return trace_test(method, d, s, f, j, *rest)
 
-    def spy_test(method, d, s, m, r, *rest):
-        tested.append(asked[id(r)][:2])
-        return test(method, d, s, m, r, *rest)
-
-    monkeypatch.setattr(selectors, "residualize", spy_residualize)
-    monkeypatch.setattr(selectors, "statistic_and_threshold", spy_test)
+    monkeypatch.setattr(selectors, "trace_test", spy_test)
     desk, _ = generate(SimDesign(model=model, n=300, p=10, seed=5))
     # a looser alpha on correlated columns, so that some runs also delete
     loose, _ = generate(SimDesign(model=model, n=200, p=20, rho=0.5, seed=8))
@@ -252,19 +247,20 @@ def test_scripted_return_to_an_earlier_working_set(monkeypatch):
         best = max((j for j in state.columns if j not in f), key=lambda j: gain(f, j))
         return best, gain(f, best), []
 
+    def deletion_gains(method, f):
+        return np.array([gain(tuple(i for i in f if i != j), j) for j in f])
+
     tested = []
 
-    def statistic_and_threshold(method, d, s, m, r, aux, alpha):
-        tested.append(r)
-        return (0.0 if r in fail else 10.0), 5.0, None
+    def trace_test(method, d, s, f, j, alpha):
+        tested.append((f, j))
+        return SimpleNamespace(statistic=0.0 if (f, j) in fail else 10.0, threshold=5.0)
 
     monkeypatch.setattr(selectors, "ScanState", Scan)
     monkeypatch.setattr(selectors, "_scan_candidates", scan_candidates)
     monkeypatch.setattr(selectors, "compute_moments", lambda d, s, f: tuple(f))
-    monkeypatch.setattr(selectors, "residualize", lambda d, s, f, j: (f, j))
-    monkeypatch.setattr(selectors, "auxiliary_stats", lambda f, r: None)
-    monkeypatch.setattr(selectors, "trace_diff", lambda method, f, r, aux: gain(*r))
-    monkeypatch.setattr(selectors, "statistic_and_threshold", statistic_and_threshold)
+    monkeypatch.setattr(selectors, "deletion_gains", deletion_gains)
+    monkeypatch.setattr(selectors, "trace_test", trace_test)
     d = make_dataset(np.random.default_rng(0), 40, 3)
     report = stp_run(d, slice_response(d.y, 2), StpConfig(method=Method.SIR, alpha=0.5))
     steps = [(e.action, e.index) for e in report.trail if e.action != "stop"]
@@ -274,6 +270,61 @@ def test_scripted_return_to_an_earlier_working_set(monkeypatch):
     assert report.trail[-1].note == "cycle detected"
     assert tested[-1] == ((2, 3), 1)
     assert len(set(tested)) == len(tested)
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_backward_pass_whitens_once(method, monkeypatch):
+    """Outside the tests it asks for, a backward pass builds one MomentStats
+    and runs one eigh, whatever |F| is."""
+    import tracepursuit.selectors as selectors
+
+    eigh, calls, testing = np.linalg.eigh, [], []
+
+    def spy_moments(d, s, f):
+        calls.append("moments")
+        return compute_moments(d, s, f)
+
+    def spy_gains(method, m):
+        calls.append("scan")
+        return deletion_gains(method, m)
+
+    def spy_eigh(a):
+        if not testing:
+            calls.append("eigh")
+        return eigh(a)
+
+    def spy_test(*args):
+        testing.append(1)
+        try:
+            return trace_test(*args)
+        finally:
+            testing.pop()
+
+    d, _ = generate(SimDesign(model="I", n=200, p=20, rho=0.5, seed=8))
+    s = slice_response(d.y, 4)
+    monkeypatch.setattr(selectors, "compute_moments", spy_moments)
+    monkeypatch.setattr(selectors, "deletion_gains", spy_gains)
+    monkeypatch.setattr(selectors, "trace_test", spy_test)
+    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    report = stp_run(d, s, StpConfig(method=method, alpha=0.4))
+    assert len(report.selected) > 2
+    assert calls.count("scan") > 2
+    assert calls == ["moments", "scan", "eigh"] * calls.count("scan")
+
+
+@pytest.mark.parametrize("rows", [50, 100])
+def test_slicing_of_another_length_is_rejected(rows):
+    d = make_dataset(np.random.default_rng(3), 80, 6)
+    s = slice_response(np.random.default_rng(4).standard_normal(rows), 4)
+    runs = [
+        lambda: trace_test(Method.SIR, d, s, (1, 2), 3, 0.05),
+        lambda: ftp_run(d, s, Method.SIR),
+        lambda: htp_run(d, s, Method.DR),
+        lambda: stp_run(d, s, StpConfig(method=Method.SAVE)),
+    ]
+    for run in runs:
+        with pytest.raises(ValueError, match=f"slicing has {rows} rows but the dataset has n=80"):
+            run()
 
 
 def test_long_stepwise_run_holds_no_moments_per_question():
