@@ -34,7 +34,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainccinv
 
 from .data import Dataset, IndexSet, MomentStats, SliceAssignment, compute_moments
 from .errors import DegenerateDistributionError, NumericalFailureError
@@ -205,6 +204,10 @@ def scaled_chisq_upper_quantile(sum_w: float, sum_w2: float, alpha: float) -> fl
             f"weight moments sum_w={sum_w:.6e}, sum_w2={sum_w2:.6e} give an "
             "effective dof below 1, so the weight matrix is not PSD"
         )
+    # imported here: scipy.special is most of the package's import time, and
+    # only a trace test needs it
+    from scipy.special import gammainccinv
+
     scale = sum_w2 / sum_w
     dof = sum_w**2 / sum_w2
     return scale * 2.0 * float(gammainccinv(dof / 2.0, alpha))

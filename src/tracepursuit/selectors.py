@@ -8,6 +8,16 @@ below its own threshold).  FTP greedily grows a nested solution
 path by trace gain alone and scores each prefix with a modified BIC; HTP
 screens with FTP, keeps the BIC-minimizing prefix, and refines it with STP.
 
+HTP-SIR stops its screening path once BIC can no longer improve.  The
+whitened SIR slice means satisfy sum_h p_h u_h u_h' <= sum_h p_h V_h = I and
+have rank at most H - 1 (their weighted sum is zero), so the SIR kernel trace
+of any working set is at most H - 1 (Li 1991).  A prefix of length k then
+has BIC >= -log(H - 1) + k (log n + 2 log p) / n, a floor that grows with k;
+once the floor at the next length reaches the best BIC so far, no longer
+prefix can win, and ties go to the shorter prefix, so the chosen prefix is
+the full path's.  ``ftp_run`` keeps the full path, and so do SAVE and DR,
+whose traces have no constant bound.
+
 Forward scans are vectorized: a ``ScanState`` keeps the residuals of the
 candidate columns given the working set, updated by one rank-1 projection
 per addition, and scores all candidates with a few BLAS calls, so an FTP
@@ -41,6 +51,10 @@ from .errors import CollinearCandidateError, SingularDesignError
 from .kernels import Method, ScanState, deletion_gains
 from .nulldist import influence_dim, trace_test
 
+
+# Relative slack on the SIR trace bound H - 1, for rounding in the path trace
+# accumulated from closed-form gains.
+SIR_TRACE_RTOL = 1e-12
 
 # Relative gap below which two trace gains are a tie.  Gains that agree in
 # exact arithmetic (duplicated columns, or the two remaining members of a
@@ -202,6 +216,20 @@ def ftp_run(
     kernel trace of each prefix to floating point; for SIR the gains are
     nonnegative so the path trace is nondecreasing.
     """
+    return _forward_path(d, s, method, k_max, bic_stop=False)
+
+
+def _forward_path(
+    d: Dataset,
+    s: SliceAssignment,
+    method: Method,
+    k_max: int | None,
+    bic_stop: bool,
+) -> SolutionPath:
+    """``ftp_run``'s path; with ``bic_stop`` a SIR path ends once the BIC
+    floor of the next prefix, ``bic_score`` of the trace bound H - 1, reaches
+    the best BIC so far (module docstring), keeping its ``bic_argmin`` prefix.
+    """
     cap = default_path_cap(d.n, d.p, s.h_count)
     try:
         k_max = cap if k_max is None else operator.index(k_max)
@@ -209,10 +237,13 @@ def ftp_run(
         raise ValueError(f"k_max must be an integer, got {k_max!r}") from None
     if not 1 <= k_max <= cap:
         raise ValueError(f"k_max must be in 1..{cap}, got {k_max}")
+    trace_bound = (s.h_count - 1) * (1.0 + SIR_TRACE_RTOL)
+    bic_stop = bic_stop and method is Method.SIR
 
     steps: list[PathStep] = []
     skipped_all: list[int] = []
     trace_value = 0.0
+    best_bic = math.inf
     state = ScanState(d, s, tuple(range(1, d.p + 1)))
 
     for k in range(1, k_max + 1):
@@ -221,13 +252,11 @@ def ftp_run(
         if best_j is None:
             break  # every remaining candidate failed; path ends early
         trace_value += best_gain
-        steps.append(
-            PathStep(
-                added_index=best_j,
-                trace_value=trace_value,
-                bic_value=bic_score(trace_value, k, d.n, d.p),
-            )
-        )
+        bic_value = bic_score(trace_value, k, d.n, d.p)
+        steps.append(PathStep(added_index=best_j, trace_value=trace_value, bic_value=bic_value))
+        best_bic = min(best_bic, bic_value)
+        if bic_stop and bic_score(trace_bound, k + 1, d.n, d.p) >= best_bic:
+            break
         state.add(best_j)
 
     return SolutionPath(
@@ -373,15 +402,17 @@ def htp_run(
 ) -> SelectionReport:
     """Two-stage hybrid: FTP screening, BIC prefix choice, then STP refinement.
 
-    The refinement reuses the original slicing and tests only indices inside
-    the BIC-chosen prefix.
+    A SIR screening path stops once no longer prefix can win the BIC (module
+    docstring), so the chosen prefix is the full path's.  The refinement
+    reuses the original slicing and tests only indices inside the BIC-chosen
+    prefix.
     """
     if cfg is None:
         cfg = StpConfig(method=method)
     elif cfg.method is not method:
         cfg = replace(cfg, method=method)
 
-    path = ftp_run(d, s, method, k_max=k_max)
+    path = _forward_path(d, s, method, k_max, bic_stop=True)
     m_hat = path.bic_argmin()
     screened = path.prefix(m_hat)
     if not screened:

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import tracepursuit as tp
@@ -43,3 +45,15 @@ def test_scalar_route_is_imported_from_its_modules():
     for name in SCALAR_ROUTE:
         assert name not in tp.__all__ and not hasattr(tp, name), name
         assert hasattr(kernels, name) or hasattr(nulldist, name), name
+
+
+def test_scipy_special_is_imported_only_by_a_trace_test():
+    """``scipy.special`` is most of the package's import time; importing the
+    package and running a forward path must not load it."""
+    code = (
+        "import sys, tracepursuit as tp\n"
+        "d, _ = tp.generate(tp.SimDesign(model='I', n=60, p=8, seed=1))\n"
+        "tp.ftp_run(d, tp.slice_response(d.y, 4), tp.Method.SIR)\n"
+        "assert 'scipy.special' not in sys.modules, 'imported scipy.special'\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True, cwd=ROOT / "src")

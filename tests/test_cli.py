@@ -106,6 +106,17 @@ class TestCommands:
         assert len(record["result"]["path"]) == 1
         assert record["result"]["chosen_set"] == [1]
 
+    def test_screen_keeps_the_full_path_at_p_above_n(self, tmp_path, capsys):
+        """Only HTP stops its screening path early; ``screen`` reports it all."""
+        d, _ = generate(SimDesign(model="I", n=100, p=2000, seed=1))
+        path = tmp_path / "wide.csv"
+        write_csv(d, str(path))
+        rc = main(["screen", str(path), "--method", "sir", "--slices", "4",
+                   "--format", "json-lines"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert len(json.loads(out)["result"]["path"]) == 94
+
     def test_trace_test_command(self, model_csv, capsys):
         rc = main(
             ["test", model_csv, "--working-set", "1,2", "--candidate", "3",

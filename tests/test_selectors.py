@@ -7,6 +7,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tracepursuit import (
     Dataset,
@@ -24,7 +26,13 @@ from tracepursuit import (
 )
 from tracepursuit.kernels import Method, ScanState, deletion_gains
 from tracepursuit.nulldist import influence_dim
-from tracepursuit.selectors import StpConfig, _scan_candidates, default_path_cap
+from tracepursuit.selectors import (
+    SIR_TRACE_RTOL,
+    StpConfig,
+    _forward_path,
+    _scan_candidates,
+    default_path_cap,
+)
 
 from conftest import make_dataset
 from oracles import reference_ftp, reference_stp_trail, scalar_scan
@@ -491,6 +499,97 @@ class TestHtp:
         m = res.metrics
         assert m.cf >= 85
         assert 3.8 <= m.ms <= 4.3
+
+
+# p > n designs, (n, p, rho), on which SIR paths run their trace up to its
+# bound H - 1 (within 3e-12 relative at H = 2, 2e-2 at n=40, H=8)
+SATURATING = [(40, 300, 0.5), (100, 2000, 0.0)]
+
+
+def _draw_sir_case(data, shapes):
+    """A Model I-III dataset of a drawn shape, sliced into H in {2, 4, 8}
+    slices, or into H distinct response values of unequal frequency."""
+    n, p, rho = data.draw(st.sampled_from(shapes), label="(n, p, rho)")
+    h = data.draw(st.sampled_from([2, 4, 8]), label="H")
+    discrete = data.draw(st.booleans(), label="discrete response")
+    model = data.draw(st.sampled_from(["I", "II", "III"]), label="model")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    d, _ = generate(SimDesign(model=model, n=n, p=p, rho=rho, seed=seed))
+    if discrete:
+        levels = np.sort(np.random.default_rng(seed).uniform(0.1, 0.9, h - 1))
+        d = Dataset.from_arrays(d.x, np.searchsorted(np.quantile(d.y, levels), d.y).astype(float))
+    return d, slice_response(d.y, h, discrete=discrete)
+
+
+class TestHtpScreeningStop:
+    """HTP-SIR ends its screening path once no longer prefix can win the BIC."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_stopped_path_keeps_the_bic_choice(self, data):
+        d, s = _draw_sir_case(data, SATURATING + [(300, 30, 0.0)])
+        full = ftp_run(d, s, Method.SIR)
+        stopped = _forward_path(d, s, Method.SIR, None, bic_stop=True)
+        assert stopped.steps == full.steps[: stopped.k_max]
+        assert stopped.bic_argmin() == full.bic_argmin()
+        assert stopped.prefix(stopped.bic_argmin()) == full.prefix(full.bic_argmin())
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.data())
+    def test_sir_path_trace_is_at_most_slices_minus_one(self, data):
+        """The premise of the stop: every prefix trace is at most H - 1, up to
+        the rounding slack, on designs whose paths nearly reach it."""
+        d, s = _draw_sir_case(data, SATURATING)
+        traces = np.array([step.trace_value for step in ftp_run(d, s, Method.SIR).steps])
+        bound = s.h_count - 1
+        assert traces.max() <= bound * (1.0 + SIR_TRACE_RTOL)
+        assert traces[-1] > 0.9 * bound
+
+    def test_stop_right_after_a_saturating_choice(self):
+        """The slice indicator is (x1 + x2) / 2, so the trace reaches H - 1 = 1
+        at the BIC choice {1, 2}; a floor from a bound below 0.58 would stop
+        after x2 alone."""
+        rng = np.random.default_rng(3)
+        y = rng.integers(0, 2, 200).astype(float)
+        noise = 0.5 * rng.standard_normal(200)
+        x = rng.standard_normal((200, 50))
+        x[:, 0], x[:, 1] = y + noise, y - noise
+        d = Dataset.from_arrays(x, y)
+        s = slice_response(d.y, 2, discrete=True)
+        full = ftp_run(d, s, Method.SIR)
+        stopped = _forward_path(d, s, Method.SIR, None, bic_stop=True)
+        assert full.prefix(full.bic_argmin()) == (1, 2)
+        assert full.steps[1].trace_value == pytest.approx(1.0, rel=SIR_TRACE_RTOL)
+        assert stopped.steps == full.steps[:2]
+
+    def test_save_and_dr_paths_are_not_stopped(self):
+        d, _ = generate(SimDesign(model="II", n=100, p=40, seed=2))
+        s = slice_response(d.y, 4)
+        for method in (Method.SAVE, Method.DR):
+            assert _forward_path(d, s, method, None, bic_stop=True) == ftp_run(d, s, method)
+
+    def test_default_ftp_keeps_the_full_path(self):
+        d, _ = generate(SimDesign(model="I", n=100, p=2000, seed=1))
+        s = slice_response(d.y, 4)
+        path = ftp_run(d, s, Method.SIR)
+        assert path.k_max == default_path_cap(100, 2000, 4) == 94
+        assert path.bic_argmin() < 10
+
+    @pytest.mark.parametrize(
+        "model, method, n, p",
+        [(model, method, 300, 200) for model in ("I", "II", "III") for method in Method]
+        + [("I", Method.SIR, 100, 2000)],
+    )
+    def test_htp_is_full_path_prefix_then_stp(self, model, method, n, p):
+        d, _ = generate(SimDesign(model=model, n=n, p=p, seed=1))
+        s = slice_response(d.y, 4)
+        path = ftp_run(d, s, method)
+        screened = path.prefix(path.bic_argmin())
+        expected = stp_run(d, s, StpConfig(method=method), universe=screened)
+        report = htp_run(d, s, method)
+        assert report.selected == expected.selected
+        assert report.trail == expected.trail
+        assert report.stage_sizes == (len(screened), len(expected.selected))
 
 
 @pytest.mark.parametrize("method", list(Method))
