@@ -30,7 +30,7 @@ from .errors import (
     TracePursuitError,
 )
 from .kernels import Method
-from .nulldist import null_weights, trace_test
+from .nulldist import trace_test_with_weights
 from .selectors import StpConfig, ftp_run, htp_run, stp_run
 from .simbench import SimDesign, generate, run_experiment
 
@@ -320,11 +320,10 @@ def _run_test(cfg: RunConfig, emitter: _Emitter) -> None:
     d = ingest_csv(cfg.input_path)
     s = _auto_slice(d, cfg.h_count)
     alpha = cfg.alpha if cfg.alpha is not None else 0.05
-    res = trace_test(
+    res, w = trace_test_with_weights(
         cfg.method, d, s, cfg.working_set, cfg.candidate, alpha,
         quantile=cfg.quantile, seed=cfg.seed,
     )
-    w = null_weights(cfg.method, d, s, res.f, res.j)
     result = {
         "method": cfg.method.value,
         "working_set": list(res.f),

@@ -284,7 +284,11 @@ class MomentStats:
     def white_v(self) -> np.ndarray:
         """Whitened slice second moments Z_h' Z_h / n_h, (H, |F|, |F|)."""
         z = self.white_xc
-        return np.stack([z[rows].T @ z[rows] / rows.size for rows in self.slice_rows])
+        v = np.empty((self.h_count, self.size, self.size))
+        for h, rows in enumerate(self.slice_rows):
+            zh = z[rows]
+            v[h] = zh.T @ zh / rows.size
+        return v
 
     @cached_property
     def kappa(self) -> float:

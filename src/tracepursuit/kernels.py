@@ -310,7 +310,7 @@ class ScanState:
         if _REPACK * self._dead >= self.live.size:  # drop members, keep the order
             keep = ~self.member[self.live]
             self.live, self.var = self.live[keep], self.var[keep]
-            self.resid = self.resid[:, keep]
+            self.resid = np.compress(keep, self.resid, axis=1)  # C order, as resid[:, keep] is not
             qx = np.empty((self.qx.shape[0], self.live.size))
             qx[:k] = self.qx[:k, keep]
             self.qx = qx

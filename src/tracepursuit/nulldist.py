@@ -19,13 +19,25 @@ block by the same O.  The stacked vector is then multiplied by a
 block-diagonal orthogonal matrix, which conjugates the outer product and
 again preserves its eigenvalues.
 
+For SAVE and DR, every column of the samples L is, apart from terms that
+carry the slice indicator, a linear combination of the columns of
+a = [gamma | Z | Z gamma | gamma* | 1 - gamma^2], where gamma is the
+standardized residual, Z the whitened working set and gamma* the SIR
+influence block; the coefficients are built from the slice means, the
+whitened slice moments V_h and the per-block scales sqrt(p_h).  So L is one
+product a @ coef of size n x (2|F| + H + 2) by (2|F| + H + 2) x dim.  The
+indicator terms are then added where they are nonzero: the zeta* block
+gets an (n, H) correction, and each row's update of the nu*/phi* blocks
+goes only to the block of its own slice, a gather and scatter of n x |F|
+entries.  No (H, n, |F|) array is formed.
+
 The path from moments to threshold passes plain arrays: ``influence_samples``
 returns the (n, dim) samples L and ``omega_hat`` the weight matrix
 Omega = L'L/n.  The two-moment threshold needs only sum w = tr Omega and
 sum w^2 = ||Omega||_F^2 (``weight_moments``), so a test decomposes no
 Omega.  Eigenvalue weights, with their PSD clamp check, come from
 ``omega_weights`` only where they are used: the Monte Carlo quantile and
-reports (``null_weights``).
+reports (``trace_test_with_weights``).
 """
 
 from __future__ import annotations
@@ -49,6 +61,9 @@ DOF_TOLERANCE = 1e-10
 
 # Rows of chi-square draws the Monte Carlo quantile holds at once.
 MC_CHUNK_ROWS = 10_000
+
+# Default number of Monte Carlo draws of the weighted chi-square.
+MC_DRAWS = 100_000
 
 
 def influence_dim(method: Method, f_size: int, h_count: int) -> int:
@@ -100,40 +115,48 @@ def influence_samples(
     if method is Method.SIR:
         return g_star * sqrt_p[None, :]
 
-    # zeta*_(i,h): slice-mean influence of the squared standardized residual.
-    z_star = (
-        (gamma[:, None] ** 2 - z_h[None, :]) * indic
-        - 2.0 * gamma[:, None] * g_h[None, :]
-        - gamma[:, None] ** 2
-        + 1.0
-    )
-    z_star -= 2.0 * (z @ nu.T) * gamma[:, None]
-
-    # nu*_(i,h): influence of the whitened slice cross-moments, (H, n, k).
+    # zeta*_(i,h) = (gamma_i^2 - z_h) indic[i, h] + 1 - gamma_i^2 - 2 g_h gamma_i
+    #               - 2 gamma_i Z_i nu_h,
+    # nu*_(i,h)   = (Z_i gamma_i - nu_h) indic[i, h] - gamma_i ub_h - g_h Z_i
+    #               - gamma_i Z_i V_h,
+    # iota*_(i,h) = gamma*_(i,h) ub_h.
+    k = m.size
+    hk = h * k
+    gg = gamma**2
     zg = z * gamma[:, None]
-    nu_star = (zg - nu[:, None, :]) * indic.T[:, :, None]
-    nu_star -= gamma[None, :, None] * ubar[:, None, :]
-    nu_star -= g_h[:, None, None] * z
-    nu_star -= zg @ m.white_v
-    iota_star = g_star.T[:, :, None] * ubar[:, None, :]  # (H, n, k)
-    phi_star = iota_star - nu_star
-
+    a = np.concatenate((gamma[:, None], z, zg, g_star, 1.0 - gg[:, None]), axis=1)
+    zg_rows, g_rows = slice(1 + k, 1 + 2 * k), slice(1 + 2 * k, 1 + 2 * k + h)
+    coef = np.zeros((a.shape[1], influence_dim(method, k, h)))
+    coef[0, :h] = -2.0 * g_h  # zeta*_h, columns :h
+    coef[zg_rows, :h] = -2.0 * nu.T
+    coef[-1, :h] = 1.0
+    # block_coef[:, idx] gives column block idx: -nu*_h, plus iota*_h for SAVE
+    block_coef = coef[:, h : h + hk].reshape(a.shape[1], h, k)
+    block_coef[0] = ubar
+    block_coef[1 : 1 + k] = np.eye(k)[:, None, :] * g_h[:, None]
+    block_coef[zg_rows] = m.white_v.transpose(1, 0, 2)
     if method is Method.SAVE:
-        blocks = [z_star * sqrt_p[None, :]]
-        for idx in range(h):
-            blocks.append(np.sqrt(2.0) * sqrt_p[idx] * phi_star[idx])
-        return np.hstack(blocks)
+        # [sqrt(p_h) zeta*_h | sqrt(2 p_h) (iota*_h - nu*_h) for each h]
+        block_coef[g_rows] = np.eye(h)[:, :, None] * ubar
+        zeta_scale, block_scale = sqrt_p, np.sqrt(2.0 * p_hat)
+    elif method is Method.DR:
+        # [-sqrt(2 p_h) zeta*_h | 2 sqrt(p_h) nu*_h for each h | 0 |
+        #  2 sum_h p_h iota*_h | 2 sqrt(kappa p_h) gamma*_h]
+        tail = h + hk + 1
+        coef[g_rows, tail : tail + k] = 2.0 * p_hat[:, None] * ubar
+        coef[g_rows, tail + k :] = np.diag(2.0 * np.sqrt(m.kappa * p_hat))
+        zeta_scale, block_scale = -np.sqrt(2.0) * sqrt_p, -2.0 * sqrt_p
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    coef[:, :h] *= zeta_scale
+    block_coef *= block_scale[:, None]
+    ell = a @ coef
 
-    if method is Method.DR:
-        blocks = [-np.sqrt(2.0) * z_star * sqrt_p[None, :]]
-        for idx in range(h):
-            blocks.append(2.0 * sqrt_p[idx] * nu_star[idx])
-        blocks.append(np.zeros((n, 1)))  # identically-zero component, kept
-        blocks.append(2.0 * np.einsum("h,hnk->nk", p_hat, iota_star))
-        blocks.append(2.0 * np.sqrt(m.kappa * p_hat)[None, :] * g_star)
-        return np.hstack(blocks)
-
-    raise ValueError(f"unknown method {method!r}")
+    ell[:, :h] += (gg[:, None] - z_h) * (indic * zeta_scale)
+    blocks = ell[:, h : h + hk].reshape(n, h, k)  # a view: blocks[:, idx] is block idx
+    label = s.membership - 1  # the slice of each row, whose block it updates
+    blocks[np.arange(n), label] -= (block_scale / p_hat)[label, None] * (zg - nu[label])
+    return ell
 
 
 def omega_hat(ell: np.ndarray) -> np.ndarray:
@@ -154,16 +177,20 @@ def omega_hat(ell: np.ndarray) -> np.ndarray:
 def omega_weights(omega: np.ndarray) -> np.ndarray:
     """Eigenvalue weights of a weight matrix, nonincreasing and clamped at 0.
 
-    Raises ``NumericalFailureError`` for an eigenvalue below the
-    ``NEGATIVE_WEIGHT_TOLERANCE`` clamp window.
+    Eigenvalues up to ``NEGATIVE_WEIGHT_TOLERANCE`` times the largest are
+    set to 0, so the count of positive weights, and with it the shape of the
+    Monte Carlo draws, is the rank of Omega and not the sign of its
+    roundoff.  Raises ``NumericalFailureError`` for an eigenvalue below the
+    negative clamp window.
     """
     weights = np.linalg.eigvalsh(omega)[::-1].copy()
-    scale = max(weights[0], 1.0) if weights.size else 1.0
-    if weights.size and weights[-1] < -NEGATIVE_WEIGHT_TOLERANCE * scale:
+    if weights.size == 0:
+        return weights
+    if weights[-1] < -NEGATIVE_WEIGHT_TOLERANCE * max(weights[0], 1.0):
         raise NumericalFailureError(
             f"weight matrix has eigenvalue {weights[-1]:.3e} below the clamp window"
         )
-    np.clip(weights, 0.0, None, out=weights)
+    weights[weights <= NEGATIVE_WEIGHT_TOLERANCE * weights[0]] = 0.0
     return weights
 
 
@@ -229,7 +256,7 @@ def weighted_chisq_upper_quantile(weights: np.ndarray, alpha: float) -> float:
 def weighted_chisq_quantile_mc(
     weights: np.ndarray,
     alpha: float,
-    n_draws: int = 100_000,
+    n_draws: int = MC_DRAWS,
     seed: int = 0,
 ) -> float:
     """Monte Carlo upper quantile of the weighted chi-square (diagnostics).
@@ -269,6 +296,27 @@ class TraceTestResult:
     effective_dof: float
 
 
+def _calibrate(
+    omega: np.ndarray,
+    alpha: float,
+    quantile: str,
+    mc_draws: int,
+    seed: int,
+    weights: np.ndarray | None = None,
+) -> tuple[float, tuple[float, float]]:
+    """Threshold and weight moments (sum w, sum w^2) of the null law with
+    weight matrix ``omega``; ``weights`` are its eigenvalue weights, when
+    already at hand, for the Monte Carlo quantile."""
+    moments = weight_moments(omega)
+    if quantile == "two-moment":
+        return scaled_chisq_upper_quantile(*moments, alpha), moments
+    if quantile == "monte-carlo":
+        if weights is None:
+            weights = omega_weights(omega)
+        return weighted_chisq_quantile_mc(weights, alpha, mc_draws, seed), moments
+    raise ValueError(f"unknown quantile scheme {quantile!r}")
+
+
 def statistic_and_threshold(
     method: Method,
     d: Dataset,
@@ -278,21 +326,14 @@ def statistic_and_threshold(
     nu: np.ndarray | None,
     alpha: float,
     quantile: str = "two-moment",
-    mc_draws: int = 100_000,
+    mc_draws: int = MC_DRAWS,
     seed: int = 0,
 ) -> tuple[float, float, tuple[float, float]]:
     """Test statistic, its calibrated threshold, and the weight moments
     (sum w, sum w^2) of the estimated null law."""
     statistic = d.n * trace_diff(method, m, r, nu)
     omega = omega_hat(influence_samples(method, d, s, m, r, nu))
-    moments = weight_moments(omega)
-    if quantile == "two-moment":
-        threshold = scaled_chisq_upper_quantile(*moments, alpha)
-    elif quantile == "monte-carlo":
-        threshold = weighted_chisq_quantile_mc(omega_weights(omega), alpha, mc_draws, seed)
-    else:
-        raise ValueError(f"unknown quantile scheme {quantile!r}")
-    return statistic, threshold, moments
+    return (statistic, *_calibrate(omega, alpha, quantile, mc_draws, seed))
 
 
 def _test_parts(
@@ -304,35 +345,16 @@ def _test_parts(
     return m, r, None if method is Method.SIR else auxiliary_stats(m, r)
 
 
-def null_weights(
-    method: Method, d: Dataset, s: SliceAssignment, f: IndexSet, j: int
-) -> np.ndarray:
-    """Eigenvalue weights of the null law of the test of ``j`` given ``f``,
-    for reports; the test itself reads only their two moments."""
-    m, r, nu = _test_parts(method, d, s, f, j)
-    return omega_weights(omega_hat(influence_samples(method, d, s, m, r, nu)))
-
-
-def trace_test(
+def _result(
     method: Method,
-    d: Dataset,
-    s: SliceAssignment,
-    f: IndexSet,
+    m: MomentStats,
     j: int,
     alpha: float,
-    quantile: str = "two-moment",
-    mc_draws: int = 100_000,
-    seed: int = 0,
+    statistic: float,
+    threshold: float,
+    moments: tuple[float, float],
 ) -> TraceTestResult:
-    """Test whether candidate ``j`` adds information beyond working set ``f``.
-
-    The statistic is n times the closed-form trace gain; the threshold is the
-    upper-alpha quantile of the estimated weighted chi-square null law.
-    """
-    m, r, nu = _test_parts(method, d, s, f, j)
-    statistic, threshold, (sum_w, sum_w2) = statistic_and_threshold(
-        method, d, s, m, r, nu, alpha, quantile, mc_draws, seed
-    )
+    sum_w, sum_w2 = moments
     return TraceTestResult(
         method=method,
         f=m.f,
@@ -344,3 +366,49 @@ def trace_test(
         weight_sum=sum_w,
         effective_dof=sum_w**2 / sum_w2,
     )
+
+
+def trace_test(
+    method: Method,
+    d: Dataset,
+    s: SliceAssignment,
+    f: IndexSet,
+    j: int,
+    alpha: float,
+    quantile: str = "two-moment",
+    mc_draws: int = MC_DRAWS,
+    seed: int = 0,
+) -> TraceTestResult:
+    """Test whether candidate ``j`` adds information beyond working set ``f``.
+
+    The statistic is n times the closed-form trace gain; the threshold is the
+    upper-alpha quantile of the estimated weighted chi-square null law.
+    """
+    m, r, nu = _test_parts(method, d, s, f, j)
+    return _result(
+        method, m, j, alpha,
+        *statistic_and_threshold(method, d, s, m, r, nu, alpha, quantile, mc_draws, seed),
+    )
+
+
+def trace_test_with_weights(
+    method: Method,
+    d: Dataset,
+    s: SliceAssignment,
+    f: IndexSet,
+    j: int,
+    alpha: float,
+    quantile: str = "two-moment",
+    seed: int = 0,
+) -> tuple[TraceTestResult, np.ndarray]:
+    """``trace_test`` and the eigenvalue weights of its null law, for reports.
+
+    The statistic, the threshold and the weights come from one weight
+    matrix, decomposed once; the decision is that of ``trace_test``.
+    """
+    m, r, nu = _test_parts(method, d, s, f, j)
+    omega = omega_hat(influence_samples(method, d, s, m, r, nu))
+    weights = omega_weights(omega)
+    statistic = d.n * trace_diff(method, m, r, nu)
+    threshold, moments = _calibrate(omega, alpha, quantile, MC_DRAWS, seed, weights)
+    return _result(method, m, j, alpha, statistic, threshold, moments), weights

@@ -167,6 +167,64 @@ def sir_omega_from_components(x: np.ndarray, membership: np.ndarray, f0: list[in
     return omega
 
 
+def reference_influence_samples(method, d, s, m, r, nu):
+    """Stacked influence samples (n, dim) built slice by slice: every
+    (H, n, |F|) term of nu*_h, iota*_h and phi*_h is formed over all n rows,
+    with the slice indicator as a dense factor, then scaled and stacked."""
+    from tracepursuit.kernels import Method
+
+    n = d.n
+    h = s.h_count
+    p_hat = np.asarray(s.proportions)
+    sqrt_p = np.sqrt(p_hat)
+
+    gamma = r.gamma_per_sample
+    g_h = r.gamma_by_slice
+    z_h = r.zeta_by_slice
+    z = m.white_xc
+    ubar = m.white_u
+
+    indic = np.zeros((n, h))  # indic[i, h] = 1{sample i in slice h} / p_hat[h]
+    for idx, rows in enumerate(s.rows):
+        indic[rows, idx] = 1.0 / p_hat[idx]
+
+    g_star = (gamma[:, None] - g_h[None, :]) * indic - gamma[:, None]
+    g_star -= (z @ ubar.T) * gamma[:, None]
+
+    if method is Method.SIR:
+        return g_star * sqrt_p[None, :]
+
+    z_star = (
+        (gamma[:, None] ** 2 - z_h[None, :]) * indic
+        - 2.0 * gamma[:, None] * g_h[None, :]
+        - gamma[:, None] ** 2
+        + 1.0
+    )
+    z_star -= 2.0 * (z @ nu.T) * gamma[:, None]
+
+    zg = z * gamma[:, None]
+    nu_star = (zg - nu[:, None, :]) * indic.T[:, :, None]
+    nu_star -= gamma[None, :, None] * ubar[:, None, :]
+    nu_star -= g_h[:, None, None] * z
+    nu_star -= zg @ m.white_v
+    iota_star = g_star.T[:, :, None] * ubar[:, None, :]
+    phi_star = iota_star - nu_star
+
+    if method is Method.SAVE:
+        blocks = [z_star * sqrt_p[None, :]]
+        for idx in range(h):
+            blocks.append(np.sqrt(2.0) * sqrt_p[idx] * phi_star[idx])
+        return np.hstack(blocks)
+
+    blocks = [-np.sqrt(2.0) * z_star * sqrt_p[None, :]]
+    for idx in range(h):
+        blocks.append(2.0 * sqrt_p[idx] * nu_star[idx])
+    blocks.append(np.zeros((n, 1)))
+    blocks.append(2.0 * np.einsum("h,hnk->nk", p_hat, iota_star))
+    blocks.append(2.0 * np.sqrt(m.kappa * p_hat)[None, :] * g_star)
+    return np.hstack(blocks)
+
+
 def mc_weighted_chisq_quantile(weights, alpha: float, n_draws: int, seed: int) -> float:
     """Monte Carlo oracle via squared standard normals."""
     rng = np.random.default_rng(seed)

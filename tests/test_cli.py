@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from tracepursuit import SimDesign, generate
+import tracepursuit.nulldist as nulldist
+from tracepursuit import SimDesign, generate, slice_response, trace_test
 from tracepursuit.cli import ingest_csv, main, write_csv
 from tracepursuit.errors import (
     IngestionError,
@@ -141,6 +142,38 @@ class TestCommands:
         assert weights["dim"] == influence_dim(Method.DR, 2, 4)
         assert 0 < weights["positive"] <= weights["dim"]
         assert 0.0 < weights["largest"] <= weights["sum"]
+
+    @pytest.mark.parametrize("mc", [[], ["--mc-quantile"]])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_trace_test_builds_and_decomposes_one_weight_matrix(
+        self, model_csv, capsys, monkeypatch, method, mc
+    ):
+        built, decomposed = [], []
+        real_omega_hat, real_eigvalsh = nulldist.omega_hat, np.linalg.eigvalsh
+
+        def spy_omega_hat(ell):
+            built.append(ell.shape)
+            return real_omega_hat(ell)
+
+        def spy_eigvalsh(a, *args, **kwargs):
+            decomposed.append(a.shape)
+            return real_eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(nulldist, "omega_hat", spy_omega_hat)
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
+        rc = main(
+            ["test", model_csv, "--working-set", "1,2", "--candidate", "3",
+             "--method", method.value, "--format", "json-lines", *mc]
+        )
+        assert rc == 0
+        dim = influence_dim(method, 2, 4)
+        assert built == [(120, dim)]
+        assert decomposed == [(dim, dim)]
+        res = json.loads(capsys.readouterr().out)["result"]
+        d = ingest_csv(model_csv)
+        quantile = "monte-carlo" if mc else "two-moment"
+        direct = trace_test(method, d, slice_response(d.y, 4), (1, 2), 3, 0.05, quantile)
+        assert (res["statistic"], res["threshold"]) == (direct.statistic, direct.threshold)
 
     def test_bench_partition_and_determinism(self, tmp_path):
         out1 = tmp_path / "b1.jsonl"

@@ -402,6 +402,7 @@ class TestScanCertificateAndRepack:
         grown = ScanState(d, s, columns)
         for j in f:
             grown.add(j)
+            assert grown.resid.flags.c_contiguous
         assert grown.live.size < len(columns) - 1  # members were dropped
         built = ScanState(d, s, columns, sorted(f))
         m = compute_moments(d, s, f)

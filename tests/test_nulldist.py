@@ -37,7 +37,11 @@ from tracepursuit.nulldist import (
 )
 
 from conftest import make_dataset, random_case
-from oracles import mc_weighted_chisq_quantile, sir_omega_from_components
+from oracles import (
+    mc_weighted_chisq_quantile,
+    reference_influence_samples,
+    sir_omega_from_components,
+)
 
 METHODS = list(Method)
 
@@ -76,6 +80,26 @@ class TestInfluenceSamples:
         m, r, nu = _parts(d, s, f, j)
         ell = influence_samples(method, d, s, m, r, nu)
         assert ell.shape == (d.n, influence_dim(method, len(f), s.h_count))
+
+    @pytest.mark.parametrize("h_count", [2, 3, 7])
+    @pytest.mark.parametrize("size", [0, 1, 5, 30])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_matches_the_slice_by_slice_oracle(self, method, size, h_count):
+        # unequal slices from a discrete response, rows in sample order
+        rng = np.random.default_rng(100 * size + h_count)
+        n, p = 320, size + 2
+        x = rng.standard_normal((n, p)) * 10.0 ** rng.uniform(-2.0, 2.0, size=p)
+        freq = np.arange(1, h_count + 1) / np.arange(1, h_count + 1).sum()
+        y = rng.choice(h_count, size=n, p=freq).astype(float)
+        d = Dataset.from_arrays(x, y)
+        s = slice_response(d.y, h_count, discrete=True)
+        assert s.h_count == h_count and np.unique(s.counts).size > 1
+        assert np.any(np.diff(s.membership) < 0)
+        m, r, nu = _parts(d, s, tuple(range(1, size + 1)), p)
+        ell = influence_samples(method, d, s, m, r, nu)
+        want = reference_influence_samples(method, d, s, m, r, nu)
+        assert ell.shape == want.shape
+        assert np.max(np.abs(ell - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_sir_empty_set_closed_form(self, rng):
         d = make_dataset(rng, 60, 3)
@@ -139,6 +163,14 @@ class TestOmegaHat:
         ell[3, 1] = np.nan
         with pytest.raises(NumericalFailureError):
             omega_hat(ell)
+
+    def test_positive_weight_count_is_the_rank(self, rng):
+        # eigvalsh puts the zero eigenvalues of a rank-3 Omega at +-1e-16;
+        # all of them must come out as 0, whatever their sign.
+        ell = rng.standard_normal((50, 3)) @ rng.standard_normal((3, 12))
+        weights = omega_weights(omega_hat(ell))
+        assert np.sum(weights > 0.0) == 3
+        assert np.all(weights[3:] == 0.0)
 
     def test_eigenvalue_below_the_clamp_window_rejected(self):
         with pytest.raises(NumericalFailureError, match="clamp window"):
