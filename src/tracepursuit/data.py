@@ -1,10 +1,16 @@
 """Dataset representation, response slicing, and slice-conditional moments.
 
-All moment estimators use the n-divisor convention and a single global
-centering of the predictors; a working set selects sub-blocks of the
-centered columns rather than re-centering.
+All moment estimators use the n-divisor convention and one global
+standardization of the predictors: each column is centered and divided by
+its standard deviation (``Dataset.column_means`` and ``column_scales``, a
+constant column becomes zeros), and a working set selects those columns
+rather than re-centering.  The traces, gains and statistics do not depend
+on the units of a column, and with standardized columns neither do the
+floors: Sigma_F is the correlation matrix of F, so ``EIGENVALUE_FLOOR``
+bounds its eigenvalue spread whatever the units.  ``Dataset.x`` keeps the
+raw units; no standardized copy of it is stored.
 
-``MomentStats`` holds the centered columns X_F of a working set and owns
+``MomentStats`` holds the standardized columns X_F of a working set and owns
 the working-set algebra: the terms that depend on F alone, and so are shared
 by all candidates of a scan, come from one whitening W with
 W W' = Sigma_F^{-1}, built on one ``eigh`` of Sigma_F = X_F' X_F / n that
@@ -23,6 +29,7 @@ treated as immutable apart from those caches.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -37,9 +44,10 @@ from .errors import (
     WorkingSetIndexError,
 )
 
-# Relative eigenvalue floor for the working-set covariance; below this the
-# design is reported singular rather than regularized, which would break the
-# exact trace-gain identities.
+# Relative eigenvalue floor for the working-set correlation matrix (the
+# covariance of the standardized columns); below this the design is reported
+# singular rather than regularized, which would break the exact trace-gain
+# identities.
 EIGENVALUE_FLOOR = 1e-12
 
 # Working sets are tuples of 1-based predictor indices, strictly increasing.
@@ -47,7 +55,7 @@ IndexSet = tuple[int, ...]
 
 
 def is_singular_spectrum(evals: np.ndarray) -> bool:
-    """The ``EIGENVALUE_FLOOR`` verdict on ascending covariance eigenvalues."""
+    """The ``EIGENVALUE_FLOOR`` verdict on ascending eigenvalues of Sigma_F."""
     return evals.size > 0 and bool(
         evals[-1] <= 0.0 or evals[0] < EIGENVALUE_FLOOR * evals[-1]
     )
@@ -127,9 +135,20 @@ class Dataset:
             object.__setattr__(self, "_col_means", cached)
         return cached
 
-    def centered_column(self, a: int) -> np.ndarray:
-        """Centered copy of 0-based column ``a``."""
-        return np.ascontiguousarray(self.x[:, a]) - self.column_means()[a]
+    def column_scales(self) -> np.ndarray:
+        """Per-column 1/sd (n-divisor), each from a 1-D reduction of that
+        column, and 0 for a constant column: (x - mean) * scale is the
+        standardized column, or zeros."""
+        cached = getattr(self, "_col_scales", None)
+        if cached is None:
+            means = self.column_means()
+            cached = np.zeros(self.p)
+            for a in np.flatnonzero(self.x.max(axis=0) > self.x.min(axis=0)):
+                dev = self.x[:, a] - means[a]
+                cached[a] = 1.0 / math.sqrt(dev @ dev / self.n)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_col_scales", cached)
+        return cached
 
 
 @dataclass(frozen=True)
@@ -224,26 +243,26 @@ def slice_response(y: np.ndarray, h_count: int, discrete: bool = False) -> Slice
 
 @dataclass
 class MomentStats:
-    """Slice-conditional moments of the centered predictors on a working set.
+    """Slice-conditional moments of the standardized predictors on a working set.
 
-    ``xc`` holds the centered working-set columns X_F (n x |F|), in the
+    ``xc`` holds the standardized working-set columns X_F (n x |F|), in the
     sorted order of ``f``, so downstream residual computations do not
     re-center.  Every other moment is derived from it with the n-divisor
-    convention: the covariance Sigma_F = X_F' X_F / n is decomposed once and
-    not stored, and the slice moments are kept only in the whitened
+    convention: the correlation matrix Sigma_F = X_F' X_F / n is decomposed
+    once and not stored, and the slice moments are kept only in the whitened
     coordinates of ``whitening``.  Each is a product of fixed shape in the
     dataset, the slicing and the sorted F, so it is the same bits for every
     call that names the same working set.
 
     Instances are immutable after construction apart from cached properties.
     ``whitening`` and the whitened moments built on it raise
-    ``SingularDesignError`` when the smallest eigenvalue of Sigma_F falls
-    below ``EIGENVALUE_FLOOR`` times the largest (condition number above
-    1e12).
+    ``SingularDesignError`` when the smallest eigenvalue of the correlation
+    matrix Sigma_F falls below ``EIGENVALUE_FLOOR`` times the largest
+    (condition number above 1e12, in any units of the columns).
     """
 
     f: IndexSet
-    xc: np.ndarray  # (n, |F|) centered working-set columns
+    xc: np.ndarray  # (n, |F|) standardized working-set columns
     n: int
     h_count: int
     proportions: np.ndarray
@@ -265,14 +284,14 @@ class MomentStats:
         evals, evecs, singular = self._eigh
         if singular:
             raise SingularDesignError(
-                f"working-set covariance is numerically singular "
+                f"working-set correlation matrix is numerically singular "
                 f"(eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])"
             )
         return evecs / np.sqrt(evals)
 
     @cached_property
     def white_xc(self) -> np.ndarray:
-        """Whitened centered columns Z = X_F W, (n, |F|), with Z'Z/n = I."""
+        """Whitened columns Z = X_F W, (n, |F|), with Z'Z/n = I."""
         return self.xc @ self.whitening
 
     @cached_property
@@ -336,9 +355,11 @@ def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentS
         )
 
     idx = np.array(fs, dtype=np.int64) - 1
+    xc = d.x[:, idx] - d.column_means()[idx]
+    xc *= d.column_scales()[idx]
     return MomentStats(
         f=fs,
-        xc=d.x[:, idx] - d.column_means()[idx],
+        xc=xc,
         n=d.n,
         h_count=s.h_count,
         proportions=np.asarray(s.proportions),

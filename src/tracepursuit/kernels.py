@@ -43,8 +43,8 @@ from .data import (
 )
 from .errors import CollinearCandidateError, SingularDesignError, WorkingSetIndexError
 
-# Residual variance below this fraction of the candidate's own variance is
-# treated as exact collinearity.
+# Residual variance of a standardized candidate (its share of the
+# candidate's own variance) below this is treated as exact collinearity.
 COLLINEARITY_FLOOR = 1e-12
 
 # ScanState drops the members from its residual block once they fill
@@ -66,10 +66,11 @@ class Method(enum.Enum):
 class ResidualStats:
     """Standardized residual of a candidate column given the working set.
 
-    The residual is that of the n-divisor least-squares fit of the candidate
-    on the centered working-set columns; ``gamma_per_sample`` is the residual
-    divided by its sample standard deviation; ``gamma_by_slice`` /
-    ``zeta_by_slice`` are slice means of the residual and of its square.
+    The residual is that of the n-divisor least-squares fit of the
+    standardized candidate on the standardized working-set columns;
+    ``gamma_per_sample`` is the residual divided by its sample standard
+    deviation; ``gamma_by_slice`` / ``zeta_by_slice`` are slice means of the
+    residual and of its square.
     """
 
     gamma_by_slice: np.ndarray
@@ -80,16 +81,17 @@ class ResidualStats:
 def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> ResidualStats:
     """Regress the candidate column on the working set and summarize by slice.
 
-    With an empty working set the residual is the centered candidate itself.
-    Raises ``SingularDesignError`` for an ill-conditioned working set and
-    ``CollinearCandidateError`` when the residual variance is negligible
-    relative to the candidate's own variance.
+    With an empty working set the residual is the standardized candidate
+    itself.  Raises ``SingularDesignError`` for an ill-conditioned working
+    set and ``CollinearCandidateError`` when the residual variance of the
+    standardized candidate is below ``COLLINEARITY_FLOOR`` (a constant
+    candidate has none).
     """
     (j,) = validate_working_set((j,), d.p)
     if j in m.f:
         raise WorkingSetIndexError(f"candidate {j} already in working set {m.f}")
 
-    xj = d.centered_column(j - 1)
+    xj = (d.x[:, j - 1] - d.column_means()[j - 1]) * d.column_scales()[j - 1]
     if m.size == 0:
         resid = xj
     else:
@@ -99,8 +101,7 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
 
     mean_r = resid.mean()
     sigma2 = float(resid @ resid) / d.n - mean_r**2
-    var_j = float(xj @ xj) / d.n - xj.mean() ** 2
-    if sigma2 <= 0.0 or sigma2 < COLLINEARITY_FLOOR * var_j:
+    if sigma2 < COLLINEARITY_FLOOR:
         raise CollinearCandidateError(
             f"candidate {j} has residual variance {sigma2:.3e} given {m.f}"
         )
@@ -223,16 +224,17 @@ class ScanState:
     The vectorized counterpart of ``residualize``, ``auxiliary_stats`` and
     ``trace_diff`` for scans: the candidates are the ``columns`` (1-based,
     ascending) outside F, and ``f`` lists the members in the order added.
-    It holds the residuals given F of the centered candidate columns, an
-    orthonormal basis Q and the triangular factor R_Q of the centered working
-    set (X_F = Q R_Q, so Sigma_F = R_Q' R_Q / n), the projections Q'X of the
-    held columns, the slice indicator matrix and R_Q^{-1} with the squared
-    Frobenius norms of R_Q and R_Q^{-1}, which bound the spread of Sigma_F's
-    eigenvalues.  ``add`` grows F by one member: one modified Gram-Schmidt
-    vector q, one in-place rank-1 projection of every held residual column
-    onto the complement of q, one new column of R_Q read from Q'X, and one
-    new column of R_Q^{-1} from one matrix-vector product, so with m columns
-    an addition costs O(n (m - |F|) + |F|^2) and nothing is rebuilt.
+    It holds the residuals given F of the standardized candidate columns, an
+    orthonormal basis Q and the triangular factor R_Q of the standardized
+    working set (X_F = Q R_Q, so Sigma_F = R_Q' R_Q / n), the projections Q'X
+    of the held columns, the slice indicator matrix and R_Q^{-1} with its
+    squared Frobenius norm, which with |R_Q|_F^2 = n |F| bounds the spread
+    of Sigma_F's eigenvalues.  ``add`` grows F by one member: one modified
+    Gram-Schmidt vector q, one in-place rank-1 projection of every held
+    residual column onto the complement of q, one new column of R_Q read
+    from Q'X, and one new column of R_Q^{-1} from one matrix-vector product,
+    so with m columns an addition costs O(n (m - |F|) + |F|^2) and nothing
+    is rebuilt.
     ``gains`` then scores all candidates with a few BLAS calls:
     O(n (m - |F|) H) for SIR and O(n (m - |F|) |F|) for SAVE and DR, which
     need the slice cross-moments Q_h' R_h.
@@ -264,10 +266,9 @@ class ScanState:
         idx = self.columns - 1
         self.resid = d.x[np.ix_(np.concatenate(s.rows), idx)]
         self.resid -= d.column_means()[idx]
+        self.resid *= d.column_scales()[idx]
         self.live = np.arange(self.columns.size)  # positions of the resid columns
         self._dead = 0  # members among them
-        sums, sq = self._slice_sums()
-        self.var = sq.sum(0) / d.n - (sums.sum(0) / d.n) ** 2  # as in residualize
         cap = min(self.columns.size, d.n)
         self.q = np.empty((d.n, cap), order="F")
         self.slice_q = np.empty((s.h_count, cap))  # S'Q, slice sums of the basis
@@ -275,7 +276,6 @@ class ScanState:
         self.rq = np.zeros((cap, cap))
         self.singular = False
         self._rinv_t = np.zeros((cap, cap))  # R_Q^{-T}: row k is column k of R_Q^{-1}
-        self._norm2 = 0.0  # |R_Q|_F^2
         self._inv_norm2 = 0.0  # |R_Q^{-1}|_F^2
         for j in f:
             self.add(j)
@@ -309,7 +309,7 @@ class ScanState:
         self._dead += 1
         if _REPACK * self._dead >= self.live.size:  # drop members, keep the order
             keep = ~self.member[self.live]
-            self.live, self.var = self.live[keep], self.var[keep]
+            self.live = self.live[keep]
             self.resid = np.compress(keep, self.resid, axis=1)  # C order, as resid[:, keep] is not
             qx = np.empty((self.qx.shape[0], self.live.size))
             qx[:k] = self.qx[:k, keep]
@@ -324,13 +324,14 @@ class ScanState:
     def _is_singular(self, k: int) -> bool:
         """The ``EIGENVALUE_FLOOR`` verdict on Sigma_F, usually without eigvalsh.
 
-        With Sigma_F = R_Q' R_Q / n, lambda_max <= |R_Q|_F^2 / n and
-        lambda_min >= 1 / (n |R_Q^{-1}|_F^2), so a product of the two squared
-        norms below 1 / EIGENVALUE_FLOOR proves the rule passes; half that
-        bound leaves room for rounding in R_Q^{-1} and the sums.  The new
-        column (r; rho) of R_Q extends R_Q^{-1} by the column
-        (-R^{-1} r / rho; 1 / rho) and each sum by one term.  A zero pivot or
-        a failed bound leaves the verdict to the eigenvalues of R_Q' R_Q / n.
+        With Sigma_F = R_Q' R_Q / n, lambda_max <= |R_Q|_F^2 / n = k, since
+        each standardized column has squared norm n, and lambda_min >=
+        1 / (n |R_Q^{-1}|_F^2), so n k |R_Q^{-1}|_F^2 below
+        1 / EIGENVALUE_FLOOR proves the rule passes; half that bound leaves
+        room for rounding in R_Q^{-1} and the sum.  The new column (r; rho)
+        of R_Q extends R_Q^{-1} by the column (-R^{-1} r / rho; 1 / rho) and
+        the sum by one term.  A zero pivot (a constant column) or a failed
+        bound leaves the verdict to the eigenvalues of R_Q' R_Q / n.
         """
         rk = self.rq[:k, :k]
         r, rho = rk[:-1, -1], float(rk[-1, -1])
@@ -338,9 +339,8 @@ class ScanState:
             t = r @ self._rinv_t[: k - 1, : k - 1]  # R^{-1} r
             self._rinv_t[k - 1, : k - 1] = t / -rho
             self._rinv_t[k - 1, k - 1] = 1.0 / rho
-            self._norm2 += float(r @ r) + rho * rho
             self._inv_norm2 += (float(t @ t) + 1.0) / rho / rho
-            if self._norm2 * self._inv_norm2 < 0.5 / EIGENVALUE_FLOOR:
+            if self.n * k * self._inv_norm2 < 0.5 / EIGENVALUE_FLOOR:
                 return False
         return is_singular_spectrum(np.linalg.eigvalsh(rk.T @ rk / self.n))
 
@@ -361,7 +361,7 @@ class ScanState:
         cand = ~self.member[self.live]
         sums, sq = self._slice_sums()
         sigma2 = sq.sum(0) / n - (sums.sum(0) / n) ** 2
-        collinear = cand & ((sigma2 <= 0.0) | (sigma2 < COLLINEARITY_FLOOR * self.var))
+        collinear = cand & (sigma2 < COLLINEARITY_FLOOR)
         ok = cand & ~collinear
         category = CollinearCandidateError.category
         skipped = [(int(j), category) for j in self.columns[self.live[collinear]]]

@@ -170,8 +170,9 @@ def omega_hat(ell: np.ndarray) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    omega = (ell.T @ ell) / n
-    return 0.5 * (omega + omega.T)
+    omega = ell.T @ ell  # exactly symmetric: numpy forms L'L as a rank-k update
+    omega /= n
+    return omega
 
 
 def omega_weights(omega: np.ndarray) -> np.ndarray:
@@ -296,27 +297,6 @@ class TraceTestResult:
     effective_dof: float
 
 
-def _calibrate(
-    omega: np.ndarray,
-    alpha: float,
-    quantile: str,
-    mc_draws: int,
-    seed: int,
-    weights: np.ndarray | None = None,
-) -> tuple[float, tuple[float, float]]:
-    """Threshold and weight moments (sum w, sum w^2) of the null law with
-    weight matrix ``omega``; ``weights`` are its eigenvalue weights, when
-    already at hand, for the Monte Carlo quantile."""
-    moments = weight_moments(omega)
-    if quantile == "two-moment":
-        return scaled_chisq_upper_quantile(*moments, alpha), moments
-    if quantile == "monte-carlo":
-        if weights is None:
-            weights = omega_weights(omega)
-        return weighted_chisq_quantile_mc(weights, alpha, mc_draws, seed), moments
-    raise ValueError(f"unknown quantile scheme {quantile!r}")
-
-
 def statistic_and_threshold(
     method: Method,
     d: Dataset,
@@ -325,15 +305,12 @@ def statistic_and_threshold(
     r: ResidualStats,
     nu: np.ndarray | None,
     alpha: float,
-    quantile: str = "two-moment",
-    mc_draws: int = MC_DRAWS,
-    seed: int = 0,
 ) -> tuple[float, float, tuple[float, float]]:
-    """Test statistic, its calibrated threshold, and the weight moments
+    """Test statistic, its two-moment threshold, and the weight moments
     (sum w, sum w^2) of the estimated null law."""
     statistic = d.n * trace_diff(method, m, r, nu)
-    omega = omega_hat(influence_samples(method, d, s, m, r, nu))
-    return (statistic, *_calibrate(omega, alpha, quantile, mc_draws, seed))
+    moments = weight_moments(omega_hat(influence_samples(method, d, s, m, r, nu)))
+    return statistic, scaled_chisq_upper_quantile(*moments, alpha), moments
 
 
 def _test_parts(
@@ -375,20 +352,15 @@ def trace_test(
     f: IndexSet,
     j: int,
     alpha: float,
-    quantile: str = "two-moment",
-    mc_draws: int = MC_DRAWS,
-    seed: int = 0,
 ) -> TraceTestResult:
     """Test whether candidate ``j`` adds information beyond working set ``f``.
 
     The statistic is n times the closed-form trace gain; the threshold is the
-    upper-alpha quantile of the estimated weighted chi-square null law.
+    two-moment upper-alpha quantile of the estimated weighted chi-square null
+    law (the Monte Carlo quantile is in ``trace_test_with_weights``).
     """
     m, r, nu = _test_parts(method, d, s, f, j)
-    return _result(
-        method, m, j, alpha,
-        *statistic_and_threshold(method, d, s, m, r, nu, alpha, quantile, mc_draws, seed),
-    )
+    return _result(method, m, j, alpha, *statistic_and_threshold(method, d, s, m, r, nu, alpha))
 
 
 def trace_test_with_weights(
@@ -404,11 +376,19 @@ def trace_test_with_weights(
     """``trace_test`` and the eigenvalue weights of its null law, for reports.
 
     The statistic, the threshold and the weights come from one weight
-    matrix, decomposed once; the decision is that of ``trace_test``.
+    matrix, decomposed once.  ``quantile`` is "two-moment", which makes the
+    decision that of ``trace_test``, or "monte-carlo", the quantile of
+    ``MC_DRAWS`` draws from generator ``seed``.
     """
     m, r, nu = _test_parts(method, d, s, f, j)
     omega = omega_hat(influence_samples(method, d, s, m, r, nu))
     weights = omega_weights(omega)
     statistic = d.n * trace_diff(method, m, r, nu)
-    threshold, moments = _calibrate(omega, alpha, quantile, MC_DRAWS, seed, weights)
+    moments = weight_moments(omega)
+    if quantile == "two-moment":
+        threshold = scaled_chisq_upper_quantile(*moments, alpha)
+    elif quantile == "monte-carlo":
+        threshold = weighted_chisq_quantile_mc(weights, alpha, seed=seed)
+    else:
+        raise ValueError(f"unknown quantile scheme {quantile!r}")
     return _result(method, m, j, alpha, statistic, threshold, moments), weights

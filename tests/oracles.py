@@ -19,6 +19,19 @@ def center_columns(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def standardize_columns(x: np.ndarray) -> np.ndarray:
+    """Centered columns divided by their n-divisor standard deviation; a
+    constant column becomes zeros."""
+    n, p = x.shape
+    out = center_columns(x)
+    for a in range(p):
+        if x[:, a].max() > x[:, a].min():
+            out[:, a] /= np.sqrt(sum(out[:, a] ** 2) / n)
+        else:
+            out[:, a] = 0.0
+    return out
+
+
 def naive_moments(x: np.ndarray, membership: np.ndarray, f0: list[int]):
     """Double-loop moment oracle on 0-based columns ``f0``.
 

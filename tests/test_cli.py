@@ -15,7 +15,7 @@ from tracepursuit.errors import (
     TooFewSamplesError,
 )
 from tracepursuit.kernels import Method
-from tracepursuit.nulldist import influence_dim
+from tracepursuit.nulldist import influence_dim, trace_test_with_weights
 
 
 @pytest.fixture
@@ -171,8 +171,11 @@ class TestCommands:
         assert decomposed == [(dim, dim)]
         res = json.loads(capsys.readouterr().out)["result"]
         d = ingest_csv(model_csv)
-        quantile = "monte-carlo" if mc else "two-moment"
-        direct = trace_test(method, d, slice_response(d.y, 4), (1, 2), 3, 0.05, quantile)
+        s = slice_response(d.y, 4)
+        if mc:
+            direct, _ = trace_test_with_weights(method, d, s, (1, 2), 3, 0.05, "monte-carlo")
+        else:
+            direct = trace_test(method, d, s, (1, 2), 3, 0.05)
         assert (res["statistic"], res["threshold"]) == (direct.statistic, direct.threshold)
 
     def test_bench_partition_and_determinism(self, tmp_path):

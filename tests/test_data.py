@@ -9,7 +9,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tracepursuit import Dataset, compute_moments, htp_run, slice_response, trace_test
+from tracepursuit import (
+    Dataset,
+    StpConfig,
+    compute_moments,
+    ftp_run,
+    htp_run,
+    slice_response,
+    stp_run,
+    trace_test,
+)
 from tracepursuit.errors import (
     DegenerateSlicingError,
     IllPosedMomentsError,
@@ -19,7 +28,7 @@ from tracepursuit.errors import (
 from tracepursuit.kernels import Method, residualize
 
 from conftest import make_dataset
-from oracles import center_columns, naive_moments
+from oracles import naive_moments, standardize_columns
 
 
 class TestSliceResponse:
@@ -144,6 +153,56 @@ def _scaled_design(scale):
     return x, y
 
 
+class TestColumnUnits:
+    """Gains, statistics and every floor read standardized columns, so the
+    units of a column change no result."""
+
+    @pytest.mark.parametrize("scale", [1e4, 1e7, 1e-7])
+    def test_one_rescaled_column_next_to_unit_ones(self, scale):
+        def results(x, y):
+            d = Dataset.from_arrays(x, y)
+            s = slice_response(d.y, 4)
+            test = trace_test(Method.SIR, d, s, (2, 3), 1, 0.05)
+            path = ftp_run(d, s, Method.SIR, k_max=5)
+            return test, [step.added_index for step in path.steps], path.skipped
+
+        test, order, skipped = results(*_scaled_design(1.0))
+        scaled_test, scaled_order, scaled_skipped = results(*_scaled_design(scale))
+        assert (scaled_test.statistic, scaled_test.threshold) == pytest.approx(
+            (test.statistic, test.threshold), rel=1e-10
+        )
+        assert scaled_order == order and len(order) == 5
+        assert scaled_skipped == skipped == ()
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_paths_trails_and_statistics_ignore_column_units(self, data):
+        n = data.draw(st.integers(40, 120), label="n")
+        p = data.draw(st.integers(3, 8), label="p")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        x = rng.standard_normal((n, p))
+        y = x[:, 0] + 0.5 * x[:, 1] ** 2 + 0.3 * rng.standard_normal(n)
+        scales = st.lists(st.floats(-7, 7), min_size=p, max_size=p)
+        scaled = x * 10.0 ** np.array(data.draw(scales, label="log10 scales"))
+        method = data.draw(st.sampled_from(list(Method)), label="method")
+
+        def results(x):
+            d = Dataset.from_arrays(x, y)
+            s = slice_response(d.y, 4)
+            path = ftp_run(d, s, method)
+            trail = stp_run(d, s, StpConfig(method=method, alpha=0.2)).trail
+            return (
+                [step.added_index for step in path.steps],
+                [(e.action, e.index) for e in trail],
+                [v for e in trail for v in (e.statistic, e.threshold) if v is not None],
+            )
+
+        order, trail, values = results(x)
+        scaled_order, scaled_trail, scaled_values = results(scaled)
+        assert (scaled_order, scaled_trail) == (order, trail)
+        assert scaled_values == pytest.approx(values, rel=1e-10)
+
+
 class TestComputeMoments:
     def test_symmetric_construction(self):
         d = Dataset.from_arrays(
@@ -168,8 +227,9 @@ class TestComputeMoments:
         s = slice_response(d.y, 4)
         f = (2, 3, 5)
         m = compute_moments(d, s, f)
-        p_hat, sigma, u, v = naive_moments(d.x, s.membership, [1, 2, 4])
-        xc = center_columns(d.x)[:, [1, 2, 4]]
+        xs = standardize_columns(d.x)
+        p_hat, sigma, u, v = naive_moments(xs, s.membership, [1, 2, 4])
+        xc = xs[:, [1, 2, 4]]
         w = m.whitening
         assert np.allclose(w @ w.T @ sigma, np.eye(3), atol=1e-12)
         assert np.allclose(m.white_u, u @ w, atol=1e-12)

@@ -32,7 +32,7 @@ from tracepursuit.nulldist import (
 )
 
 from conftest import make_dataset, random_case
-from oracles import explicit_trace_kernel, naive_moments, ols_slice_means
+from oracles import explicit_trace_kernel, naive_moments, ols_slice_means, standardize_columns
 
 METHODS = list(Method)
 
@@ -173,7 +173,8 @@ class TestWorkingSetAlgebra:
             z = m.white_xc
             assert np.allclose(z.T @ z / d.n, np.eye(m.size), atol=1e-12)
             w = m.whitening
-            _, sigma, u, v = naive_moments(d.x, s.membership, [a - 1 for a in m.f])
+            xs = standardize_columns(d.x)
+            _, sigma, u, v = naive_moments(xs, s.membership, [a - 1 for a in m.f])
             assert np.allclose(w @ w.T @ sigma, np.eye(m.size), atol=1e-10)
             assert np.allclose(m.white_u, u @ w, atol=1e-12)
             assert np.allclose(m.white_v, np.einsum("ab,hac,cd->hbd", w, v, w), atol=1e-12)
@@ -290,9 +291,13 @@ class TestScanState:
         gains, skipped = state.gains(Method.SIR)
         assert skipped == [(4, "collinear-candidate")]
         assert np.isfinite(gains[[2, 4]]).all()
-        state.add(5)  # variance 1e16 next to 1: singular by the eigenvalue floor
+        state.add(5)  # variance 1e16 next to 1: the floors read standardized columns
         gains, skipped = state.gains(Method.DR)
-        assert skipped == [(3, "singular-design"), (4, "singular-design")]
+        assert skipped == [(4, "collinear-candidate")]
+        assert np.isfinite(gains[2])
+        state.add(4)  # x1 - 2 x2 next to x1 and x2: singular by the eigenvalue floor
+        gains, skipped = state.gains(Method.DR)
+        assert skipped == [(3, "singular-design")]
         assert np.all(gains == -np.inf)
 
 
@@ -306,7 +311,7 @@ def _certificate_designs():
     x = rng.standard_normal((100, 12))
     e = rng.standard_normal((100, 3))
     # column 13 repeats column 3 up to 3e-6 noise: lambda_min / lambda_max of
-    # 2.4e-12 passes the rule, but too close to the floor for the norm bound,
+    # 2.5e-12 passes the rule, but too close to the floor for the norm bound,
     # so the eigenvalues decide (1e-6 noise would fail the rule).  Each later
     # column makes F singular: 14 is that noise up to 1e-7 noise, in the span
     # of F only through column 13; 15 repeats column 8 and 16 sums columns

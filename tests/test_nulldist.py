@@ -32,6 +32,7 @@ from tracepursuit.nulldist import (
     omega_weights,
     scaled_chisq_upper_quantile,
     statistic_and_threshold,
+    trace_test_with_weights,
     weight_moments,
     weighted_chisq_quantile_mc,
 )
@@ -158,6 +159,20 @@ class TestOmegaHat:
             assert np.all(np.diff(weights) <= 0.0)
             assert np.max(np.abs(omega - omega.T)) < 1e-10
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_exactly_symmetric_and_the_symmetrized_product(self, method):
+        """L'L/n needs no symmetrizing: it equals 0.5 (Omega + Omega') bit
+        for bit, at |F| = 0 and 30."""
+        d, _ = generate(SimDesign(model="I", n=300, p=40, seed=0))
+        s = slice_response(d.y, 4)
+        for f in ((), tuple(range(1, 31))):
+            m, r, nu = _parts(d, s, f, 35)
+            ell = influence_samples(method, d, s, m, r, nu)
+            omega = omega_hat(ell)
+            old = (ell.T @ ell) / d.n
+            assert np.array_equal(omega, omega.T)
+            assert np.array_equal(omega, 0.5 * (old + old.T))
+
     def test_nonfinite_rejected(self):
         ell = np.ones((10, 2))
         ell[3, 1] = np.nan
@@ -277,12 +292,6 @@ class TestWeightedChisqQuantile:
         with pytest.raises(ValueError, match="n_draws must be >= 1"):
             weighted_chisq_quantile_mc(np.array([1.0, 0.5]), 0.05, n_draws=n_draws)
 
-    def test_mc_trace_test_draw_count_must_be_positive(self):
-        d = make_dataset(np.random.default_rng(4), 80, 4)
-        s = slice_response(d.y, 4)
-        with pytest.raises(ValueError, match="n_draws must be >= 1"):
-            trace_test(Method.SIR, d, s, (1,), 2, 0.05, quantile="monte-carlo", mc_draws=0)
-
     def test_mc_fallback_reproducible_and_close(self):
         w = np.array([1.0, 0.5, 0.25])
         a = weighted_chisq_quantile_mc(w, 0.05, n_draws=200_000, seed=11)
@@ -333,7 +342,7 @@ class TestTraceTest:
 
     def test_mc_quantile_switch(self, rng):
         d, s, f, j = random_case(rng, n_range=(60, 100))
-        res = trace_test(Method.SIR, d, s, f, j, 0.05, quantile="monte-carlo", seed=3)
+        res, _ = trace_test_with_weights(Method.SIR, d, s, f, j, 0.05, "monte-carlo", seed=3)
         base = trace_test(Method.SIR, d, s, f, j, 0.05)
         assert res.statistic == base.statistic
         assert res.threshold == pytest.approx(base.threshold, rel=0.15)
@@ -400,5 +409,5 @@ class TestNoDecompositionOnTheDecisionPath:
         built, hits = decomposed
         d = make_dataset(np.random.default_rng(3), 150, 8)
         s = slice_response(d.y, 4)
-        trace_test(Method.DR, d, s, (1, 2), 5, 0.05, quantile="monte-carlo", mc_draws=1_000)
+        trace_test_with_weights(Method.DR, d, s, (1, 2), 5, 0.05, "monte-carlo")
         assert len(hits) == len(built) == 1

@@ -134,7 +134,7 @@ def _edge_case(name):
     if name == "constant-collinear":
         # a constant column and the dependent triple {1, 2, 6}
         x = np.column_stack([x, x[:, 0] * 0.5 - x[:, 1], np.full(60, 0.1)])
-    else:  # "scaled": two columns far apart in scale make F singular
+    else:  # "scaled": two columns far apart in scale, scored in standard units
         x[:, 1] *= 1e8
         x[:, 3] *= 1e-8
     y = x[:, 0] / x[:, 0].std() + x[:, 1] / x[:, 1].std() + 0.3 * rng.standard_normal(60)
