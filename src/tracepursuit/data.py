@@ -21,7 +21,10 @@ slicing, and slice second moments Z_h' Z_h / n_h), and ``kappa``, the SIR
 kernel trace on F.  The traces, gains and null weights depend on Sigma_F
 only through W W', so any other whitening W O, O orthogonal, gives the same
 values.  The kernels module keeps only the work that depends on the
-candidate.
+candidate.  A ``MomentStats`` also holds the dataset ``d`` and the slicing
+``s`` it was built from, so everything downstream reads n, the slice
+proportions, rows and averaging matrix from the moments themselves and
+cannot pair them with another slicing.
 
 Everything here is a pure function of its inputs; the returned objects are
 treated as immutable apart from those caches.
@@ -59,6 +62,15 @@ def is_singular_spectrum(evals: np.ndarray) -> bool:
     return evals.size > 0 and bool(
         evals[-1] <= 0.0 or evals[0] < EIGENVALUE_FLOOR * evals[-1]
     )
+
+
+def as_integer(value, name: str) -> int:
+    """``value`` through ``operator.index``; a float, a string or any other
+    non-integer raises ``ValueError`` naming the argument ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -198,10 +210,7 @@ def slice_response(y: np.ndarray, h_count: int, discrete: bool = False) -> Slice
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     n = y.size
-    try:
-        h_count = operator.index(h_count)
-    except TypeError:
-        raise ValueError(f"h_count must be an integer, got {h_count!r}") from None
+    h_count = as_integer(h_count, "h_count")
     if h_count < 2:
         raise ValueError(f"h_count must be >= 2, got {h_count}")
     if n < h_count:
@@ -252,7 +261,9 @@ class MomentStats:
     once and not stored, and the slice moments are kept only in the whitened
     coordinates of ``whitening``.  Each is a product of fixed shape in the
     dataset, the slicing and the sorted F, so it is the same bits for every
-    call that names the same working set.
+    call that names the same working set.  ``d`` and ``s`` are the dataset
+    and the slicing the moments were built from; n, the slice proportions,
+    rows and averaging matrix are read from them.
 
     Instances are immutable after construction apart from cached properties.
     ``whitening`` and the whitened moments built on it raise
@@ -263,11 +274,8 @@ class MomentStats:
 
     f: IndexSet
     xc: np.ndarray  # (n, |F|) standardized working-set columns
-    n: int
-    h_count: int
-    proportions: np.ndarray
-    slice_rows: tuple[np.ndarray, ...]
-    averaging: np.ndarray = field(repr=False)  # (H, n) slice-averaging matrix M
+    d: Dataset = field(repr=False)
+    s: SliceAssignment = field(repr=False)
 
     @property
     def size(self) -> int:
@@ -275,7 +283,7 @@ class MomentStats:
 
     @cached_property
     def _eigh(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        evals, evecs = np.linalg.eigh(self.xc.T @ self.xc / self.n)
+        evals, evecs = np.linalg.eigh(self.xc.T @ self.xc / self.d.n)
         return evals, evecs, is_singular_spectrum(evals)
 
     @cached_property
@@ -297,14 +305,14 @@ class MomentStats:
     @cached_property
     def white_u(self) -> np.ndarray:
         """Whitened slice means M Z, (H, |F|)."""
-        return self.averaging @ self.white_xc
+        return self.s.averaging @ self.white_xc
 
     @cached_property
     def white_v(self) -> np.ndarray:
         """Whitened slice second moments Z_h' Z_h / n_h, (H, |F|, |F|)."""
         z = self.white_xc
-        v = np.empty((self.h_count, self.size, self.size))
-        for h, rows in enumerate(self.slice_rows):
+        v = np.empty((self.s.h_count, self.size, self.size))
+        for h, rows in enumerate(self.s.rows):
             zh = z[rows]
             v[h] = zh.T @ zh / rows.size
         return v
@@ -312,7 +320,7 @@ class MomentStats:
     @cached_property
     def kappa(self) -> float:
         """SIR kernel trace on F, sum_h p_h |(M Z)_h|^2 (0 when empty)."""
-        return float(self.proportions @ np.einsum("ha,ha->h", self.white_u, self.white_u))
+        return float(self.s.proportions @ np.einsum("ha,ha->h", self.white_u, self.white_u))
 
 
 def validate_working_set(f: Iterable[int], p: int) -> IndexSet:
@@ -357,12 +365,4 @@ def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentS
     idx = np.array(fs, dtype=np.int64) - 1
     xc = d.x[:, idx] - d.column_means()[idx]
     xc *= d.column_scales()[idx]
-    return MomentStats(
-        f=fs,
-        xc=xc,
-        n=d.n,
-        h_count=s.h_count,
-        proportions=np.asarray(s.proportions),
-        slice_rows=s.rows,
-        averaging=s.averaging,
-    )
+    return MomentStats(f=fs, xc=xc, d=d, s=s)

@@ -20,14 +20,19 @@ kappa) live on ``MomentStats`` and are computed once per working set;
 ``residualize`` and ``auxiliary_stats`` do only the per-candidate work on
 top of them, taking slice means with the same averaging matrix M.  Every
 trace and gain depends on W only through W W', so it does not matter which
-whitening ``MomentStats`` picks.
+whitening ``MomentStats`` picks.  ``residualize(m, j)`` returns a
+``ResidualStats`` that holds ``m`` (and through it the dataset and the
+slicing) and ``j``, and caches the cross-moments ``nu`` on first use, so
+``trace_diff(method, r)`` and the null law of the test take the residual
+alone and cannot mix parts of different working sets or slicings.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -64,22 +69,31 @@ class Method(enum.Enum):
 
 @dataclass(frozen=True)
 class ResidualStats:
-    """Standardized residual of a candidate column given the working set.
+    """Standardized residual of candidate ``j`` given the working set of ``m``.
 
     The residual is that of the n-divisor least-squares fit of the
     standardized candidate on the standardized working-set columns;
     ``gamma_per_sample`` is the residual divided by its sample standard
     deviation; ``gamma_by_slice`` / ``zeta_by_slice`` are slice means of the
-    residual and of its square.
+    residual and of its square.  ``m`` carries the dataset and slicing, so
+    the gain and the null law of the test of (F, j) read everything from
+    the residual alone.  ``nu`` is formed on first use: SIR never needs it.
     """
 
+    m: MomentStats = field(repr=False)
+    j: int
     gamma_by_slice: np.ndarray
     zeta_by_slice: np.ndarray
     gamma_per_sample: np.ndarray
 
+    @cached_property
+    def nu(self) -> np.ndarray:
+        """``auxiliary_stats`` of this residual, (H, |F|), computed once."""
+        return auxiliary_stats(self)
 
-def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> ResidualStats:
-    """Regress the candidate column on the working set and summarize by slice.
+
+def residualize(m: MomentStats, j: int) -> ResidualStats:
+    """Regress column ``j`` on the working set of ``m`` and summarize by slice.
 
     With an empty working set the residual is the standardized candidate
     itself.  Raises ``SingularDesignError`` for an ill-conditioned working
@@ -87,6 +101,7 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
     standardized candidate is below ``COLLINEARITY_FLOOR`` (a constant
     candidate has none).
     """
+    d = m.d
     (j,) = validate_working_set((j,), d.p)
     if j in m.f:
         raise WorkingSetIndexError(f"candidate {j} already in working set {m.f}")
@@ -108,19 +123,21 @@ def residualize(d: Dataset, s: SliceAssignment, m: MomentStats, j: int) -> Resid
 
     gamma = resid / np.sqrt(sigma2)
     return ResidualStats(
-        gamma_by_slice=s.averaging @ gamma,
-        zeta_by_slice=s.averaging @ gamma**2,
+        m=m,
+        j=j,
+        gamma_by_slice=m.s.averaging @ gamma,
+        zeta_by_slice=m.s.averaging @ gamma**2,
         gamma_per_sample=gamma,
     )
 
 
-def auxiliary_stats(m: MomentStats, r: ResidualStats) -> np.ndarray:
+def auxiliary_stats(r: ResidualStats) -> np.ndarray:
     """Whitened slice cross-moments nu of the residual with the working set.
 
     ``nu[h-1]`` is the slice-h mean of Z times the standardized residual,
     where Z = X_F W are the whitened working-set columns; (H, |F|).
     """
-    return m.averaging @ (m.white_xc * r.gamma_per_sample[:, None])
+    return r.m.s.averaging @ (r.m.white_xc * r.gamma_per_sample[:, None])
 
 
 def trace_kernel(method: Method, m: MomentStats) -> float:
@@ -133,7 +150,7 @@ def trace_kernel(method: Method, m: MomentStats) -> float:
     k = m.size
     if k == 0:
         return 0.0
-    p_hat = m.proportions
+    p_hat = m.s.proportions
 
     if method is Method.SIR:
         return m.kappa
@@ -168,24 +185,22 @@ def _gain(method, p_hat, g, z=None, nu2=None, phi2=None, iota_sum2=None, kappa=N
     raise ValueError(f"unknown method {method!r}")
 
 
-def trace_diff(
-    method: Method, m: MomentStats, r: ResidualStats, nu: np.ndarray | None = None
-) -> float:
-    """Closed-form trace gain from adding the candidate of ``r`` to ``m.f``.
+def trace_diff(method: Method, r: ResidualStats) -> float:
+    """Closed-form trace gain from adding ``r.j`` to the working set ``r.m.f``.
 
-    SAVE and DR require ``nu`` from ``auxiliary_stats``; SIR ignores it.
-    The SIR gain is a weighted sum of squares and hence always >= 0.
+    SAVE and DR read ``r.nu``; SIR does not form it.  The SIR gain is a
+    weighted sum of squares and hence always >= 0.
     """
-    g = r.gamma_by_slice
+    m, g = r.m, r.gamma_by_slice
+    p_hat = m.s.proportions
     if method is Method.SIR:
-        return float(_gain(method, m.proportions, g))
-    if nu is None:
-        raise ValueError(f"{method.value} trace gain requires auxiliary stats")
+        return float(_gain(method, p_hat, g))
+    nu = r.nu
     iota = m.white_u * g[:, None]
-    phi, iota_sum = iota - nu, m.proportions @ iota
+    phi, iota_sum = iota - nu, p_hat @ iota
     nu2, phi2 = np.einsum("ha,ha->h", nu, nu), np.einsum("ha,ha->h", phi, phi)
     z = r.zeta_by_slice
-    return float(_gain(method, m.proportions, g, z, nu2, phi2, iota_sum @ iota_sum, m.kappa))
+    return float(_gain(method, p_hat, g, z, nu2, phi2, iota_sum @ iota_sum, m.kappa))
 
 
 def deletion_gains(method: Method, m: MomentStats) -> np.ndarray:
@@ -199,7 +214,7 @@ def deletion_gains(method: Method, m: MomentStats) -> np.ndarray:
     does every F - j (interlacing), and no member is collinear: its residual
     keeps the share 1/(A_jj Sigma_jj) >= 1/cond(Sigma_F), A = W W', of its variance.
     """
-    w, ub, p_hat = m.whitening, m.white_u, m.proportions
+    w, ub, p_hat = m.whitening, m.white_u, m.s.proportions
     c = w.T / np.sqrt(np.einsum("ja,ja->j", w, w))  # column j is c_j
     g = ub @ c
     z = nu2 = phi2 = iota_sum2 = kappa = None

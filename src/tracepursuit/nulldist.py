@@ -31,9 +31,13 @@ gets an (n, H) correction, and each row's update of the nu*/phi* blocks
 goes only to the block of its own slice, a gather and scatter of n x |F|
 entries.  No (H, n, |F|) array is formed.
 
-The path from moments to threshold passes plain arrays: ``influence_samples``
-returns the (n, dim) samples L and ``omega_hat`` the weight matrix
-Omega = L'L/n.  The two-moment threshold needs only sum w = tr Omega and
+A test of (F, j) reads both of its numbers from one residual
+``r = residualize(compute_moments(d, s, f), j)``: ``trace_diff(method, r)``
+for the statistic and ``influence_samples(method, r)`` for the null law,
+which take the dataset, the slicing, the moments and nu from ``r``.  From
+there the path passes plain arrays: ``influence_samples`` returns the
+(n, dim) samples L and ``omega_hat`` the weight matrix Omega = L'L/n.
+The two-moment threshold needs only sum w = tr Omega and
 sum w^2 = ||Omega||_F^2 (``weight_moments``), so a test decomposes no
 Omega.  Eigenvalue weights, with their PSD clamp check, come from
 ``omega_weights`` only where they are used: the Monte Carlo quantile and
@@ -47,9 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, IndexSet, MomentStats, SliceAssignment, compute_moments
+from .data import Dataset, IndexSet, SliceAssignment, as_integer, compute_moments
 from .errors import DegenerateDistributionError, NumericalFailureError
-from .kernels import Method, ResidualStats, auxiliary_stats, residualize, trace_diff
+from .kernels import Method, ResidualStats, residualize, trace_diff
 
 # Clamp window for trailing eigenvalues of the estimated weight matrix; more
 # negative values indicate a bug since the matrix is an outer product.
@@ -77,26 +81,21 @@ def influence_dim(method: Method, f_size: int, h_count: int) -> int:
     raise ValueError(f"unknown method {method!r}")
 
 
-def influence_samples(
-    method: Method,
-    d: Dataset,
-    s: SliceAssignment,
-    m: MomentStats,
-    r: ResidualStats,
-    nu: np.ndarray | None = None,
-) -> np.ndarray:
+def influence_samples(method: Method, r: ResidualStats) -> np.ndarray:
     """The method's stacked influence vector at every sample, (n, dim).
 
-    ``nu`` from ``auxiliary_stats`` is required for SAVE and DR and ignored
-    for SIR.  The |F|-dimensional blocks are in the whitened coordinates of
-    ``m.whitening``.  All population symbols in the first-order expansions
-    are replaced by their full-sample estimates; each resulting column has
-    exactly zero sample mean (up to roundoff) by the normal equations and
-    the exactness of slice averages.
+    SAVE and DR read ``r.nu``; SIR does not form it.  The |F|-dimensional
+    blocks are in the whitened coordinates of ``r.m.whitening``.  All
+    population symbols in the first-order expansions are replaced by their
+    full-sample estimates; each resulting column has exactly zero sample
+    mean (up to roundoff) by the normal equations and the exactness of
+    slice averages.
     """
-    n = d.n
+    m = r.m
+    s = m.s
+    n = m.d.n
     h = s.h_count
-    p_hat = np.asarray(s.proportions)
+    p_hat = s.proportions
     sqrt_p = np.sqrt(p_hat)
 
     gamma = r.gamma_per_sample
@@ -120,6 +119,7 @@ def influence_samples(
     # nu*_(i,h)   = (Z_i gamma_i - nu_h) indic[i, h] - gamma_i ub_h - g_h Z_i
     #               - gamma_i Z_i V_h,
     # iota*_(i,h) = gamma*_(i,h) ub_h.
+    nu = r.nu
     k = m.size
     hk = h * k
     gg = gamma**2
@@ -266,6 +266,7 @@ def weighted_chisq_quantile_mc(
     memory stays bounded in the weight count and the draws are those of a
     single (n_draws, k) block.
     """
+    n_draws = as_integer(n_draws, "n_draws")
     if n_draws < 1:
         raise ValueError(f"n_draws must be >= 1, got {n_draws}")
     w = _checked_weights(weights, alpha)
@@ -298,34 +299,18 @@ class TraceTestResult:
 
 
 def statistic_and_threshold(
-    method: Method,
-    d: Dataset,
-    s: SliceAssignment,
-    m: MomentStats,
-    r: ResidualStats,
-    nu: np.ndarray | None,
-    alpha: float,
+    method: Method, r: ResidualStats, alpha: float
 ) -> tuple[float, float, tuple[float, float]]:
-    """Test statistic, its two-moment threshold, and the weight moments
-    (sum w, sum w^2) of the estimated null law."""
-    statistic = d.n * trace_diff(method, m, r, nu)
-    moments = weight_moments(omega_hat(influence_samples(method, d, s, m, r, nu)))
+    """Test statistic of the residual ``r``, its two-moment threshold, and
+    the weight moments (sum w, sum w^2) of the estimated null law."""
+    statistic = r.m.d.n * trace_diff(method, r)
+    moments = weight_moments(omega_hat(influence_samples(method, r)))
     return statistic, scaled_chisq_upper_quantile(*moments, alpha), moments
-
-
-def _test_parts(
-    method: Method, d: Dataset, s: SliceAssignment, f: IndexSet, j: int
-) -> tuple[MomentStats, ResidualStats, np.ndarray | None]:
-    """Moments of ``f``, the residual of ``j`` and, for SAVE/DR, its cross-moments."""
-    m = compute_moments(d, s, f)
-    r = residualize(d, s, m, j)
-    return m, r, None if method is Method.SIR else auxiliary_stats(m, r)
 
 
 def _result(
     method: Method,
-    m: MomentStats,
-    j: int,
+    r: ResidualStats,
     alpha: float,
     statistic: float,
     threshold: float,
@@ -334,8 +319,8 @@ def _result(
     sum_w, sum_w2 = moments
     return TraceTestResult(
         method=method,
-        f=m.f,
-        j=int(j),
+        f=r.m.f,
+        j=r.j,
         alpha=float(alpha),
         statistic=statistic,
         threshold=threshold,
@@ -359,8 +344,8 @@ def trace_test(
     two-moment upper-alpha quantile of the estimated weighted chi-square null
     law (the Monte Carlo quantile is in ``trace_test_with_weights``).
     """
-    m, r, nu = _test_parts(method, d, s, f, j)
-    return _result(method, m, j, alpha, *statistic_and_threshold(method, d, s, m, r, nu, alpha))
+    r = residualize(compute_moments(d, s, f), j)
+    return _result(method, r, alpha, *statistic_and_threshold(method, r, alpha))
 
 
 def trace_test_with_weights(
@@ -380,10 +365,10 @@ def trace_test_with_weights(
     decision that of ``trace_test``, or "monte-carlo", the quantile of
     ``MC_DRAWS`` draws from generator ``seed``.
     """
-    m, r, nu = _test_parts(method, d, s, f, j)
-    omega = omega_hat(influence_samples(method, d, s, m, r, nu))
+    r = residualize(compute_moments(d, s, f), j)
+    omega = omega_hat(influence_samples(method, r))
     weights = omega_weights(omega)
-    statistic = d.n * trace_diff(method, m, r, nu)
+    statistic = d.n * trace_diff(method, r)
     moments = weight_moments(omega)
     if quantile == "two-moment":
         threshold = scaled_chisq_upper_quantile(*moments, alpha)
@@ -391,4 +376,4 @@ def trace_test_with_weights(
         threshold = weighted_chisq_quantile_mc(weights, alpha, seed=seed)
     else:
         raise ValueError(f"unknown quantile scheme {quantile!r}")
-    return _result(method, m, j, alpha, statistic, threshold, moments), weights
+    return _result(method, r, alpha, statistic, threshold, moments), weights

@@ -40,13 +40,19 @@ threshold boundary.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset, IndexSet, SliceAssignment, compute_moments, validate_working_set
+from .data import (
+    Dataset,
+    IndexSet,
+    SliceAssignment,
+    as_integer,
+    compute_moments,
+    validate_working_set,
+)
 from .errors import CollinearCandidateError, SingularDesignError
 from .kernels import Method, ScanState, deletion_gains
 from .nulldist import influence_dim, trace_test
@@ -63,34 +69,25 @@ SIR_TRACE_RTOL = 1e-12
 TIE_RTOL = 1e-12
 
 
+# Passes (one tested addition and one tested deletion each) after which
+# STP stops with "iteration cap reached".
+STP_MAX_PASSES = 100
+
+
 @dataclass(frozen=True)
 class StpConfig:
     """Configuration for the stepwise selector.
 
-    ``alpha`` defaults to 0.1/p when left as None; ``max_set_size`` defaults
-    to min(p, n - H - 2), keeping the working-set covariance invertible with
-    slack for the slices.  Either is lowered, for SAVE and DR, until every
-    test the run can make has fewer influence dimensions than samples, so no
-    null law rests on a rank-deficient weight matrix.
+    ``alpha`` defaults to 0.1/p when left as None.  The working set grows to
+    at most ``resolved_max_set_size``: min(p, n - H - 2), which keeps the
+    working-set covariance invertible with slack for the slices, lowered for
+    SAVE and DR until every test the run can make has fewer influence
+    dimensions than samples, so no null law rests on a rank-deficient weight
+    matrix.
     """
 
     method: Method
     alpha: float | None = None
-    max_iterations: int = 100
-    max_set_size: int | None = None
-
-    def __post_init__(self) -> None:
-        try:
-            operator.index(self.max_iterations)
-            if self.max_set_size is not None:
-                operator.index(self.max_set_size)
-        except TypeError:
-            raise ValueError(
-                "max_iterations and max_set_size must be integers, got "
-                f"{self.max_iterations!r} and {self.max_set_size!r}"
-            ) from None
-        if self.max_iterations < 1:
-            raise ValueError(f"max_iterations must be >= 1, got {self.max_iterations}")
 
     def resolved_alpha(self, p: int) -> float:
         alpha = 0.1 / p if self.alpha is None else self.alpha
@@ -99,11 +96,9 @@ class StpConfig:
         return alpha
 
     def resolved_max_set_size(self, n: int, p: int, h_count: int) -> int:
-        cap = default_path_cap(n, p, h_count)
-        size = cap if self.max_set_size is None else self.max_set_size
-        if not 1 <= size < n:
-            raise ValueError(f"max_set_size must be in 1..n-1, got {size}")
-        size = min(size, cap)
+        size = default_path_cap(n, p, h_count)
+        if size < 1:
+            raise ValueError(f"n={n} leaves no room for a working set beside {h_count} slices")
         # the largest working set tested has size - 1 members
         while size > 0 and influence_dim(self.method, size - 1, h_count) >= n:
             size -= 1
@@ -128,8 +123,12 @@ class SolutionPath:
 
     method: Method
     steps: tuple[PathStep, ...]
-    k_max: int  # realized path length
     skipped: tuple[int, ...] = ()
+
+    @property
+    def k_max(self) -> int:
+        """Realized path length."""
+        return len(self.steps)
 
     def prefix(self, k: int) -> IndexSet:
         return tuple(sorted(step.added_index for step in self.steps[:k]))
@@ -231,10 +230,7 @@ def _forward_path(
     the best BIC so far (module docstring), keeping its ``bic_argmin`` prefix.
     """
     cap = default_path_cap(d.n, d.p, s.h_count)
-    try:
-        k_max = cap if k_max is None else operator.index(k_max)
-    except TypeError:
-        raise ValueError(f"k_max must be an integer, got {k_max!r}") from None
+    k_max = cap if k_max is None else as_integer(k_max, "k_max")
     if not 1 <= k_max <= cap:
         raise ValueError(f"k_max must be in 1..{cap}, got {k_max}")
     trace_bound = (s.h_count - 1) * (1.0 + SIR_TRACE_RTOL)
@@ -262,7 +258,6 @@ def _forward_path(
     return SolutionPath(
         method=method,
         steps=tuple(steps),
-        k_max=len(steps),
         skipped=tuple(sorted(set(skipped_all))),
     )
 
@@ -277,10 +272,10 @@ def stp_run(
 
     Each pass attempts one tested addition and one tested deletion; the run
     stops when a full pass changes nothing, a prior working set recurs, or
-    the pass budget is exhausted.  The final trail entry names the reason:
-    "converged", "set-size cap reached" (no addition was tried because the
-    working set has ``resolved_max_set_size`` members), "cycle detected" or
-    "iteration cap reached".
+    ``STP_MAX_PASSES`` passes are done.  The final trail entry names the
+    reason: "converged", "set-size cap reached" (no addition was tried
+    because the working set has ``resolved_max_set_size`` members), "cycle
+    detected" or "iteration cap reached".
     """
     method = cfg.method
     if universe is None:
@@ -334,7 +329,7 @@ def stp_run(
 
     scan = None  # the forward scan state of ``current``, kept while it only grows
     kept = None  # the set whose backward pass last changed nothing
-    for _ in range(cfg.max_iterations):
+    for _ in range(STP_MAX_PASSES):
         changed = False
 
         # forward addition: the scan's best candidate, then its test

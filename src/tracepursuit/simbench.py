@@ -21,7 +21,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .data import Dataset, IndexSet, slice_response
+from .data import Dataset, IndexSet, as_integer, slice_response
 from .errors import TracePursuitError
 from .kernels import Method
 from .selectors import StpConfig, ftp_run, htp_run, stp_run
@@ -45,6 +45,8 @@ class SimDesign:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("n", "p", "seed"):
+            as_integer(getattr(self, name), name)
         if self.model not in ("I", "II", "III"):
             raise ValueError(f"model must be I, II, or III, got {self.model!r}")
         if self.p < 4:
@@ -165,7 +167,7 @@ def run_experiment(
     """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"algorithm must be one of {ALGORITHMS}")
-    if n_reps < 1:
+    if as_integer(n_reps, "n_reps") < 1:
         raise ValueError("n_reps must be >= 1")
 
     t0 = time.perf_counter()

@@ -253,29 +253,28 @@ def scalar_scan(d, s, method, f, candidates):
     """Per-candidate reference scan: residualize, auxiliary stats and the
     closed-form gain one candidate at a time over working set ``f``.
 
-    Returns (best_j, best_gain, best (m, r, aux), [(j, category), ...]); gains
+    Returns (best_j, best_gain, best residual, [(j, category), ...]); gains
     within ``TIE_RTOL`` of the best are ties, broken toward the smallest index.
     """
     from tracepursuit import compute_moments
     from tracepursuit.errors import TracePursuitError
-    from tracepursuit.kernels import Method, auxiliary_stats, residualize, trace_diff
+    from tracepursuit.kernels import residualize, trace_diff
     from tracepursuit.selectors import TIE_RTOL
 
     m = compute_moments(d, s, f)
     scored, skipped = [], []
     for j in sorted(candidates):
         try:
-            r = residualize(d, s, m, j)
-            aux = None if method is Method.SIR else auxiliary_stats(m, r)
-            scored.append((j, trace_diff(method, m, r, aux), (m, r, aux)))
+            r = residualize(m, j)
+            scored.append((j, trace_diff(method, r), r))
         except TracePursuitError as err:
             skipped.append((j, err.category))
     if not scored:
         return None, -np.inf, None, skipped
     top = max(gain for _, gain, _ in scored)
-    for j, gain, parts in scored:
+    for j, gain, r in scored:
         if gain >= top - TIE_RTOL * abs(top):
-            return j, gain, parts, skipped
+            return j, gain, r, skipped
 
 
 def reference_ftp(d, s, method, k_max):
@@ -303,7 +302,7 @@ def reference_stp_trail(d, s, method, alpha, max_size, universe, max_iterations=
     deletion."""
     from tracepursuit import compute_moments
     from tracepursuit.errors import SingularDesignError, TracePursuitError
-    from tracepursuit.kernels import Method, auxiliary_stats, residualize, trace_diff
+    from tracepursuit.kernels import residualize, trace_diff
     from tracepursuit.nulldist import statistic_and_threshold
     from tracepursuit.selectors import TIE_RTOL
 
@@ -329,12 +328,12 @@ def reference_stp_trail(d, s, method, alpha, max_size, universe, max_iterations=
         changed = False
         candidates = [j for j in uni if j not in current]
         if len(current) < max_size and candidates:
-            best_j, _, parts, skips = scalar_scan(
+            best_j, _, best_r, skips = scalar_scan(
                 d, s, method, tuple(sorted(current)), candidates
             )
             record_skips(skips)
             if best_j is not None:
-                stat, thr, _ = statistic_and_threshold(method, d, s, *parts, alpha)
+                stat, thr, _ = statistic_and_threshold(method, best_r, alpha)
                 if stat > thr:
                     current.add(best_j)
                     changed = True
@@ -350,18 +349,17 @@ def reference_stp_trail(d, s, method, alpha, max_size, universe, max_iterations=
             for j in members:
                 m = compute_moments(d, s, tuple(sorted(current - {j})))
                 try:
-                    r = residualize(d, s, m, j)
-                    aux = None if method is Method.SIR else auxiliary_stats(m, r)
-                    scored.append((j, trace_diff(method, m, r, aux), (m, r, aux)))
+                    r = residualize(m, j)
+                    scored.append((j, trace_diff(method, r), r))
                 except TracePursuitError as err:
                     skips.append((j, err.category))
             record_skips(skips)
             if scored:
                 low = min(loss for _, loss, _ in scored)
-                best_d, _, best_parts = next(
+                best_d, _, best_r = next(
                     t for t in scored if t[1] <= low + TIE_RTOL * abs(low)
                 )
-                stat, thr, _ = statistic_and_threshold(method, d, s, *best_parts, alpha)
+                stat, thr, _ = statistic_and_threshold(method, best_r, alpha)
                 if stat < thr:
                     current.remove(best_d)
                     changed = True

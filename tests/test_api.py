@@ -38,6 +38,20 @@ def test_benchmark_and_readme_names_are_exported():
     assert used and used <= set(tp.__all__), sorted(used - set(tp.__all__))
 
 
+def test_readme_python_blocks_run():
+    """Every ``python`` block of the README runs, in order and in one
+    namespace, so a signature change that misses the README fails here."""
+    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+    assert len(blocks) >= 2
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)
+    assert (namespace["statistic"], namespace["threshold"]) == (
+        namespace["res"].statistic,
+        namespace["res"].threshold,
+    )
+
+
 def test_scalar_route_is_imported_from_its_modules():
     import tracepursuit.kernels as kernels
     import tracepursuit.nulldist as nulldist

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,13 +48,13 @@ class TestResidualize:
         s = slice_response(d.y, 2)
         m = compute_moments(d, s, (1, 2))
         with pytest.raises(CollinearCandidateError):
-            residualize(d, s, m, 4)
+            residualize(m, 4)
 
     def test_empty_set_standardizes_column(self, rng):
         d = make_dataset(rng, 50, 3)
         s = slice_response(d.y, 4)
         m = compute_moments(d, s, ())
-        r = residualize(d, s, m, 2)
+        r = residualize(m, 2)
         xc = d.x[:, 1] - d.x[:, 1].mean()
         sd = np.sqrt(np.mean(xc**2) - xc.mean() ** 2)
         assert np.max(np.abs(r.gamma_per_sample - xc / sd)) < 1e-12
@@ -62,7 +64,7 @@ class TestResidualize:
             d = make_dataset(rng, 40, 4)
             s = slice_response(d.y, 4)
             m = compute_moments(d, s, (1, 3))
-            r = residualize(d, s, m, 4)
+            r = residualize(m, 4)
             _, _, gbs, gamma = ols_slice_means(d.x, s.membership, [0, 2], 3)
             assert np.allclose(r.gamma_by_slice, gbs, atol=1e-10)
             assert np.allclose(r.gamma_per_sample, gamma, atol=1e-10)
@@ -77,7 +79,7 @@ class TestResidualize:
         d, _ = generate(SimDesign(model="I", n=n, p=p, rho=rho, seed=k))
         s = slice_response(d.y, 4)
         f = tuple(range(1, k + 1))
-        r = residualize(d, s, compute_moments(d, s, f), k + 1)
+        r = residualize(compute_moments(d, s, f), k + 1)
         xc = d.x - d.x.mean(axis=0)
         beta = np.linalg.lstsq(xc[:, :k], xc[:, k], rcond=None)[0]
         resid = xc[:, k] - xc[:, :k] @ beta
@@ -88,7 +90,7 @@ class TestResidualize:
         for _ in range(10):
             d, s, f, j = random_case(rng)
             m = compute_moments(d, s, f)
-            r = residualize(d, s, m, j)
+            r = residualize(m, j)
             p_hat = np.asarray(s.proportions)
             assert abs(p_hat @ r.gamma_by_slice) < 1e-10
             assert abs(p_hat @ r.zeta_by_slice - 1.0) < 1e-10
@@ -96,7 +98,7 @@ class TestResidualize:
             assert np.mean(gamma**2) - np.mean(gamma) ** 2 == pytest.approx(1.0, rel=1e-10)
             # the residual is orthogonal to the working set, so the
             # proportion-weighted whitened cross-moments sum to zero
-            assert np.all(np.abs(p_hat @ auxiliary_stats(m, r)) < 1e-10)
+            assert np.all(np.abs(p_hat @ auxiliary_stats(r)) < 1e-10)
 
     def test_singular_design_error(self):
         rng = np.random.default_rng(5)
@@ -106,7 +108,7 @@ class TestResidualize:
         s = slice_response(d.y, 2)
         m = compute_moments(d, s, (1, 2))
         with pytest.raises(SingularDesignError):
-            residualize(d, s, m, 3)
+            residualize(m, 3)
 
 
 class TestTraceKernel:
@@ -185,7 +187,7 @@ class TestWorkingSetAlgebra:
             m = compute_moments(d, s, tuple(sorted(f + (j,))))
             assert m.kappa == trace_kernel(Method.SIR, m)
             _, sigma, u, _ = naive_moments(d.x, s.membership, [a - 1 for a in m.f])
-            w = np.einsum("h,ha,hb->ab", m.proportions, u, u)
+            w = np.einsum("h,ha,hb->ab", s.proportions, u, u)
             exact = float(np.trace(np.linalg.solve(sigma, w)))
             assert m.kappa == pytest.approx(exact, rel=1e-12, abs=1e-12)
 
@@ -201,12 +203,11 @@ class TestWorkingSetAlgebra:
     def test_one_eigendecomposition_per_working_set(self, small_case, eigh_calls):
         d, s, m = small_case
         for j in (3, 4, 5):
-            r = residualize(d, s, m, j)
-            nu = auxiliary_stats(m, r)
+            r = residualize(m, j)
             for method in METHODS:
-                trace_diff(method, m, r, nu)
+                trace_diff(method, r)
                 trace_kernel(method, m)
-                influence_samples(method, d, s, m, r, nu)
+                influence_samples(method, r)
         assert len(eigh_calls) == 1
 
     def test_singular_set_decomposed_once(self, eigh_calls):
@@ -241,11 +242,10 @@ def test_results_do_not_depend_on_the_whitening(method, size):
         m = compute_moments(d, s, f)
         if rotation is not None:
             m.whitening = m.whitening @ rotation
-        r = residualize(d, s, m, j)
-        nu = None if method is Method.SIR else auxiliary_stats(m, r)
-        stat, thr, _ = statistic_and_threshold(method, d, s, m, r, nu, 0.05)
-        weights = omega_weights(omega_hat(influence_samples(method, d, s, m, r, nu)))
-        return trace_diff(method, m, r, nu), trace_kernel(method, m), stat, thr, weights
+        r = residualize(m, j)
+        stat, thr, _ = statistic_and_threshold(method, r, 0.05)
+        weights = omega_weights(omega_hat(influence_samples(method, r)))
+        return trace_diff(method, r), trace_kernel(method, m), stat, thr, weights
 
     *plain, w_plain = results(None)
     *rotated, w_rotated = results(_rotation(rng, size))
@@ -268,9 +268,8 @@ class TestScanState:
                     if j in f:
                         assert gain == -np.inf
                         continue
-                    r = residualize(d, s, m, j)
-                    nu = None if method is Method.SIR else auxiliary_stats(m, r)
-                    assert gain == pytest.approx(trace_diff(method, m, r, nu), rel=1e-10)
+                    r = residualize(m, j)
+                    assert gain == pytest.approx(trace_diff(method, r), rel=1e-10)
 
     def test_growing_equals_building(self, rng):
         d, s, _, _ = random_case(rng, p_range=(8, 8))
@@ -424,37 +423,38 @@ class TestScanCertificateAndRepack:
                 if j in f:
                     assert gain == -np.inf
                     continue
-                r = residualize(d, s, m, j)
-                nu = None if method is Method.SIR else auxiliary_stats(m, r)
-                assert gain == pytest.approx(trace_diff(method, m, r, nu), rel=1e-10)
+                r = residualize(m, j)
+                assert gain == pytest.approx(trace_diff(method, r), rel=1e-10)
 
 
-def _synthetic_residual(gamma_by_slice, zeta_by_slice):
+def _synthetic_residual(gamma_by_slice, zeta_by_slice, proportions, white_u=None, kappa=0.0):
+    """A residual on a stub working set of two members, one sample per slice
+    and whitened columns Z = 0, so its cross-moments nu are zero."""
+    h = len(proportions)
+    s = SimpleNamespace(proportions=np.asarray(proportions, dtype=float), averaging=np.eye(h))
+    m = SimpleNamespace(s=s, white_u=white_u, white_xc=np.zeros((h, 2)), kappa=kappa)
     return ResidualStats(
+        m=m,
+        j=3,
         gamma_by_slice=np.asarray(gamma_by_slice, dtype=float),
         zeta_by_slice=np.asarray(zeta_by_slice, dtype=float),
-        gamma_per_sample=np.zeros(2),
+        gamma_per_sample=np.zeros(h),
     )
 
 
 class TestTraceDiff:
     def test_null_summaries_give_zero(self):
         # gamma = 0, zeta = 1, nu = 0 in every slice, so iota = phi = 0
-        class _M:
-            proportions = np.array([0.25, 0.25, 0.25, 0.25])
-            white_u = np.arange(8.0).reshape(4, 2)
-            kappa = 3.0
-
-        r = _synthetic_residual(np.zeros(4), np.ones(4))
+        r = _synthetic_residual(
+            np.zeros(4), np.ones(4), [0.25] * 4, white_u=np.arange(8.0).reshape(4, 2), kappa=3.0
+        )
+        assert np.array_equal(r.nu, np.zeros((4, 2)))
         for method in METHODS:
-            assert trace_diff(method, _M, r, np.zeros((4, 2))) == pytest.approx(0.0, abs=1e-15)
+            assert trace_diff(method, r) == pytest.approx(0.0, abs=1e-15)
 
     def test_sir_direct_formula(self):
-        class _M:
-            proportions = np.array([0.5, 0.5])
-
-        r = _synthetic_residual([0.3, -0.3], [1.0, 1.0])
-        assert trace_diff(Method.SIR, _M, r) == pytest.approx(0.09)
+        r = _synthetic_residual([0.3, -0.3], [1.0, 1.0], [0.5, 0.5])
+        assert trace_diff(Method.SIR, r) == pytest.approx(0.09)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_matches_direct_kernel_difference(self, method, rng):
@@ -462,10 +462,9 @@ class TestTraceDiff:
         for _ in range(25):
             d, s, f, j = random_case(rng)
             m = compute_moments(d, s, f)
-            r = residualize(d, s, m, j)
-            nu = auxiliary_stats(m, r)
+            r = residualize(m, j)
             m_full = compute_moments(d, s, tuple(sorted(f + (j,))))
-            diff = trace_diff(method, m, r, nu)
+            diff = trace_diff(method, r)
             direct = trace_kernel(method, m_full) - trace_kernel(method, m)
             denom = max(1.0, trace_kernel(method, m_full))
             worst = max(worst, abs(diff - direct) / denom)
@@ -475,24 +474,17 @@ class TestTraceDiff:
         for _ in range(20):
             d, s, f, j = random_case(rng)
             m = compute_moments(d, s, f)
-            r = residualize(d, s, m, j)
-            assert trace_diff(Method.SIR, m, r) >= 0.0
-
-    def test_save_dr_require_aux(self, small_case):
-        d, s, m = small_case
-        r = residualize(d, s, m, 3)
-        with pytest.raises(ValueError):
-            trace_diff(Method.SAVE, m, r, None)
+            r = residualize(m, j)
+            assert trace_diff(Method.SIR, r) >= 0.0
 
     def test_empty_set_diff_equals_singleton_kernel(self, rng):
         d = make_dataset(rng, 70, 4)
         s = slice_response(d.y, 4)
         m0 = compute_moments(d, s, ())
-        r = residualize(d, s, m0, 2)
-        nu = auxiliary_stats(m0, r)
+        r = residualize(m0, 2)
         m1 = compute_moments(d, s, (2,))
         for method in METHODS:
-            assert trace_diff(method, m0, r, nu) == pytest.approx(
+            assert trace_diff(method, r) == pytest.approx(
                 trace_kernel(method, m1), rel=1e-10, abs=1e-12
             )
 
@@ -535,8 +527,8 @@ class TestDeletionGains:
             ref = []
             for j in f:
                 rest = compute_moments(d, s, tuple(i for i in f if i != j))
-                r = residualize(d, s, rest, j)  # no CollinearCandidateError
-                ref.append(trace_diff(meth, rest, r, auxiliary_stats(rest, r)))
+                r = residualize(rest, j)  # no CollinearCandidateError
+                ref.append(trace_diff(meth, r))
             # near-zero gains carry the rounding of the largest in both routes
             assert np.allclose(gains, ref, rtol=1e-10, atol=1e-10 * np.max(np.abs(ref))), meth
         f0 = [i - 1 for i in f]

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracepursuit.kernels as kernels
 import tracepursuit.nulldist as nulldist
 from tracepursuit import (
     Dataset,
@@ -47,11 +48,8 @@ from oracles import (
 METHODS = list(Method)
 
 
-def _parts(d, s, f, j):
-    m = compute_moments(d, s, f)
-    r = residualize(d, s, m, j)
-    nu = auxiliary_stats(m, r)
-    return m, r, nu
+def _residual(d, s, f, j):
+    return residualize(compute_moments(d, s, f), j)
 
 
 class TestInfluenceSamples:
@@ -59,8 +57,8 @@ class TestInfluenceSamples:
     def test_columns_have_zero_mean(self, method, rng):
         for _ in range(5):
             d, s, f, j = random_case(rng, n_range=(50, 120))
-            m, r, nu = _parts(d, s, f, j)
-            ell = influence_samples(method, d, s, m, r, nu)
+            r = _residual(d, s, f, j)
+            ell = influence_samples(method, r)
             mu = np.abs(ell.mean(axis=0))
             sd = ell.std(axis=0)
             live = sd > 0
@@ -78,8 +76,8 @@ class TestInfluenceSamples:
     @pytest.mark.parametrize("method", METHODS)
     def test_realized_shapes(self, method, rng):
         d, s, f, j = random_case(rng)
-        m, r, nu = _parts(d, s, f, j)
-        ell = influence_samples(method, d, s, m, r, nu)
+        r = _residual(d, s, f, j)
+        ell = influence_samples(method, r)
         assert ell.shape == (d.n, influence_dim(method, len(f), s.h_count))
 
     @pytest.mark.parametrize("h_count", [2, 3, 7])
@@ -96,17 +94,17 @@ class TestInfluenceSamples:
         s = slice_response(d.y, h_count, discrete=True)
         assert s.h_count == h_count and np.unique(s.counts).size > 1
         assert np.any(np.diff(s.membership) < 0)
-        m, r, nu = _parts(d, s, tuple(range(1, size + 1)), p)
-        ell = influence_samples(method, d, s, m, r, nu)
-        want = reference_influence_samples(method, d, s, m, r, nu)
+        r = _residual(d, s, tuple(range(1, size + 1)), p)
+        ell = influence_samples(method, r)  # SAVE and DR form r.nu here
+        want = reference_influence_samples(method, d, s, r.m, r, r.nu)
         assert ell.shape == want.shape
         assert np.max(np.abs(ell - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_sir_empty_set_closed_form(self, rng):
         d = make_dataset(rng, 60, 3)
         s = slice_response(d.y, 4)
-        m, r, nu = _parts(d, s, (), 2)
-        ell = influence_samples(Method.SIR, d, s, m, r, nu)
+        r = _residual(d, s, (), 2)
+        ell = influence_samples(Method.SIR, r)
         xj = d.x[:, 1] - d.x[:, 1].mean()
         sd = np.sqrt(np.mean(xj**2) - xj.mean() ** 2)
         p_hat = np.asarray(s.proportions)
@@ -120,8 +118,8 @@ class TestInfluenceSamples:
     def test_sir_omega_matches_component_oracle(self, rng):
         for _ in range(3):
             d, s, f, j = random_case(rng, n_range=(40, 90), p_range=(3, 6))
-            m, r, nu = _parts(d, s, f, j)
-            omega = omega_hat(influence_samples(Method.SIR, d, s, m, r, nu))
+            r = _residual(d, s, f, j)
+            omega = omega_hat(influence_samples(Method.SIR, r))
             want = sir_omega_from_components(
                 d.x, s.membership, [i - 1 for i in f], j - 1
             )
@@ -132,9 +130,9 @@ class TestInfluenceSamples:
         # of the weighted chi-square then matches the weight sum (trace of
         # omega), which pins the stacking order and scale.
         d, s, f, j = random_case(rng, n_range=(80, 120))
-        m, r, nu = _parts(d, s, f, j)
+        r = _residual(d, s, f, j)
         for method in METHODS:
-            w = omega_weights(omega_hat(influence_samples(method, d, s, m, r, nu)))
+            w = omega_weights(omega_hat(influence_samples(method, r)))
             rng2 = np.random.default_rng(99)
             draws = rng2.chisquare(1.0, size=(20000, w.size)) @ w
             se = draws.std() / np.sqrt(draws.size)
@@ -151,9 +149,9 @@ class TestOmegaHat:
 
     def test_psd_and_sorted(self, rng):
         d, s, f, j = random_case(rng)
-        m, r, nu = _parts(d, s, f, j)
+        r = _residual(d, s, f, j)
         for method in METHODS:
-            omega = omega_hat(influence_samples(method, d, s, m, r, nu))
+            omega = omega_hat(influence_samples(method, r))
             weights = omega_weights(omega)
             assert np.all(weights >= 0.0)
             assert np.all(np.diff(weights) <= 0.0)
@@ -166,8 +164,8 @@ class TestOmegaHat:
         d, _ = generate(SimDesign(model="I", n=300, p=40, seed=0))
         s = slice_response(d.y, 4)
         for f in ((), tuple(range(1, 31))):
-            m, r, nu = _parts(d, s, f, 35)
-            ell = influence_samples(method, d, s, m, r, nu)
+            r = _residual(d, s, f, 35)
+            ell = influence_samples(method, r)
             omega = omega_hat(ell)
             old = (ell.T @ ell) / d.n
             assert np.array_equal(omega, omega.T)
@@ -203,9 +201,9 @@ class TestWeightMoments:
     def test_threshold_matches_the_eigenvalue_route(self, method, rng):
         for _ in range(30):
             d, s, f, j = random_case(rng)
-            m, r, nu = _parts(d, s, f, j)
-            weights = omega_weights(omega_hat(influence_samples(method, d, s, m, r, nu)))
-            _, thr, (sum_w, _) = statistic_and_threshold(method, d, s, m, r, nu, 0.05)
+            r = _residual(d, s, f, j)
+            weights = omega_weights(omega_hat(influence_samples(method, r)))
+            _, thr, (sum_w, _) = statistic_and_threshold(method, r, 0.05)
             assert thr == pytest.approx(weighted_chisq_upper_quantile(weights, 0.05), rel=1e-12)
             assert sum_w == pytest.approx(weights.sum(), rel=1e-12)
 
@@ -292,6 +290,11 @@ class TestWeightedChisqQuantile:
         with pytest.raises(ValueError, match="n_draws must be >= 1"):
             weighted_chisq_quantile_mc(np.array([1.0, 0.5]), 0.05, n_draws=n_draws)
 
+    @pytest.mark.parametrize("n_draws", [1000.0, 2.5, "1000"])
+    def test_mc_draw_count_must_be_an_integer(self, n_draws):
+        with pytest.raises(ValueError, match="n_draws must be an integer"):
+            weighted_chisq_quantile_mc(np.array([1.0, 0.5]), 0.05, n_draws=n_draws)
+
     def test_mc_fallback_reproducible_and_close(self):
         w = np.array([1.0, 0.5, 0.25])
         a = weighted_chisq_quantile_mc(w, 0.05, n_draws=200_000, seed=11)
@@ -318,6 +321,46 @@ class TestWeightedChisqQuantile:
         # one chunk of draws plus a few n_draws vectors; one block would be 48 MB
         assert peak < 8 * (MC_CHUNK_ROWS * w.size + 4 * n_draws) < 8 * n_draws * w.size
         assert q == pytest.approx(mc_weighted_chisq_quantile(w, 0.05, n_draws, seed=6), rel=0.03)
+
+
+class TestResidualCarriesItsWorkingSet:
+    """A residual holds its moments, and through them the dataset and the
+    slicing, so a test's statistic and null law come from the residual alone."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        d, _ = generate(SimDesign(model="I", n=300, p=40, seed=0))
+        return d, slice_response(d.y, 4)
+
+    @pytest.mark.parametrize("size", [0, 1, 5, 30])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_parts_equal_trace_test_bit_for_bit(self, data, method, size):
+        d, s = data
+        f = tuple(range(1, size + 1))
+        r = residualize(compute_moments(d, s, f), 35)
+        assert r.m.d is d and r.m.s is s and r.m.f == f and r.j == 35
+        statistic, threshold, (sum_w, sum_w2) = statistic_and_threshold(method, r, 0.05)
+        res = trace_test(method, d, s, f, 35, 0.05)
+        assert (res.statistic, res.threshold) == (statistic, threshold)
+        assert (res.weight_sum, res.effective_dof) == (sum_w, sum_w**2 / sum_w2)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_nu_is_formed_once_and_only_for_save_and_dr(self, data, method, monkeypatch):
+        calls = []
+
+        def spy(r):
+            calls.append(r.j)
+            return auxiliary_stats(r)
+
+        monkeypatch.setattr(kernels, "auxiliary_stats", spy)
+        d, s = data
+        for f in ((), (1, 2, 3)):
+            calls.clear()
+            trace_test(method, d, s, f, 35, 0.05)
+            assert len(calls) == (0 if method is Method.SIR else 1)
+            calls.clear()
+            trace_test_with_weights(method, d, s, f, 35, 0.05)
+            assert len(calls) == (0 if method is Method.SIR else 1)
 
 
 class TestTraceTest:

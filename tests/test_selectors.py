@@ -391,42 +391,46 @@ class TestStp:
         assert set(report.selected) <= {1, 3, 4}
         assert report.stage_sizes[0] == 3
 
-    @pytest.mark.parametrize("method", list(Method))
-    def test_stop_note_names_the_set_size_cap(self, method):
-        """A run whose growth the cap ended says so; one a test ended converges."""
-        d, _ = generate(SimDesign(model="I", n=300, p=10, seed=1))
-        s = slice_response(d.y, 4)
-        for cap, note in ((1, "set-size cap reached"), (2, "set-size cap reached"), (8, "converged")):
-            cfg = StpConfig(method=method, max_set_size=cap)
-            report = stp_run(d, s, cfg)
-            assert report.trail[-1].note == note
-            assert (len(report.selected) == cap) == (note != "converged")
-            expected = reference_stp_trail(
-                d, s, method, cfg.resolved_alpha(d.p),
-                cfg.resolved_max_set_size(d.n, d.p, 4), range(1, d.p + 1),
-            )
-            got = [(e.action, e.index, e.statistic, e.threshold, e.note) for e in report.trail]
-            assert got == expected
-
     @pytest.mark.parametrize(
-        "fields",
+        "method, n, p, alpha, note",
         [
-            {"max_set_size": 2.5},
-            {"max_set_size": "3"},
-            {"max_iterations": 10.0},
-            {"max_iterations": 0},
-            {"max_iterations": -3},
+            (Method.SIR, 12, 10, 0.45, "set-size cap reached"),
+            (Method.SAVE, 60, 40, 0.45, "set-size cap reached"),
+            (Method.DR, 60, 40, 0.45, "set-size cap reached"),
+            (Method.SIR, 300, 10, None, "converged"),
+            (Method.SAVE, 300, 10, None, "converged"),
+            (Method.DR, 300, 10, None, "converged"),
         ],
+        ids=["sir-cap", "save-cap", "dr-cap", "sir-converged", "save-converged", "dr-converged"],
     )
-    def test_misread_integer_settings_are_rejected(self, fields):
-        with pytest.raises(ValueError):
-            StpConfig(method=Method.SIR, **fields)
+    def test_stop_note_names_the_set_size_cap(self, method, n, p, alpha, note):
+        """A run whose growth the cap ended says so; one a test ended converges.
+        At n=12 the SIR cap is n - H - 2 = 6; at n=60 the SAVE and DR caps are
+        14 and 11, where the influence dimension would reach n."""
+        d, _ = generate(SimDesign(model="I", n=n, p=p, seed=1))
+        s = slice_response(d.y, 4)
+        cfg = StpConfig(method=method, alpha=alpha)
+        cap = cfg.resolved_max_set_size(d.n, d.p, 4)
+        report = stp_run(d, s, cfg)
+        assert report.trail[-1].note == note
+        assert (len(report.selected) == cap) == (note != "converged")
+        expected = reference_stp_trail(
+            d, s, method, cfg.resolved_alpha(d.p), cap, range(1, d.p + 1)
+        )
+        got = [(e.action, e.index, e.statistic, e.threshold, e.note) for e in report.trail]
+        assert got == expected
+
+    def test_no_room_for_a_working_set_is_rejected(self):
+        """At n = H + 2 the cap min(p, n - H - 2) is 0: no set can be tested."""
+        d = _noise_dataset(5, n=6, p=3)
+        with pytest.raises(ValueError, match="no room for a working set"):
+            stp_run(d, slice_response(d.y, 4), StpConfig(method=Method.SIR, alpha=0.5))
 
     def test_terminates_within_iteration_cap(self):
         d = _noise_dataset(5, n=120, p=6)
         s = slice_response(d.y, 4)
         # generous alpha encourages churn; the guard must still stop the run
-        report = stp_run(d, s, StpConfig(method=Method.SIR, alpha=0.6, max_iterations=50))
+        report = stp_run(d, s, StpConfig(method=Method.SIR, alpha=0.6))
         assert report.trail[-1].action == "stop"
 
     @pytest.mark.xfail(

@@ -78,6 +78,21 @@ class TestGenerate:
             SimDesign(model="I", n=10, p=5, rho=1.0)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: SimDesign(model="I", n=300.0), "n"),
+        (lambda: SimDesign(model="I", p=10.0), "p"),
+        (lambda: SimDesign(model="I", seed=1.5), "seed"),
+        (lambda: run_experiment(SimDesign(model="I", n=60), "ftp", Method.SIR, n_reps=2.0), "n_reps"),
+    ],
+    ids=["n", "p", "seed", "n_reps"],
+)
+def test_float_counts_rejected(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
 class TestEvaluate:
     def test_all_correct(self):
         m = evaluate([(1, 2, 9, 10)] * 5, (1, 2, 9, 10))
