@@ -5,8 +5,9 @@ each method.  ``trace_diff`` evaluates the closed-form expression for the
 gain trace(kernel on F + j) - trace(kernel on F) directly from residual
 summaries, at O(|F|^2 H) per candidate instead of rebuilding both kernels;
 it scores single candidates (the trace tests).  ``ScanState`` evaluates the
-same gains for every candidate of a forward scan at once, from residuals it
-keeps up to date as the working set grows, and ``deletion_gains`` those of
+same gains for every candidate of a forward scan at once, from slice
+statistics of the candidate residuals that it keeps current as the working
+set grows, without forming the residuals, and ``deletion_gains`` those of
 every member of F, from the whitening of F alone.
 
 The routes agree to floating point because every sample moment is an
@@ -52,11 +53,17 @@ from .errors import CollinearCandidateError, SingularDesignError, WorkingSetInde
 # candidate's own variance) below this is treated as exact collinearity.
 COLLINEARITY_FLOOR = 1e-12
 
-# ScanState drops the members from its residual block once they fill
-# 1/_REPACK of it, and updates the block in row chunks of about _BLOCK
-# entries: narrow blocks in one call, wide ones with a small temporary.
+# ScanState drops the members from its standardized block once they fill
+# 1/_REPACK of it.
 _REPACK = 8
-_BLOCK = 1 << 16
+
+# A candidate's residual sum of squares, kept by subtraction, has lost about
+# -log10(_REFRESH) digits to cancellation once it falls below _REFRESH times
+# its value when last computed from the explicit residual.  ScanState then
+# computes that column's statistics again from its residual, as LAPACK's
+# pivoted QR does with its column norms (Drmac and Bujanovic 2008), so a
+# nearly collinear candidate keeps its gain to about 1e-10.
+_REFRESH = 1e-4
 
 
 class Method(enum.Enum):
@@ -237,39 +244,52 @@ class ScanState:
     """Trace gains of every candidate column over a growing working set F.
 
     The vectorized counterpart of ``residualize``, ``auxiliary_stats`` and
-    ``trace_diff`` for scans: the candidates are the ``columns`` (1-based,
-    ascending) outside F, and ``f`` lists the members in the order added.
-    It holds the residuals given F of the standardized candidate columns, an
-    orthonormal basis Q and the triangular factor R_Q of the standardized
-    working set (X_F = Q R_Q, so Sigma_F = R_Q' R_Q / n), the projections Q'X
-    of the held columns, the slice indicator matrix and R_Q^{-1} with its
+    ``trace_diff`` for scans with one kernel, ``method``: the candidates are
+    the ``columns`` (1-based, ascending) outside F, and ``f`` lists the
+    members in the order added.  It holds the standardized columns X as a
+    read-only block, an orthonormal basis Q and the triangular factor R_Q of
+    the standardized working set (X_F = Q R_Q, so Sigma_F = R_Q' R_Q / n),
+    the projections Q'X, the slice indicator matrix S, and R_Q^{-1} with its
     squared Frobenius norm, which with |R_Q|_F^2 = n |F| bounds the spread
-    of Sigma_F's eigenvalues.  ``add`` grows F by one member: one modified
-    Gram-Schmidt vector q, one in-place rank-1 projection of every held
-    residual column onto the complement of q, one new column of R_Q read
-    from Q'X, and one new column of R_Q^{-1} from one matrix-vector product,
-    so with m columns an addition costs O(n (m - |F|) + |F|^2) and nothing
-    is rebuilt.
-    ``gains`` then scores all candidates with a few BLAS calls:
-    O(n (m - |F|) H) for SIR and O(n (m - |F|) |F|) for SAVE and DR, which
-    need the slice cross-moments Q_h' R_h.
+    of Sigma_F's eigenvalues.  The residuals R = X - Q Q'X are not formed:
+    the state keeps only what the gains read of them, namely the slice sums
+    S'R and the residual sums of squares, and for SAVE and DR the slice sums
+    of squares and the slice cross-moments Q_h' R_h.  Each is computed from
+    X at |F| = 0 and then updated, as pivoted QR keeps its column norms
+    (Businger and Golub 1965); as there, a column whose sum of squares has
+    lost most of its digits to cancellation is computed again from its
+    explicit residual (``_REFRESH``).
 
-    The residual block holds the columns at positions ``live`` (ascending)
-    and stays C-contiguous: once members fill 1/``_REPACK`` of its width it
-    is copied without them, in the same order.  Rows are kept slice by
-    slice, so each slice is a contiguous block; the gains are sums over
-    samples within slices, which row order does not change.  With Q the
-    whitening is W = sqrt(n) R_Q^{-1} (X_F = Q R_Q), which satisfies
+    ``add`` grows F by one member.  Its residual x_j - Q Q'x_j,
+    orthogonalized twice (Giraud, Langou and Rozloznik 2005), gives the new
+    basis vector q and the new column of R_Q, and one more column of
+    R_Q^{-1} comes from one matrix-vector product.  One product of q, split
+    by slice, with the block gives w = q'X and b_h = q_h' R_h, from which
+    S'R loses (S'q) w', the sums of squares lose w^2, the slice sums of
+    squares lose 2 w b_h - |q_h|^2 w^2 and Q_h' R_h loses (Q_h' q_h) w' and
+    gains the row b_h - |q_h|^2 w.  With m columns an addition costs
+    O(n m) for the product plus O(H m) for SIR and O(H |F| m) for SAVE and
+    DR; no n x m block is written.  ``gains`` then scores all candidates in
+    O(H m) for SIR and O(H |F| m) for SAVE and DR.
+
+    The block holds the columns at positions ``live`` (ascending) and stays
+    C-contiguous: once members fill 1/``_REPACK`` of its width it and the
+    kept statistics are copied without them, in the same order.  Rows are
+    kept slice by slice, so each slice is a contiguous block; the gains are
+    sums over samples within slices, which row order does not change.  With
+    Q the whitening is W = sqrt(n) R_Q^{-1}, which satisfies
     W W' = Sigma_F^{-1}; the gains depend on the whitening only through such
     products, so no Sigma_F^{-1/2} is formed.
     """
 
-    def __init__(self, d: Dataset, s: SliceAssignment, columns: IndexSet, f: IndexSet = ()):
+    def __init__(
+        self, d: Dataset, s: SliceAssignment, method: Method, columns: IndexSet, f: IndexSet = ()
+    ):
         check_slicing(d, s)
         self.n = d.n
+        self.method = method
         self.columns = np.asarray(columns, dtype=np.int64)
         self.f: list[int] = []
-        self._pos = {int(j): i for i, j in enumerate(self.columns)}
         self.member = np.zeros(self.columns.size, dtype=bool)
         self.counts = s.counts.astype(np.float64)
         self.proportions = np.asarray(s.proportions)
@@ -279,31 +299,38 @@ class ScanState:
         for h, (a, b) in enumerate(self.bounds):
             self.indicator[a:b, h] = 1.0
         idx = self.columns - 1
-        self.resid = d.x[np.ix_(np.concatenate(s.rows), idx)]
-        self.resid -= d.column_means()[idx]
-        self.resid *= d.column_scales()[idx]
-        self.live = np.arange(self.columns.size)  # positions of the resid columns
+        x = d.x if self.columns.size == d.p else d.x[:, idx]
+        block = x[np.concatenate(s.rows)]
+        block -= d.column_means()[idx]
+        block *= d.column_scales()[idx]
+        block.setflags(write=False)
+        self.block = block
+        self.live = np.arange(self.columns.size)  # positions of the block's columns
         self._dead = 0  # members among them
         cap = min(self.columns.size, d.n)
         self.q = np.empty((d.n, cap), order="F")
         self.slice_q = np.empty((s.h_count, cap))  # S'Q, slice sums of the basis
-        self.qx = np.empty((cap, self.live.size))  # Q'X of the held columns
+        self.qx = np.empty((cap, self.live.size))  # Q'X of the block
         self.rq = np.zeros((cap, cap))
         self.singular = False
         self._rinv_t = np.zeros((cap, cap))  # R_Q^{-T}: row k is column k of R_Q^{-1}
         self._inv_norm2 = 0.0  # |R_Q^{-1}|_F^2
+        width = self.live.size
+        self.sums = np.empty((s.h_count, width))  # S'R
+        self.rss = np.empty(width)  # |R|^2 by column
+        self.base = np.empty(width)  # rss when last computed from the residual
+        if method is not Method.SIR:
+            self.sq = np.empty((s.h_count, width))  # slice sums of R^2
+            self.cross = np.empty((cap, s.h_count, width))  # row k: q_k,h' R_h
+        self._refresh(slice(None))
         for j in f:
             self.add(j)
 
-    def _slice_sums(self) -> tuple[np.ndarray, np.ndarray]:
-        """Slice sums of the held residuals and of their squares, each (H, width)."""
-        r = self.resid
-        sq = np.array([np.einsum("ij,ij->j", r[a:b], r[a:b]) for a, b in self.bounds])
-        return self.indicator.T @ r, sq
-
     def add(self, j: int) -> None:
         """Move column ``j`` from the candidates into the working set."""
-        i = self._pos[int(j)]
+        i = int(self.columns.searchsorted(j))
+        if i == self.columns.size or self.columns[i] != j:
+            raise WorkingSetIndexError(f"column {j} is not among the scanned columns")
         if self.member[i]:
             raise WorkingSetIndexError(f"candidate {j} already in working set")
         k = len(self.f)
@@ -312,8 +339,11 @@ class ScanState:
         if self.singular:
             return  # a singular Sigma_F stays singular as F grows (interlacing)
         slot = int(self.live.searchsorted(i))
-        r = self.resid[:, slot]
-        self.rq[:k, k] = self.qx[:k, slot]
+        basis, c = self.q[:, :k], self.qx[:k, slot]  # Q and Q'x_j
+        r = self.block[:, slot] - basis @ c
+        c2 = basis.T @ r  # the second Gram-Schmidt pass
+        r -= basis @ c2
+        self.rq[:k, k] = c + c2
         self.rq[k, k] = math.sqrt(r @ r)
         self.singular = self._is_singular(k + 1)
         if self.singular:
@@ -322,19 +352,64 @@ class ScanState:
         self.q[:, k] = q
         self.slice_q[:, k] = self.indicator.T @ q
         self._dead += 1
-        if _REPACK * self._dead >= self.live.size:  # drop members, keep the order
-            keep = ~self.member[self.live]
-            self.live = self.live[keep]
-            self.resid = np.compress(keep, self.resid, axis=1)  # C order, as resid[:, keep] is not
-            qx = np.empty((self.qx.shape[0], self.live.size))
-            qx[:k] = self.qx[:k, keep]
-            self.qx = qx
-            self._dead = 0
-        w = q @ self.resid
+        if _REPACK * self._dead >= self.live.size:
+            self._repack(k)
+        self._update(k, q)
+
+    def _repack(self, k: int) -> None:
+        """Copy the block and the kept statistics without the members, in order."""
+        keep = ~self.member[self.live]
+        self.live = self.live[keep]
+
+        def compress(a, rows=None):  # C order, as a[..., keep] is not
+            out = np.empty(a.shape[:-1] + (self.live.size,))
+            np.compress(keep, a[:rows], axis=-1, out=out[:rows])
+            return out
+
+        self.block = compress(self.block)
+        self.block.setflags(write=False)
+        self.qx = compress(self.qx, k)
+        self.sums, self.rss = compress(self.sums), compress(self.rss)
+        self.base = compress(self.base)
+        if self.method is not Method.SIR:
+            self.sq, self.cross = compress(self.sq), compress(self.cross, k)
+        self._dead = 0
+
+    def _update(self, k: int, q: np.ndarray) -> None:
+        """Take the new basis vector q, column k of Q, out of the kept statistics."""
+        if self.method is Method.SIR:
+            w = q @ self.block
+        else:
+            split = q[:, None] * self.indicator  # column h is q_h, (n, H)
+            qx_h = split.T @ self.block  # q_h' X_h, (H, width)
+            w = qx_h.sum(axis=0)
+            qq = split.T @ self.q[:, : k + 1]  # q_h' Q_h, the last column |q_h|^2
+            q2 = qq[:, k, None]
+            b = qx_h - qq[:, :k] @ self.qx[:k]  # q_h' R_h
+            self.sq -= (2.0 * b - q2 * w) * w
+            self.cross[:k] -= qq[:, :k].T[:, :, None] * w
+            self.cross[k] = b - q2 * w
         self.qx[k] = w
-        step = max(1, _BLOCK // max(1, w.size))
-        for a in range(0, self.n, step):
-            self.resid[a : a + step] -= q[a : a + step, None] * w
+        self.sums -= self.slice_q[:, k, None] * w
+        self.rss -= w * w
+        stale = ~self.member[self.live] & (self.rss < _REFRESH * self.base)
+        if stale.any():
+            self._refresh(np.flatnonzero(stale))
+
+    def _refresh(self, slots) -> None:
+        """Compute the kept statistics of the block's columns ``slots`` from
+        their residuals given F, orthogonalized twice against Q."""
+        k = len(self.f)
+        basis, r = self.q[:, :k], self.block[:, slots]
+        if k:
+            r = r - basis @ (basis.T @ r)
+            r -= basis @ (basis.T @ r)
+        self.sums[:, slots] = self.indicator.T @ r
+        self.rss[slots] = self.base[slots] = np.einsum("ij,ij->j", r, r)
+        if self.method is not Method.SIR:
+            for h, (a, b) in enumerate(self.bounds):
+                self.sq[h, slots] = np.einsum("ij,ij->j", r[a:b], r[a:b])
+                self.cross[:k, h, slots] = basis[a:b].T @ r[a:b]
 
     def _is_singular(self, k: int) -> bool:
         """The ``EIGENVALUE_FLOOR`` verdict on Sigma_F, usually without eigvalsh.
@@ -359,7 +434,7 @@ class ScanState:
                 return False
         return is_singular_spectrum(np.linalg.eigvalsh(rk.T @ rk / self.n))
 
-    def gains(self, method: Method) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    def gains(self) -> tuple[np.ndarray, list[tuple[int, str]]]:
         """Trace gain of each column over F, with the skipped candidates.
 
         Returns the gains aligned with ``columns`` (-inf for members and
@@ -372,10 +447,9 @@ class ScanState:
         if self.singular:
             category = SingularDesignError.category
             return out, [(int(j), category) for j in self.columns[~self.member]]
-        n = self.n
+        n, method = self.n, self.method
         cand = ~self.member[self.live]
-        sums, sq = self._slice_sums()
-        sigma2 = sq.sum(0) / n - (sums.sum(0) / n) ** 2
+        sigma2 = self.rss / n - (self.sums.sum(0) / n) ** 2
         collinear = cand & (sigma2 < COLLINEARITY_FLOOR)
         ok = cand & ~collinear
         category = CollinearCandidateError.category
@@ -383,22 +457,18 @@ class ScanState:
         sigma2 = np.where(ok, sigma2, 1.0)
         nh = self.counts[:, None]
         p_hat = self.proportions
-        g = sums / (nh * np.sqrt(sigma2))  # slice means of the standardized residual
+        g = self.sums / (nh * np.sqrt(sigma2))  # slice means of the standardized residual
 
         z = nu2 = phi2 = iota_sum2 = kappa = None
         if method is not Method.SIR:
-            z = sq / (nh * sigma2)
+            z = self.sq / (nh * sigma2)
             k = len(self.f)
-            q = self.q[:, :k]
+            c = self.cross[:k]  # slice cross-moments Q_h' R_h, (k, H, width)
             mh = self.slice_q[:, :k] / nh  # whitened slice means / sqrt(n)
-            nu2, mc = np.empty_like(g), np.empty_like(g)
-            for h, (a, b) in enumerate(self.bounds):
-                c = q[a:b].T @ self.resid[a:b]  # slice-h cross-moments, (k, width)
-                nu2[h] = np.einsum("ij,ij->j", c, c)
-                mc[h] = mh[h] @ c
-            nu2 *= n / (nh**2 * sigma2)  # |nu_h|^2
+            nu2 = np.einsum("khj,khj->hj", c, c) * (n / (nh**2 * sigma2))  # |nu_h|^2
             gram = n * (mh @ mh.T)  # Gram of the whitened slice means
             if method is Method.SAVE:
+                mc = np.einsum("hk,khj->hj", mh, c)
                 iota_nu = g * mc * (n / (nh * np.sqrt(sigma2)))
                 phi2 = g**2 * np.diag(gram)[:, None] - 2.0 * iota_nu + nu2
             else:

@@ -18,14 +18,17 @@ prefix can win, and ties go to the shorter prefix, so the chosen prefix is
 the full path's.  ``ftp_run`` keeps the full path, and so do SAVE and DR,
 whose traces have no constant bound.
 
-Forward scans are vectorized: a ``ScanState`` keeps the residuals of the
-candidate columns given the working set, updated by one rank-1 projection
-per addition, and scores all candidates with a few BLAS calls, so an FTP
-step costs O(n (p - |F|) H + |F|^2) for SIR (O(n (p - |F|) |F|) for SAVE
-and DR).  FTP keeps one state for its whole path; STP keeps one across its
-forward passes and builds a new one only after a deletion.  The backward
-pass scores every member from one whitening of F (``deletion_gains``): one
-``eigh`` plus O(n |F|^2 + H |F|^3) work.  Only the question a pass tests,
+Forward scans are vectorized: a ``ScanState`` for the run's kernel holds
+the standardized candidate columns, written once, and keeps current only
+the slice statistics of their residuals given the working set that the
+gains read.  An addition costs one product of the new basis vector with
+the columns, O(n p), plus O(H p) for SIR and O(H |F| p) for SAVE and DR;
+no n x p block of residuals is formed.  A scan then costs O(H (p - |F|)) for SIR and
+O(H |F| (p - |F|)) for SAVE and DR.  FTP keeps one state for its whole
+path; STP keeps one across its forward passes and builds a new one only
+after a deletion.  The backward pass scores every member from one
+whitening of F (``deletion_gains``): one ``eigh`` plus
+O(n |F|^2 + H |F|^3) work.  Only the question a pass tests,
 the forward winner or the cheapest member, goes through ``trace_test``, and
 each test is computed once per run: every STP decision is a pure function
 of (F, j), because each moment of F is a product of fixed shape in the
@@ -83,7 +86,7 @@ class StpConfig:
     working-set covariance invertible with slack for the slices, lowered for
     SAVE and DR until every test the run can make has fewer influence
     dimensions than samples, so no null law rests on a rank-deficient weight
-    matrix.
+    matrix.  A size below 1 raises ``ValueError``: no test could be made.
     """
 
     method: Method
@@ -102,6 +105,12 @@ class StpConfig:
         # the largest working set tested has size - 1 members
         while size > 0 and influence_dim(self.method, size - 1, h_count) >= n:
             size -= 1
+        if size < 1:
+            dim = influence_dim(self.method, 0, h_count)
+            raise ValueError(
+                f"n={n} leaves no room for a {self.method.value.upper()} test beside "
+                f"{h_count} slices: its influence vector has {dim} dimensions"
+            )
         return size
 
 
@@ -190,13 +199,13 @@ def _first_best(values: np.ndarray) -> int:
     return int(np.argmax(values >= top - TIE_RTOL * abs(top)))
 
 
-def _scan_candidates(state: ScanState, method: Method):
+def _scan_candidates(state: ScanState):
     """Best candidate of a scan state: (best_j, best_gain, skipped).
 
     ``best_j`` is None when every candidate is skipped.  Gains within
     ``TIE_RTOL`` of the best are ties, and ties go to the smallest index.
     """
-    gains, skipped = state.gains(method)
+    gains, skipped = state.gains()
     if gains.max() == -math.inf:
         return None, -math.inf, skipped
     i = _first_best(gains)
@@ -240,10 +249,10 @@ def _forward_path(
     skipped_all: list[int] = []
     trace_value = 0.0
     best_bic = math.inf
-    state = ScanState(d, s, tuple(range(1, d.p + 1)))
+    state = ScanState(d, s, method, np.arange(1, d.p + 1))
 
     for k in range(1, k_max + 1):
-        best_j, best_gain, skipped = _scan_candidates(state, method)
+        best_j, best_gain, skipped = _scan_candidates(state)
         skipped_all.extend(j for j, _ in skipped)
         if best_j is None:
             break  # every remaining candidate failed; path ends early
@@ -336,8 +345,8 @@ def stp_run(
         if len(current) < min(max_size, len(uni)):
             f = tuple(sorted(current))
             if scan is None:
-                scan = ScanState(d, s, uni, f)
-            best_j, _, skips = _scan_candidates(scan, method)
+                scan = ScanState(d, s, method, uni, f)
+            best_j, _, skips = _scan_candidates(scan)
             record_skips(skips)
             outcome = None if best_j is None else test(f, best_j)
             if outcome is not None and outcome[0] > outcome[1]:

@@ -11,9 +11,11 @@ from hypothesis import strategies as st
 
 from tracepursuit import (
     Dataset,
+    SimDesign,
     StpConfig,
     compute_moments,
     ftp_run,
+    generate,
     htp_run,
     slice_response,
     stp_run,
@@ -201,6 +203,26 @@ class TestColumnUnits:
         scaled_order, scaled_trail, scaled_values = results(scaled)
         assert (scaled_order, scaled_trail) == (order, trail)
         assert scaled_values == pytest.approx(values, rel=1e-10)
+
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_column_offsets_keep_paths_and_selections(self, method):
+        """Every column of Model I shifted by 1e8: the columns are centered
+        before any product, so paths, skips and selections stay the same and
+        path traces move by the rounding of the shifted data alone."""
+        for seed in (1, 2, 3):
+            d, _ = generate(SimDesign(model="I", n=200, p=40, rho=0.5, seed=seed))
+            shifted = Dataset.from_arrays(d.x + 1e8, d.y)
+            s = slice_response(d.y, 4)
+            path, shifted_path = ftp_run(d, s, method), ftp_run(shifted, s, method)
+            assert [st.added_index for st in shifted_path.steps] == [
+                st.added_index for st in path.steps
+            ]
+            assert shifted_path.skipped == path.skipped
+            assert [st.trace_value for st in shifted_path.steps] == pytest.approx(
+                [st.trace_value for st in path.steps], rel=2e-8
+            )
+            assert htp_run(shifted, s, method).selected == htp_run(d, s, method).selected
 
 
 class TestComputeMoments:

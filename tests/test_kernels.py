@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,6 +19,7 @@ from tracepursuit import (
 from tracepursuit.data import is_singular_spectrum
 from tracepursuit.errors import CollinearCandidateError, SingularDesignError
 from tracepursuit.kernels import (
+    COLLINEARITY_FLOOR,
     Method,
     ResidualStats,
     ScanState,
@@ -260,8 +262,8 @@ class TestScanState:
             for h in (2, 4):
                 d, s, _, _ = random_case(rng, p_range=(6, 9), h_choices=(h,))
                 f = tuple(sorted(rng.choice(np.arange(1, d.p + 1), size, replace=False).tolist()))
-                state = ScanState(d, s, tuple(range(1, d.p + 1)), f)
-                gains, skipped = state.gains(method)
+                state = ScanState(d, s, method, tuple(range(1, d.p + 1)), f)
+                gains, skipped = state.gains()
                 assert skipped == []
                 m = compute_moments(d, s, f)
                 for j, gain in zip(state.columns.tolist(), gains):
@@ -273,12 +275,31 @@ class TestScanState:
 
     def test_growing_equals_building(self, rng):
         d, s, _, _ = random_case(rng, p_range=(8, 8))
-        grown = ScanState(d, s, tuple(range(1, 9)))
-        for j in (5, 2, 7):
-            grown.add(j)
-        built = ScanState(d, s, tuple(range(1, 9)), (2, 5, 7))
         for method in METHODS:
-            assert np.allclose(grown.gains(method)[0], built.gains(method)[0], rtol=1e-10)
+            grown = ScanState(d, s, method, tuple(range(1, 9)))
+            for j in (5, 2, 7):
+                grown.add(j)
+            built = ScanState(d, s, method, tuple(range(1, 9)), (2, 5, 7))
+            assert np.allclose(grown.gains()[0], built.gains()[0], rtol=1e-10)
+
+    def test_nearly_collinear_candidates_keep_their_gains(self):
+        """Columns 11 and 12 repeat x1 + x2 up to noise 1e-5 and 3e-6, so
+        given F = {1..8} they keep 5e-11 and 5e-12 of their variance; their
+        kept sums of squares are refreshed from their residuals, and their
+        gains agree with the scalar route as closely as the others'."""
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((200, 12))
+        for noise, a in ((1e-5, 10), (3e-6, 11)):
+            x[:, a] = x[:, 0] + x[:, 1] + noise * rng.standard_normal(200)
+        d = Dataset.from_arrays(x, x[:, 0] + rng.standard_normal(200))
+        s = slice_response(d.y, 4)
+        f = tuple(range(1, 9))
+        m = compute_moments(d, s, f)
+        for method in METHODS:
+            gains, skipped = ScanState(d, s, method, tuple(range(1, 13)), f).gains()
+            assert skipped == []
+            for j in (9, 10, 11, 12):
+                assert gains[j - 1] == pytest.approx(trace_diff(method, residualize(m, j)), rel=1e-8)
 
     def test_skip_categories(self):
         rng = np.random.default_rng(3)
@@ -286,18 +307,19 @@ class TestScanState:
         x = np.column_stack([x, x[:, 0] - 2.0 * x[:, 1], 1e8 * rng.standard_normal(40)])
         d = Dataset.from_arrays(x, rng.standard_normal(40))
         s = slice_response(d.y, 2)
-        state = ScanState(d, s, (1, 2, 3, 4, 5), (1, 2))
-        gains, skipped = state.gains(Method.SIR)
-        assert skipped == [(4, "collinear-candidate")]
-        assert np.isfinite(gains[[2, 4]]).all()
-        state.add(5)  # variance 1e16 next to 1: the floors read standardized columns
-        gains, skipped = state.gains(Method.DR)
-        assert skipped == [(4, "collinear-candidate")]
-        assert np.isfinite(gains[2])
-        state.add(4)  # x1 - 2 x2 next to x1 and x2: singular by the eigenvalue floor
-        gains, skipped = state.gains(Method.DR)
-        assert skipped == [(3, "singular-design")]
-        assert np.all(gains == -np.inf)
+        for method in (Method.SIR, Method.DR):
+            state = ScanState(d, s, method, (1, 2, 3, 4, 5), (1, 2))
+            gains, skipped = state.gains()
+            assert skipped == [(4, "collinear-candidate")]
+            assert np.isfinite(gains[[2, 4]]).all()
+            state.add(5)  # variance 1e16 next to 1: the floors read standardized columns
+            gains, skipped = state.gains()
+            assert skipped == [(4, "collinear-candidate")]
+            assert np.isfinite(gains[2])
+            state.add(4)  # x1 - 2 x2 next to x1 and x2: singular by the eigenvalue floor
+            gains, skipped = state.gains()
+            assert skipped == [(3, "singular-design")]
+            assert np.all(gains == -np.inf)
 
 
 def _certificate_designs():
@@ -341,7 +363,7 @@ class TestScanCertificateAndRepack:
         for name, x, order in _certificate_designs():
             d = Dataset.from_arrays(x, np.random.default_rng(0).standard_normal(x.shape[0]))
             s = slice_response(d.y, 4)
-            state = ScanState(d, s, tuple(range(1, d.p + 1)))
+            state = ScanState(d, s, Method.SIR, tuple(range(1, d.p + 1)))
             taken = []
             for j in order:
                 calls.clear()
@@ -377,10 +399,12 @@ class TestScanCertificateAndRepack:
         order = data.draw(st.permutations(range(1, p + 1)), label="order")
         d = Dataset.from_arrays(x, rng.standard_normal(n))
         s = slice_response(d.y, data.draw(st.sampled_from([2, 4]), label="H"))
-        state = ScanState(d, s, tuple(range(1, p + 1)))
+        states = [ScanState(d, s, method, tuple(range(1, p + 1))) for method in METHODS]
+        state = states[0]
         categories = {CollinearCandidateError.category, SingularDesignError.category}
         for j in order[: n - 1]:
-            state.add(j)
+            for each in states:
+                each.add(j)
             k = len(state.f)
             rq = state.rq[:k, :k]
             assert state.singular == is_singular_spectrum(np.linalg.eigvalsh(rq.T @ rq / n))
@@ -388,8 +412,8 @@ class TestScanCertificateAndRepack:
             evals = np.linalg.eigvalsh(xc.T @ xc / n)
             if not 1e-13 <= evals[0] / evals[-1] <= 1e-11:  # both solvers clear of the floor
                 assert state.singular == is_singular_spectrum(evals), state.f
-            for method in METHODS:
-                gains, skipped = state.gains(method)
+            for each in states:
+                gains, skipped = each.gains()
                 assert np.all(np.isfinite(gains) | (gains == -np.inf))
                 outside = set(state.columns[gains == -np.inf].tolist()) - set(state.f)
                 assert {j for j, _ in skipped} == outside
@@ -403,20 +427,24 @@ class TestScanCertificateAndRepack:
         s = slice_response(d.y, 4)
         columns = tuple(j for j in range(1, 61) if j % 7)
         f = [int(j) for j in rng.choice(columns, 14, replace=False)]
-        grown = ScanState(d, s, columns)
-        for j in f:
-            grown.add(j)
-            assert grown.resid.flags.c_contiguous
-        assert grown.live.size < len(columns) - 1  # members were dropped
-        built = ScanState(d, s, columns, sorted(f))
+        # the standardized columns, rows slice by slice
+        standardized = standardize_columns(d.x)[np.concatenate(s.rows)][:, np.subtract(columns, 1)]
         m = compute_moments(d, s, f)
-        rq = grown.rq[: len(f), : len(f)]  # Sigma_F = R_Q' R_Q / n, in the order added
-        order = np.argsort(f)
-        sigma = (rq.T @ rq / d.n)[np.ix_(order, order)]
-        assert np.allclose(sigma, m.xc.T @ m.xc / d.n, rtol=1e-10, atol=1e-12)
         for method in METHODS:
-            gains, skipped = grown.gains(method)
-            built_gains, built_skipped = built.gains(method)
+            grown = ScanState(d, s, method, columns)
+            for j in f:
+                grown.add(j)
+                block = grown.block
+                assert block.flags.c_contiguous and not block.flags.writeable
+                assert np.allclose(block, standardized[:, grown.live], rtol=1e-12, atol=1e-12)
+            assert grown.live.size < len(columns) - 1  # members were dropped
+            built = ScanState(d, s, method, columns, sorted(f))
+            rq = grown.rq[: len(f), : len(f)]  # Sigma_F = R_Q' R_Q / n, in the order added
+            order = np.argsort(f)
+            sigma = (rq.T @ rq / d.n)[np.ix_(order, order)]
+            assert np.allclose(sigma, m.xc.T @ m.xc / d.n, rtol=1e-10, atol=1e-12)
+            gains, skipped = grown.gains()
+            built_gains, built_skipped = built.gains()
             assert skipped == built_skipped == []
             assert np.allclose(gains, built_gains, rtol=1e-10)
             for j, gain in zip(columns, gains):
@@ -425,6 +453,77 @@ class TestScanCertificateAndRepack:
                     continue
                 r = residualize(m, j)
                 assert gain == pytest.approx(trace_diff(method, r), rel=1e-10)
+
+
+class TestScanKeptStatistics:
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_kept_statistics_match_explicit_residuals(self, data):
+        """After every addition the statistics a scan keeps equal those of the
+        explicit residuals X - Q Q'X of its block, and its collinearity
+        verdicts those of ``residualize`` away from the floor."""
+        n = data.draw(st.integers(60, 200), label="n")
+        p = data.draw(st.integers(5, 48), label="p")
+        rho = data.draw(st.sampled_from([0.0, 0.9, 0.99]), label="rho")
+        h = data.draw(st.sampled_from([2, 4, 8]), label="H")
+        method = data.draw(st.sampled_from(METHODS), label="method")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        e = rng.standard_normal((n, p))
+        x = e.copy()
+        for a in range(1, p):  # AR(1) columns
+            x[:, a] = rho * x[:, a - 1] + math.sqrt(1.0 - rho**2) * e[:, a]
+        for _ in range(data.draw(st.integers(0, 3), label="near-duplicates")):
+            a, b = data.draw(st.tuples(st.integers(0, p - 1), st.integers(0, p - 1)))
+            noise = 10.0 ** data.draw(st.floats(-9, -2), label="log10 noise")
+            x[:, b] = x[:, a] + noise * rng.standard_normal(n)
+        if data.draw(st.booleans(), label="discrete y"):
+            y = rng.integers(0, h, n).astype(float)
+            s = slice_response(y, h, discrete=True)
+        else:
+            y = rng.standard_normal(n)
+            s = slice_response(y, h)
+        d = Dataset.from_arrays(x, y)
+        order = data.draw(st.permutations(range(1, p + 1)), label="order")
+        state = ScanState(d, s, method, tuple(range(1, p + 1)))
+        ends = np.cumsum(s.counts)
+        slices = [slice(b - c, b) for b, c in zip(ends, s.counts)]
+        floor = COLLINEARITY_FLOOR
+
+        def explicit():
+            k = len(state.f)
+            q, block = state.q[:, :k], state.block
+            r = block - q @ (q.T @ block)
+            return q, r, (r * r).sum(0) / n - (r.sum(0) / n) ** 2
+
+        def close(kept, recomputed):
+            assert np.allclose(kept, recomputed, rtol=1e-10, atol=1e-10 * n)
+
+        for j in order:
+            if len(state.f) == 40:
+                break
+            if explicit()[2][np.searchsorted(state.live, j - 1)] < 1e-6:
+                continue  # keep F well conditioned: add only clear candidates
+            state.add(j)
+            assert not state.singular
+            q, r, sigma2 = explicit()
+            close(state.sums, np.array([r[rows].sum(0) for rows in slices]))
+            close(state.rss, (r * r).sum(0))
+            if method is not Method.SIR:
+                close(state.sq, np.array([(r[rows] ** 2).sum(0) for rows in slices]))
+                cross = np.stack([q[rows].T @ r[rows] for rows in slices], axis=1)
+                close(state.cross[: len(state.f)], cross)
+            _, skipped = state.gains()
+            skipped = {i for i, _ in skipped}
+            m = compute_moments(d, s, state.f)
+            for i, var in zip(state.columns[state.live].tolist(), sigma2):
+                if i in state.f or 0.5 * floor <= var <= 2.0 * floor:
+                    continue
+                try:
+                    residualize(m, i)
+                    collinear = False
+                except CollinearCandidateError:
+                    collinear = True
+                assert (i in skipped) == collinear, (i, var)
 
 
 def _synthetic_residual(gamma_by_slice, zeta_by_slice, proportions, white_u=None, kappa=0.0):

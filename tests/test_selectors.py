@@ -154,9 +154,9 @@ class TestScanMatchesScalarReference:
         assert list(path.skipped) == skipped
         assert [st.trace_value for st in path.steps] == pytest.approx(traces, rel=1e-10)
         # the winner and the skip categories of every step
-        state, f = ScanState(d, s, tuple(range(1, d.p + 1))), []
+        state, f = ScanState(d, s, method, tuple(range(1, d.p + 1))), []
         while True:
-            best_j, _, skips = _scan_candidates(state, method)
+            best_j, _, skips = _scan_candidates(state)
             ref_j, _, _, ref_skips = scalar_scan(
                 d, s, method, tuple(sorted(f)), set(range(1, d.p + 1)) - set(f)
             )
@@ -244,13 +244,13 @@ def test_scripted_return_to_an_earlier_working_set(monkeypatch):
         return cheap.get((f, j), 4.0 - j)
 
     class Scan:
-        def __init__(self, d, s, columns, f=()):
+        def __init__(self, d, s, method, columns, f=()):
             self.columns, self.f = columns, list(f)
 
         def add(self, j):
             self.f.append(j)
 
-    def scan_candidates(state, method):
+    def scan_candidates(state):
         f = tuple(sorted(state.f))
         best = max((j for j in state.columns if j not in f), key=lambda j: gain(f, j))
         return best, gain(f, best), []
@@ -425,6 +425,21 @@ class TestStp:
         d = _noise_dataset(5, n=6, p=3)
         with pytest.raises(ValueError, match="no room for a working set"):
             stp_run(d, slice_response(d.y, 4), StpConfig(method=Method.SIR, alpha=0.5))
+
+    def test_no_room_for_a_dr_test_is_rejected(self):
+        """At H + 3 <= n <= 2H + 1 the base cap is positive, but a DR test at
+        |F| = 0 has 2H + 1 >= n influence dimensions: no test can be made."""
+        rng = np.random.default_rng(0)
+        d = Dataset.from_arrays(rng.standard_normal((9, 3)), rng.standard_normal(9))
+        s = slice_response(d.y, 4)
+        for method in (Method.SIR, Method.SAVE):  # these keep room for a test
+            assert stp_run(d, s, StpConfig(method=method, alpha=0.3)).selected
+        cfg = StpConfig(method=Method.DR, alpha=0.3)
+        message = "n=9 leaves no room for a DR test beside 4 slices: .* 9 dimensions"
+        with pytest.raises(ValueError, match=message):
+            stp_run(d, s, cfg)
+        with pytest.raises(ValueError, match=message):
+            htp_run(d, s, Method.DR, cfg)
 
     def test_terminates_within_iteration_cap(self):
         d = _noise_dataset(5, n=120, p=6)
