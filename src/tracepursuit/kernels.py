@@ -53,8 +53,10 @@ from .errors import CollinearCandidateError, SingularDesignError, WorkingSetInde
 # candidate's own variance) below this is treated as exact collinearity.
 COLLINEARITY_FLOOR = 1e-12
 
-# ScanState drops the members from its standardized block once they fill
-# 1/_REPACK of it.
+# ScanState drops the members from its standardized block once there are at
+# least _REPACK of them and they fill 1/_REPACK of it, so a repack copies at
+# most _REPACK times the columns that it drops and a narrow block is not copied
+# at nearly every addition.
 _REPACK = 8
 
 # A candidate's residual sum of squares, kept by subtraction, has lost about
@@ -273,11 +275,11 @@ class ScanState:
     O(H m) for SIR and O(H |F| m) for SAVE and DR.
 
     The block holds the columns at positions ``live`` (ascending) and stays
-    C-contiguous: once members fill 1/``_REPACK`` of its width it and the
-    kept statistics are copied without them, in the same order.  Rows are
-    kept slice by slice, so each slice is a contiguous block; the gains are
-    sums over samples within slices, which row order does not change.  With
-    Q the whitening is W = sqrt(n) R_Q^{-1}, which satisfies
+    C-contiguous: once at least ``_REPACK`` members fill 1/``_REPACK`` of its
+    width it and the kept statistics are copied without them, in the same
+    order.  Rows are kept slice by slice, so each slice is a contiguous
+    block; the gains are sums over samples within slices, which row order
+    does not change.  With Q the whitening is W = sqrt(n) R_Q^{-1}, which satisfies
     W W' = Sigma_F^{-1}; the gains depend on the whitening only through such
     products, so no Sigma_F^{-1/2} is formed.
     """
@@ -352,7 +354,7 @@ class ScanState:
         self.q[:, k] = q
         self.slice_q[:, k] = self.indicator.T @ q
         self._dead += 1
-        if _REPACK * self._dead >= self.live.size:
+        if self._dead >= _REPACK and _REPACK * self._dead >= self.live.size:
             self._repack(k)
         self._update(k, q)
 

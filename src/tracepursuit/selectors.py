@@ -26,7 +26,13 @@ the columns, O(n p), plus O(H p) for SIR and O(H |F| p) for SAVE and DR;
 no n x p block of residuals is formed.  A scan then costs O(H (p - |F|)) for SIR and
 O(H |F| (p - |F|)) for SAVE and DR.  FTP keeps one state for its whole
 path; STP keeps one across its forward passes and builds a new one only
-after a deletion.  The backward pass scores every member from one
+after a deletion.  HTP's refinement builds none until its first deletion:
+while its working set is the path prefix F_k, its forward winner is the
+path's step k + 1.  That step is the argmax of the same gains over every
+candidate outside F_k, a superset of the refinement's candidates U - F_k
+(U the BIC prefix) that holds the winner, and both break ties toward the
+smallest index; a candidate of U skipped at F_k would stay skipped and
+never have joined the path.  The backward pass scores every member from one
 whitening of F (``deletion_gains``): one ``eigh`` plus
 O(n |F|^2 + H |F|^3) work.  Only the question a pass tests,
 the forward winner or the cheapest member, goes through ``trace_test``, and
@@ -260,8 +266,8 @@ def _forward_path(
         bic_value = bic_score(trace_value, k, d.n, d.p)
         steps.append(PathStep(added_index=best_j, trace_value=trace_value, bic_value=bic_value))
         best_bic = min(best_bic, bic_value)
-        if bic_stop and bic_score(trace_bound, k + 1, d.n, d.p) >= best_bic:
-            break
+        if k == k_max or bic_stop and bic_score(trace_bound, k + 1, d.n, d.p) >= best_bic:
+            break  # no scan reads the state after this step
         state.add(best_j)
 
     return SolutionPath(
@@ -286,10 +292,19 @@ def stp_run(
     because the working set has ``resolved_max_set_size`` members), "cycle
     detected" or "iteration cap reached".
     """
-    method = cfg.method
     if universe is None:
         universe = range(1, d.p + 1)
-    uni = validate_working_set(universe, d.p)
+    return _stepwise(d, s, cfg, validate_working_set(universe, d.p), order=())
+
+
+def _stepwise(
+    d: Dataset, s: SliceAssignment, cfg: StpConfig, uni: IndexSet, order: IndexSet
+) -> SelectionReport:
+    """``stp_run`` over the validated universe ``uni``.  While no deletion has
+    been made, the forward pass proposes ``order[len(current)]`` without a
+    scan; ``order`` must then be the forward path's order of ``uni`` (module
+    docstring), and ``()`` scans from the start."""
+    method = cfg.method
     if not uni:
         return SelectionReport(
             selected=(),
@@ -341,17 +356,22 @@ def stp_run(
     for _ in range(STP_MAX_PASSES):
         changed = False
 
-        # forward addition: the scan's best candidate, then its test
+        # forward addition: the path's next entry or the scan's best
+        # candidate, then its test
         if len(current) < min(max_size, len(uni)):
             f = tuple(sorted(current))
-            if scan is None:
-                scan = ScanState(d, s, method, uni, f)
-            best_j, _, skips = _scan_candidates(scan)
-            record_skips(skips)
+            if order:
+                best_j = order[len(current)]
+            else:
+                if scan is None:
+                    scan = ScanState(d, s, method, uni, f)
+                best_j, _, skips = _scan_candidates(scan)
+                record_skips(skips)
             outcome = None if best_j is None else test(f, best_j)
             if outcome is not None and outcome[0] > outcome[1]:
                 current.add(best_j)
-                scan.add(best_j)
+                if scan is not None:
+                    scan.add(best_j)
                 changed = True
                 if record_change("add", best_j, *outcome):
                     return _finish(current, trail, method, uni)
@@ -372,7 +392,7 @@ def stp_run(
             outcome = None if best_d is None else test(rest, best_d)
             if outcome is not None and outcome[0] < outcome[1]:
                 current.remove(best_d)
-                scan = None
+                scan, order = None, ()
                 changed = True
                 if record_change("delete", best_d, *outcome):
                     return _finish(current, trail, method, uni)
@@ -409,7 +429,10 @@ def htp_run(
     A SIR screening path stops once no longer prefix can win the BIC (module
     docstring), so the chosen prefix is the full path's.  The refinement
     reuses the original slicing and tests only indices inside the BIC-chosen
-    prefix.
+    prefix.  It is ``stp_run`` over that prefix, but its forward passes read
+    their candidates from the path until its first deletion and build a scan
+    state only after it: the path's next entry is the argmax of the same gains
+    over a superset of the refinement's candidates (module docstring).
     """
     if cfg is None:
         cfg = StpConfig(method=method)
@@ -426,5 +449,6 @@ def htp_run(
             method=method,
             stage_sizes=(0, 0),
         )
-    report = stp_run(d, s, cfg, universe=screened)
+    order = tuple(step.added_index for step in path.steps[:m_hat])
+    report = _stepwise(d, s, cfg, screened, order)
     return replace(report, stage_sizes=(len(screened), len(report.selected)))

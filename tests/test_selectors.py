@@ -610,6 +610,93 @@ class TestHtpScreeningStop:
         assert report.trail == expected.trail
         assert report.stage_sizes == (len(screened), len(expected.selected))
 
+    def test_htp_is_path_prefix_then_stp_through_deletions(self):
+        """The refinement follows the path until its first deletion and scans
+        after it; looser alphas make some refinements delete."""
+        designs = [dict(n=300, p=10), dict(n=200, p=20, rho=0.5)]
+        deleting = 0
+        for design in designs:
+            for model in ("I", "II", "III"):
+                d, _ = generate(SimDesign(model=model, seed=1, **design))
+                s = slice_response(d.y, 4)
+                for method in Method:
+                    path = ftp_run(d, s, method)
+                    screened = path.prefix(path.bic_argmin())
+                    for alpha in (None, 0.3, 0.45):
+                        cfg = StpConfig(method=method, alpha=alpha)
+                        expected = stp_run(d, s, cfg, universe=screened)
+                        report = htp_run(d, s, method, cfg)
+                        assert report.selected == expected.selected
+                        assert report.trail == expected.trail
+                        deleting += any(e.action == "delete" for e in report.trail)
+        assert deleting > 0
+
+
+def _spy_scans(monkeypatch):
+    """Record each ScanState the selectors build and each state they scan."""
+    import tracepursuit.selectors as selectors
+
+    events = []
+
+    class Spy(ScanState):
+        def __init__(self, d, s, method, columns, f=()):
+            super().__init__(d, s, method, columns, f)
+            events.append(("build", self, tuple(int(j) for j in columns), tuple(f)))
+
+    def spy_scan(state):
+        events.append(("scan", state))
+        return _scan_candidates(state)
+
+    monkeypatch.setattr(selectors, "ScanState", Spy)
+    monkeypatch.setattr(selectors, "_scan_candidates", spy_scan)
+    return events
+
+
+def test_htp_refinement_without_a_deletion_builds_no_scan_state(monkeypatch):
+    d, _ = generate(SimDesign(model="I", n=300, p=10, seed=1))
+    s = slice_response(d.y, 4)
+    path = _forward_path(d, s, Method.SIR, None, bic_stop=True)
+    events = _spy_scans(monkeypatch)
+    report = htp_run(d, s, Method.SIR)
+    assert report.selected and "delete" not in [e.action for e in report.trail]
+    builds = [e for e in events if e[0] == "build"]
+    assert [(columns, f) for _, _, columns, f in builds] == [(tuple(range(1, 11)), ())]
+    assert [e[1] for e in events[1:]] == [builds[0][1]] * path.k_max
+
+
+def test_htp_refinement_builds_its_scan_state_after_the_first_deletion(monkeypatch):
+    d, _ = generate(SimDesign(model="I", n=200, p=20, rho=0.5, seed=1))
+    s = slice_response(d.y, 4)
+    path = ftp_run(d, s, Method.SAVE)
+    screened = path.prefix(path.bic_argmin())
+    events = _spy_scans(monkeypatch)
+    report = htp_run(d, s, Method.SAVE, StpConfig(method=Method.SAVE, alpha=0.3))
+    actions = [e.action for e in report.trail]
+    first_delete = actions.index("delete")
+    builds = [i for i, e in enumerate(events) if e[0] == "build"]
+    assert len(builds) == 2 and actions.count("delete") == 1
+    path_state, refine_state = events[builds[0]][1], events[builds[1]][1]
+    assert events[builds[0]][2:] == (tuple(range(1, 21)), ())
+    assert events[builds[1]][2:] == (screened, replay_trail(report.trail[: first_delete + 1]))
+    assert all(e[1] is path_state for e in events[: builds[1]])
+    assert all(e[1] is refine_state for e in events[builds[1] :])
+
+
+@pytest.mark.parametrize("method", list(Method))
+def test_narrow_path_repacks_at_most_once(method, monkeypatch):
+    calls = []
+    repack = ScanState._repack
+
+    def spy_repack(self, k):
+        calls.append(k)
+        return repack(self, k)
+
+    monkeypatch.setattr(ScanState, "_repack", spy_repack)
+    d, _ = generate(SimDesign(model="I", n=300, p=10, seed=1))
+    path = ftp_run(d, slice_response(d.y, 4), method)
+    assert path.k_max == 10
+    assert len(calls) <= 1
+
 
 @pytest.mark.parametrize("method", list(Method))
 def test_stp_cap_keeps_every_weight_matrix_full_rank(method):
