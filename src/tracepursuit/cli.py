@@ -1,6 +1,15 @@
 """Command-line front end: ingest CSV data, run selection / screening /
 single tests / benchmarks, and emit human- or machine-readable reports.
 
+The parsed argparse namespace is the only configuration.  Each subcommand
+names its runner with ``set_defaults(run=...)``, and each runner reads its
+options from the namespace and returns ``(result, table_text, csv_rows)``.
+The two values argparse cannot parse alone, the ``test`` working set and the
+``bench`` design, are built at the start of their runner and stored back on
+the namespace, so their errors are reported like any run error and the
+config echo reads the built values.  One renderer, ``_emit``, writes the
+report, or the error, in the chosen ``--format`` to stdout or ``--out``.
+
 Machine output is JSON Lines with a schema-version field; identical
 configurations (including seeds) produce byte-identical output, so wall
 clock timings go to stderr, never into the records.
@@ -14,7 +23,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,35 +41,13 @@ from .errors import (
 from .kernels import Method
 from .nulldist import trace_test_with_weights
 from .selectors import StpConfig, ftp_run, htp_run, stp_run
-from .simbench import SimDesign, generate, run_experiment
+from .simbench import PREDICTOR_DISTS, SimDesign, generate, run_experiment
 
 SCHEMA_VERSION = 1
 
 # Responses with at most this many distinct values are sliced by value.
 DISCRETE_VALUE_LIMIT = 10
 DEFAULT_SLICES = 4
-
-
-@dataclass
-class RunConfig:
-    """Parsed invocation; exactly one of ``input_path`` / ``design`` is set."""
-
-    command: str  # select | screen | test | bench
-    method: Method = Method.DR
-    input_path: str | None = None
-    design: SimDesign | None = None
-    h_count: int | None = None
-    alpha: float | None = None
-    seed: int = 0
-    output_path: str | None = None
-    format: str = "table"
-    algorithm: str = "htp"
-    working_set: tuple[int, ...] = ()
-    candidate: int | None = None
-    k_max: int | None = None
-    reps: int = 100
-    export_data: str | None = None
-    quantile: str = "two-moment"
 
 
 def ingest_csv(path: str) -> Dataset:
@@ -130,133 +117,37 @@ def write_csv(d: Dataset, path: str) -> None:
             writer.writerow([repr(float(v)) for v in d.x[i]] + [repr(float(d.y[i]))])
 
 
-def _auto_slice(d: Dataset, h_count: int | None) -> SliceAssignment:
-    if h_count is not None:
-        return slice_response(d.y, h_count)
+def _load(args: argparse.Namespace) -> tuple[Dataset, SliceAssignment]:
+    """Read ``input`` and slice its response: into ``--slices`` slices if
+    given, else by value if it has few distinct values, else into 4."""
+    d = ingest_csv(args.input)
+    if args.slices is not None:
+        return d, slice_response(d.y, args.slices)
     if np.unique(d.y).size <= DISCRETE_VALUE_LIMIT:
-        return slice_response(d.y, DISCRETE_VALUE_LIMIT, discrete=True)
-    return slice_response(d.y, DEFAULT_SLICES)
+        return d, slice_response(d.y, DISCRETE_VALUE_LIMIT, discrete=True)
+    return d, slice_response(d.y, DEFAULT_SLICES)
 
 
 def _name_of(d: Dataset, j: int) -> str:
     return d.column_names[j - 1] if d.column_names else f"x{j}"
 
 
-class _Emitter:
-    """Serializes result records in the requested format."""
-
-    def __init__(self, cfg: RunConfig):
-        self.cfg = cfg
-        self.lines: list[str] = []
-
-    def emit(self, result: dict, table_text: str, csv_rows: list[list] | None = None):
-        fmt = self.cfg.format
-        if fmt == "json-lines":
-            record = {
-                "schema_version": SCHEMA_VERSION,
-                "command": self.cfg.command,
-                "config": _config_echo(self.cfg),
-                "result": result,
-            }
-            self.lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        elif fmt == "csv":
-            if csv_rows:
-                buf = io.StringIO()
-                csv.writer(buf, lineterminator="\n").writerows(csv_rows)
-                self.lines.append(buf.getvalue().rstrip("\n"))
-        else:
-            self.lines.append(table_text)
-
-    def emit_error(self, err: TracePursuitError):
-        payload = {
-            "category": err.category,
-            "message": str(err),
-            "hint": err.hint,
-        }
-        if self.cfg.format == "json-lines":
-            record = {
-                "schema_version": SCHEMA_VERSION,
-                "command": self.cfg.command,
-                "error": payload,
-            }
-            self.lines.append(json.dumps(record, sort_keys=True, separators=(",", ":")))
-        print(
-            f"error[{err.category}]: {err}\nhint: {err.hint}",
-            file=sys.stderr,
-        )
-
-    def _text(self) -> str:
-        return "\n".join(self.lines) + ("\n" if self.lines else "")
-
-    def flush(self) -> bool:
-        """Write the records to ``--out``, or to stdout.  An unwritable
-        ``--out`` is reported as an error on stdout instead; returns False."""
-        if self.cfg.output_path:
-            try:
-                Path(self.cfg.output_path).write_text(self._text(), encoding="utf-8")
-                return True
-            except OSError as err:
-                self.lines = []
-                self.emit_error(FileAccessError(f"cannot write --out: {err}"))
-                sys.stdout.write(self._text())
-                return False
-        sys.stdout.write(self._text())
-        return True
-
-
-def _config_echo(cfg: RunConfig) -> dict:
-    echo: dict = {
-        "method": cfg.method.value,
-        "alpha": cfg.alpha,
-        "h_count": cfg.h_count,
-        "seed": cfg.seed,
-        "format": cfg.format,
-    }
-    if cfg.input_path is not None:
-        echo["input_path"] = cfg.input_path
-    if cfg.design is not None:
-        echo["design"] = asdict(cfg.design)
-    if cfg.command in ("select", "bench"):
-        echo["algorithm"] = cfg.algorithm
-    if cfg.command == "test":
-        echo["working_set"] = list(cfg.working_set)
-        echo["candidate"] = cfg.candidate
-    if cfg.command == "screen":
-        echo["k_max"] = cfg.k_max
-    if cfg.command == "bench":
-        echo["reps"] = cfg.reps
-    return echo
-
-
-def _trail_record(trail) -> list[dict]:
-    return [
-        {
-            "action": e.action,
-            "index": e.index,
-            "statistic": e.statistic,
-            "threshold": e.threshold,
-            "note": e.note,
-        }
-        for e in trail
-    ]
-
-
-def _run_select(cfg: RunConfig, emitter: _Emitter) -> None:
-    d = ingest_csv(cfg.input_path)
-    s = _auto_slice(d, cfg.h_count)
-    stp_cfg = StpConfig(method=cfg.method, alpha=cfg.alpha)
-    if cfg.algorithm == "stp":
+def _run_select(args: argparse.Namespace) -> tuple[dict, str, list[list]]:
+    d, s = _load(args)
+    method = Method(args.method)
+    stp_cfg = StpConfig(method=method, alpha=args.alpha)
+    if args.algorithm == "stp":
         report = stp_run(d, s, stp_cfg)
     else:
-        report = htp_run(d, s, cfg.method, stp_cfg)
+        report = htp_run(d, s, method, stp_cfg)
     names = [_name_of(d, j) for j in report.selected]
     result = {
         "selected": list(report.selected),
         "selected_names": names,
         "stage_sizes": list(report.stage_sizes),
-        "method": cfg.method.value,
-        "algorithm": cfg.algorithm,
-        "trail": _trail_record(report.trail),
+        "method": args.method,
+        "algorithm": args.algorithm,
+        "trail": [asdict(e) for e in report.trail],
     }
     lines = [
         f"selected ({len(report.selected)}): "
@@ -272,17 +163,16 @@ def _run_select(cfg: RunConfig, emitter: _Emitter) -> None:
         note = f" ({e.note})" if e.note else ""
         lines.append(f"    {e.action:6s}{idx}{stat}{thr}{note}")
     csv_rows = [["index", "name"]] + [[j, nm] for j, nm in zip(report.selected, names)]
-    emitter.emit(result, "\n".join(lines), csv_rows)
+    return result, "\n".join(lines), csv_rows
 
 
-def _run_screen(cfg: RunConfig, emitter: _Emitter) -> None:
-    d = ingest_csv(cfg.input_path)
-    s = _auto_slice(d, cfg.h_count)
-    path = ftp_run(d, s, cfg.method, k_max=cfg.k_max)
+def _run_screen(args: argparse.Namespace) -> tuple[dict, str, list[list]]:
+    d, s = _load(args)
+    path = ftp_run(d, s, Method(args.method), k_max=args.k_max)
     chosen_k = path.bic_argmin()
     chosen = path.prefix(chosen_k)
     result = {
-        "method": cfg.method.value,
+        "method": args.method,
         "path": [
             {
                 "k": k,
@@ -297,7 +187,7 @@ def _run_screen(cfg: RunConfig, emitter: _Emitter) -> None:
         "chosen_set": list(chosen),
         "skipped": list(path.skipped),
     }
-    lines = [f"forward path ({path.k_max} steps, method={cfg.method.value}):"]
+    lines = [f"forward path ({path.k_max} steps, method={args.method}):"]
     lines.append(f"  {'k':>4s} {'index':>6s} {'name':>10s} {'trace':>12s} {'bic':>12s}")
     for k, step in enumerate(path.steps, start=1):
         mark = " *" if k == chosen_k else ""
@@ -313,19 +203,20 @@ def _run_screen(cfg: RunConfig, emitter: _Emitter) -> None:
         [k, st.added_index, repr(st.trace_value), repr(st.bic_value), int(k == chosen_k)]
         for k, st in enumerate(path.steps, start=1)
     ]
-    emitter.emit(result, "\n".join(lines), csv_rows)
+    return result, "\n".join(lines), csv_rows
 
 
-def _run_test(cfg: RunConfig, emitter: _Emitter) -> None:
-    d = ingest_csv(cfg.input_path)
-    s = _auto_slice(d, cfg.h_count)
-    alpha = cfg.alpha if cfg.alpha is not None else 0.05
+def _run_test(args: argparse.Namespace) -> tuple[dict, str, list[list]]:
+    # Parsed before the CSV is read, so a malformed list is reported first.
+    args.working_set = tuple(int(t) for t in args.working_set.split(",") if t.strip())
+    d, s = _load(args)
+    alpha = args.alpha if args.alpha is not None else 0.05
     res, w = trace_test_with_weights(
-        cfg.method, d, s, cfg.working_set, cfg.candidate, alpha,
-        quantile=cfg.quantile, seed=cfg.seed,
+        Method(args.method), d, s, args.working_set, args.candidate, alpha,
+        quantile="monte-carlo" if args.mc_quantile else "two-moment", seed=args.seed,
     )
     result = {
-        "method": cfg.method.value,
+        "method": args.method,
         "working_set": list(res.f),
         "candidate": res.j,
         "alpha": alpha,
@@ -341,7 +232,7 @@ def _run_test(cfg: RunConfig, emitter: _Emitter) -> None:
     }
     decision = "reject H0 (candidate adds information)" if res.reject else "retain H0"
     text = (
-        f"trace test: method={cfg.method.value} F={list(res.f)} j={res.j} "
+        f"trace test: method={args.method} F={list(res.f)} j={res.j} "
         f"alpha={alpha}\n"
         f"  statistic = {res.statistic:.6g}\n"
         f"  threshold = {res.threshold:.6g} "
@@ -351,7 +242,7 @@ def _run_test(cfg: RunConfig, emitter: _Emitter) -> None:
     csv_rows = [
         ["method", "working_set", "candidate", "alpha", "statistic", "threshold", "reject"],
         [
-            cfg.method.value,
+            args.method,
             " ".join(map(str, res.f)),
             res.j,
             alpha,
@@ -360,28 +251,36 @@ def _run_test(cfg: RunConfig, emitter: _Emitter) -> None:
             int(res.reject),
         ],
     ]
-    emitter.emit(result, text, csv_rows)
+    return result, text, csv_rows
 
 
-def _run_bench(cfg: RunConfig, emitter: _Emitter) -> None:
-    design = cfg.design
-    if cfg.export_data:
+def _run_bench(args: argparse.Namespace) -> tuple[dict, str, list[list]]:
+    design = args.design = SimDesign(
+        model={"1": "I", "2": "II", "3": "III"}[args.model],
+        n=args.n,
+        p=args.p,
+        rho=args.rho,
+        sigma_noise=args.sigma,
+        predictor_dist=args.dist,
+        seed=args.seed,
+    )
+    if args.export_data:
         d, _ = generate(design, replication=0)
-        write_csv(d, cfg.export_data)
-        print(f"wrote replication 0 to {cfg.export_data}", file=sys.stderr)
+        write_csv(d, args.export_data)
+        print(f"wrote replication 0 to {args.export_data}", file=sys.stderr)
     res = run_experiment(
         design,
-        cfg.algorithm,
-        cfg.method,
-        n_reps=cfg.reps,
-        alpha=cfg.alpha,
-        h_count=cfg.h_count or DEFAULT_SLICES,
+        args.algorithm,
+        Method(args.method),
+        n_reps=args.reps,
+        alpha=args.alpha,
+        h_count=DEFAULT_SLICES if args.slices is None else args.slices,
     )
     m = res.metrics
     result = {
         "model": design.model,
-        "method": cfg.method.value,
-        "algorithm": cfg.algorithm,
+        "method": args.method,
+        "algorithm": args.algorithm,
         "n": design.n,
         "p": design.p,
         "rho": design.rho,
@@ -394,28 +293,13 @@ def _run_bench(cfg: RunConfig, emitter: _Emitter) -> None:
         "failures": res.failures,
     }
     text = (
-        f"model={design.model} method={cfg.method.value} algorithm={cfg.algorithm} "
+        f"model={design.model} method={args.method} algorithm={args.algorithm} "
         f"n={design.n} p={design.p} rho={design.rho} dist={design.predictor_dist} "
         f"N={m.n_reps}\n"
         f"  UF={m.uf}  CF={m.cf}  OF={m.of_}  MS={m.ms:.2f}  failures={res.failures}"
     )
-    csv_rows = [
-        ["model", "method", "algorithm", "n", "p", "rho", "dist", "reps",
-         "uf", "cf", "of", "ms", "failures"],
-        [design.model, cfg.method.value, cfg.algorithm, design.n, design.p,
-         design.rho, design.predictor_dist, m.n_reps, m.uf, m.cf, m.of_,
-         repr(m.ms), res.failures],
-    ]
     print(f"bench finished in {res.elapsed_seconds:.1f}s", file=sys.stderr)
-    emitter.emit(result, text, csv_rows)
-
-
-_COMMANDS = {
-    "select": _run_select,
-    "screen": _run_screen,
-    "test": _run_test,
-    "bench": _run_bench,
-}
+    return result, text, [list(result), list(result.values())]
 
 
 class _InvalidArgument(TracePursuitError):
@@ -423,35 +307,72 @@ class _InvalidArgument(TracePursuitError):
     hint = "check the flag values (alpha in (0,1), k-max within its cap, ...)"
 
 
-def _fail(cfg: RunConfig, err: TracePursuitError) -> int:
-    emitter = _Emitter(cfg)
-    emitter.emit_error(err)
-    emitter.flush()
-    return 1
+def _config_echo(args: argparse.Namespace) -> dict:
+    """The options a json-lines record repeats, under their record names."""
+    echo = {
+        "method": args.method,
+        "alpha": args.alpha,
+        "h_count": args.slices,
+        "seed": args.seed,
+        "format": args.format,
+    }
+    if "input" in args:
+        echo["input_path"] = args.input
+    if "design" in args:
+        echo["design"] = asdict(args.design)
+    for name in ("algorithm", "working_set", "candidate", "k_max", "reps"):
+        if name in args:
+            echo[name] = getattr(args, name)
+    return echo
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute one parsed invocation; exit code 0 iff no error was emitted."""
-    emitter = _Emitter(cfg)
-    t0 = time.perf_counter()
-    try:
-        _COMMANDS[cfg.command](cfg, emitter)
-    except TracePursuitError as err:
-        return _fail(cfg, err)
-    except ValueError as err:
-        return _fail(cfg, _InvalidArgument(str(err)))
-    except OSError as err:  # unreadable input or unwritable --export-data
-        return _fail(cfg, FileAccessError(str(err)))
-    if not emitter.flush():
-        return 1
-    print(f"{cfg.command} completed in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
-    return 0
+def _record(args: argparse.Namespace, **fields) -> str:
+    record = {"schema_version": SCHEMA_VERSION, "command": args.command, **fields}
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _add_common(parser: argparse.ArgumentParser, default_method: str = "dr") -> None:
+def _error(args: argparse.Namespace, err: TracePursuitError) -> str:
+    """Report ``err`` on stderr; return its json-lines record, or nothing."""
+    print(f"error[{err.category}]: {err}\nhint: {err.hint}", file=sys.stderr)
+    if args.format != "json-lines":
+        return ""
+    return _record(
+        args, error={"category": err.category, "message": str(err), "hint": err.hint}
+    )
+
+
+def _emit(
+    args: argparse.Namespace, output: tuple[dict, str, list[list]] | TracePursuitError
+) -> bool:
+    """Write a run's ``(result, table_text, csv_rows)``, or its error, in
+    ``--format`` to ``--out`` or stdout.  An unwritable ``--out`` is reported
+    as an error on stdout instead.  Returns True iff a report was written."""
+    ok = not isinstance(output, TracePursuitError)
+    if not ok:
+        text = _error(args, output)
+    elif args.format == "json-lines":
+        text = _record(args, config=_config_echo(args), result=output[0])
+    elif args.format == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(output[2])
+        text = buf.getvalue()
+    else:
+        text = output[1] + "\n"
+    if args.out:
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+            return ok
+        except OSError as err:
+            ok = False
+            text = _error(args, FileAccessError(f"cannot write --out: {err}"))
+    sys.stdout.write(text)
+    return ok
+
+
+def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
-        "--method", choices=[m.value for m in Method], default=default_method,
-        help=f"kernel to use (default {default_method})",
+        "--method", choices=[m.value for m in Method], default="dr",
+        help="kernel to use (default dr)",
     )
     parser.add_argument("--alpha", type=float, default=None,
                         help="test level (default 0.1/p for selection, 0.05 for test)")
@@ -472,16 +393,19 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_select = sub.add_parser("select", help="select active predictors from a CSV")
+    p_select.set_defaults(run=_run_select)
     p_select.add_argument("input", help="CSV with predictors and a 'y' column")
     p_select.add_argument("--algorithm", choices=["htp", "stp"], default="htp")
     _add_common(p_select)
 
     p_screen = sub.add_parser("screen", help="forward screening path with BIC")
+    p_screen.set_defaults(run=_run_screen)
     p_screen.add_argument("input")
     p_screen.add_argument("--k-max", type=int, default=None)
     _add_common(p_screen)
 
     p_test = sub.add_parser("test", help="single conditional trace test")
+    p_test.set_defaults(run=_run_test)
     p_test.add_argument("input")
     p_test.add_argument("--working-set", default="",
                         help="comma-separated 1-based indices, e.g. 1,2")
@@ -492,12 +416,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_test)
 
     p_bench = sub.add_parser("bench", help="simulation benchmark row")
+    p_bench.set_defaults(run=_run_bench)
     p_bench.add_argument("--model", choices=["1", "2", "3"], required=True)
     p_bench.add_argument("--n", type=int, default=300)
     p_bench.add_argument("--p", type=int, default=10)
     p_bench.add_argument("--rho", type=float, default=0.0)
-    p_bench.add_argument("--dist", choices=list(
-        ("normal", "uniform12", "exponential1", "geometric_half")), default="normal")
+    p_bench.add_argument("--dist", choices=PREDICTOR_DISTS, default="normal")
     p_bench.add_argument("--sigma", type=float, default=0.2)
     p_bench.add_argument("--reps", type=int, default=100)
     p_bench.add_argument("--algorithm", choices=["htp", "stp", "ftp"], default="htp")
@@ -508,57 +432,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_config(args: argparse.Namespace) -> RunConfig:
-    """Build the run configuration from parsed arguments.
-
-    Raises ``ValueError`` for values argparse accepts but the run cannot
-    (design parameters, working-set indices).
-    """
-    cfg = RunConfig(
-        command=args.command,
-        method=Method(args.method),
-        alpha=args.alpha,
-        h_count=args.slices,
-        seed=args.seed,
-        output_path=args.out,
-        format=args.format,
-    )
-    if args.command in ("select", "screen", "test"):
-        cfg.input_path = args.input
-    if args.command == "select":
-        cfg.algorithm = args.algorithm
-    if args.command == "screen":
-        cfg.k_max = args.k_max
-    if args.command == "test":
-        ws = tuple(int(t) for t in args.working_set.split(",") if t.strip())
-        cfg.working_set = ws
-        cfg.candidate = args.candidate
-        if args.mc_quantile:
-            cfg.quantile = "monte-carlo"
-    if args.command == "bench":
-        cfg.algorithm = args.algorithm
-        cfg.reps = args.reps
-        cfg.export_data = args.export_data
-        cfg.design = SimDesign(
-            model={"1": "I", "2": "II", "3": "III"}[args.model],
-            n=args.n,
-            p=args.p,
-            rho=args.rho,
-            sigma_noise=args.sigma,
-            predictor_dist=args.dist,
-            seed=args.seed,
-        )
-    return cfg
-
-
 def main(argv: list[str] | None = None) -> int:
+    """Run one invocation; exit code 0 iff its report was written."""
     args = build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        cfg = parse_config(args)
-    except ValueError as err:
-        cfg = RunConfig(command=args.command, output_path=args.out, format=args.format)
-        return _fail(cfg, _InvalidArgument(str(err)))
-    return run(cfg)
+        output = args.run(args)
+    except TracePursuitError as err:
+        output = err
+    except ValueError as err:  # a value argparse accepts but the run cannot
+        output = _InvalidArgument(str(err))
+    except OSError as err:  # unreadable input or unwritable --export-data
+        output = FileAccessError(str(err))
+    if not _emit(args, output):
+        return 1
+    print(f"{args.command} completed in {time.perf_counter() - t0:.2f}s", file=sys.stderr)
+    return 0
 
 
 if __name__ == "__main__":

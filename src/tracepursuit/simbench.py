@@ -15,6 +15,7 @@ execution order.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Iterable
@@ -55,6 +56,8 @@ class SimDesign:
             raise ValueError(f"rho must be in [0,1), got {self.rho}")
         if self.sigma_noise <= 0.0:
             raise ValueError("sigma_noise must be positive")
+        if not math.isfinite(self.sigma_noise):
+            raise ValueError(f"sigma_noise must be finite, got {self.sigma_noise}")
         if self.predictor_dist not in PREDICTOR_DISTS:
             raise ValueError(f"predictor_dist must be one of {PREDICTOR_DISTS}")
 

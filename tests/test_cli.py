@@ -244,6 +244,22 @@ class TestCommands:
         assert record["command"] == "bench"
         assert record["error"]["category"] == "invalid-argument"
 
+    @pytest.mark.parametrize(
+        "flag, message",
+        [(["--slices", "0"], "h_count must be >= 2"),
+         (["--sigma", "nan"], "sigma_noise must be finite")],
+        ids=["slices-0", "sigma-nan"],
+    )
+    def test_bench_rejects_degenerate_flag(self, flag, message, capsys):
+        rc = main(["bench", "--model", "1", "--p", "5", "--n", "60", "--reps", "1",
+                   *flag, "--format", "json-lines"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "error[invalid-argument]" in captured.err
+        error = json.loads(captured.out)["error"]
+        assert error["category"] == "invalid-argument"
+        assert error["message"].startswith(message)
+
     @pytest.mark.parametrize("fmt", ["table", "json-lines"])
     def test_missing_input_is_io_error(self, fmt, tmp_path, capsys):
         missing = str(tmp_path / "absent.csv")
@@ -298,3 +314,49 @@ class TestCommands:
         rec = json.loads(out)["result"]
         assert rec["cf"] >= 95
         assert rec["uf"] + rec["cf"] + rec["of"] == rec["reps"]
+
+
+COMMON_ECHO = {"method": "sir", "alpha": None, "h_count": None, "seed": 0,
+               "format": "json-lines"}
+
+
+@pytest.mark.parametrize(
+    "argv, echo",
+    [
+        (["select", "--algorithm", "stp", "--alpha", "0.3"],
+         {"algorithm": "stp", "alpha": 0.3}),
+        (["screen", "--k-max", "3", "--slices", "5"], {"k_max": 3, "h_count": 5}),
+        (["test", "--working-set", "1, 2", "--candidate", "3", "--seed", "2"],
+         {"working_set": [1, 2], "candidate": 3, "seed": 2}),
+        (["bench", "--model", "2", "--p", "5", "--n", "60", "--reps", "1", "--rho", "0.5",
+          "--dist", "uniform12", "--sigma", "0.5", "--seed", "4", "--algorithm", "ftp"],
+         {"design": {"model": "II", "n": 60, "p": 5, "rho": 0.5, "sigma_noise": 0.5,
+                     "predictor_dist": "uniform12", "seed": 4},
+          "algorithm": "ftp", "reps": 1, "seed": 4}),
+    ],
+    ids=["select", "screen", "test", "bench"],
+)
+def test_config_echo_and_error_out_file(argv, echo, model_csv, tmp_path, capsys):
+    """A json-lines record repeats exactly the run's options; an error run
+    writes its record to ``--out``, or an empty file in table format."""
+    expected = dict(COMMON_ECHO, **echo)
+    if argv[0] != "bench":
+        argv = [argv[0], model_csv, *argv[1:]]
+        expected["input_path"] = model_csv
+    argv += ["--method", "sir"]
+    assert main(argv + ["--format", "json-lines"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["command"] == argv[0]
+    assert record["config"] == expected
+
+    bad = argv + (["--p", "3"] if argv[0] == "bench" else ["--slices", "1"])
+    out = tmp_path / "error.out"
+    assert main(bad + ["--format", "json-lines", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    record = json.loads(out.read_text())
+    assert set(record) == {"schema_version", "command", "error"}
+    assert record["command"] == argv[0]
+    assert record["error"]["category"] == "invalid-argument"
+    assert main(bad + ["--format", "table", "--out", str(out)]) == 1
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == b""

@@ -77,6 +77,11 @@ class TestGenerate:
         with pytest.raises(ValueError):
             SimDesign(model="I", n=10, p=5, rho=1.0)
 
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+    def test_non_finite_noise_rejected(self, sigma):
+        with pytest.raises(ValueError, match="^sigma_noise must be finite"):
+            SimDesign(model="I", sigma_noise=sigma)
+
 
 @pytest.mark.parametrize(
     "call, name",
