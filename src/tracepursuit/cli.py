@@ -208,7 +208,12 @@ def _run_screen(args: argparse.Namespace) -> tuple[dict, str, list[list]]:
 
 def _run_test(args: argparse.Namespace) -> tuple[dict, str, list[list]]:
     # Parsed before the CSV is read, so a malformed list is reported first.
-    args.working_set = tuple(int(t) for t in args.working_set.split(",") if t.strip())
+    try:
+        args.working_set = tuple(int(t) for t in args.working_set.split(",") if t.strip())
+    except ValueError:
+        raise ValueError(
+            f"--working-set must be comma-separated integers, got {args.working_set!r}"
+        ) from None
     d, s = _load(args)
     alpha = args.alpha if args.alpha is not None else 0.05
     res, w = trace_test_with_weights(
@@ -309,18 +314,12 @@ class _InvalidArgument(TracePursuitError):
 
 def _config_echo(args: argparse.Namespace) -> dict:
     """The options a json-lines record repeats, under their record names."""
-    echo = {
-        "method": args.method,
-        "alpha": args.alpha,
-        "h_count": args.slices,
-        "seed": args.seed,
-        "format": args.format,
-    }
+    echo = {"method": args.method, "h_count": args.slices, "format": args.format}
     if "input" in args:
         echo["input_path"] = args.input
     if "design" in args:
         echo["design"] = asdict(args.design)
-    for name in ("algorithm", "working_set", "candidate", "k_max", "reps"):
+    for name in ("alpha", "seed", "algorithm", "working_set", "candidate", "k_max", "reps"):
         if name in args:
             echo[name] = getattr(args, name)
     return echo
@@ -369,17 +368,21 @@ def _emit(
     return ok
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, alpha: bool = True, seed: bool = True) -> None:
+    """The options every subcommand takes, with ``--alpha`` and ``--seed``
+    only where its runner reads them."""
     parser.add_argument(
         "--method", choices=[m.value for m in Method], default="dr",
         help="kernel to use (default dr)",
     )
-    parser.add_argument("--alpha", type=float, default=None,
-                        help="test level (default 0.1/p for selection, 0.05 for test)")
+    if alpha:
+        parser.add_argument("--alpha", type=float, default=None,
+                            help="test level (default 0.1/p for selection, 0.05 for test)")
     parser.add_argument("--slices", type=int, default=None,
                         help="slice count H (default: 4, or by distinct value for "
                              f"responses with <= {DISCRETE_VALUE_LIMIT} values)")
-    parser.add_argument("--seed", type=int, default=0)
+    if seed:
+        parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=["table", "json-lines", "csv"],
                         default="table")
     parser.add_argument("--out", default=None, help="write output to this path")
@@ -396,13 +399,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.set_defaults(run=_run_select)
     p_select.add_argument("input", help="CSV with predictors and a 'y' column")
     p_select.add_argument("--algorithm", choices=["htp", "stp"], default="htp")
-    _add_common(p_select)
+    _add_common(p_select, seed=False)
 
     p_screen = sub.add_parser("screen", help="forward screening path with BIC")
     p_screen.set_defaults(run=_run_screen)
     p_screen.add_argument("input")
     p_screen.add_argument("--k-max", type=int, default=None)
-    _add_common(p_screen)
+    _add_common(p_screen, alpha=False, seed=False)
 
     p_test = sub.add_parser("test", help="single conditional trace test")
     p_test.set_defaults(run=_run_test)

@@ -13,8 +13,12 @@ raw units; no standardized copy of it is stored.
 ``MomentStats`` holds the standardized columns X_F of a working set and owns
 the working-set algebra: the terms that depend on F alone, and so are shared
 by all candidates of a scan, come from one whitening W with
-W W' = Sigma_F^{-1}, built on one ``eigh`` of Sigma_F = X_F' X_F / n that
-runs at most once per instance, and are cached there.  These are W itself,
+W W' = Sigma_F^{-1}, the inverse of the upper Cholesky factor U of
+Sigma_F = X_F' X_F / n = U'U, factored at most once per instance, and are
+cached there.  U is the triangular factor R_Q / sqrt(n) of the forward
+scan's X_F = Q R_Q (the R of a QR is the Cholesky factor of X'X), so the
+scan and the test share one whitening, and both take the floor verdict
+from their factor through ``is_singular_factor``.  These are W itself,
 the whitened columns Z = X_F W, the whitened slice moments, which are read
 from Z alone (slice means M Z with the slice-averaging matrix M of the
 slicing, and slice second moments Z_h' Z_h / n_h), and ``kappa``, the SIR
@@ -62,6 +66,24 @@ def is_singular_spectrum(evals: np.ndarray) -> bool:
     return evals.size > 0 and bool(
         evals[-1] <= 0.0 or evals[0] < EIGENVALUE_FLOOR * evals[-1]
     )
+
+
+def is_singular_factor(r: np.ndarray, n: float, inv_norm2: float) -> bool:
+    """The ``EIGENVALUE_FLOOR`` verdict on Sigma_F = R'R / n, usually without
+    eigvalsh, for an upper triangular R of k standardized columns and
+    inv_norm2 = |R^{-1}|_F^2 (inf for a zero pivot, which fails the rule).
+
+    Each standardized column has squared norm n (or 0), so lambda_max <=
+    |R|_F^2 / n <= k, and lambda_min >= 1 / (n |R^{-1}|_F^2): n k
+    |R^{-1}|_F^2 below 1 / EIGENVALUE_FLOOR proves the rule passes; half
+    that bound leaves room for rounding in R^{-1} and the sum.  A failed
+    bound leaves the verdict to the eigenvalues of R'R / n.
+    """
+    if n * r.shape[0] * inv_norm2 < 0.5 / EIGENVALUE_FLOOR:
+        return False
+    if inv_norm2 == math.inf:
+        return True
+    return is_singular_spectrum(np.linalg.eigvalsh(r.T @ r / n))
 
 
 def as_integer(value, name: str) -> int:
@@ -162,6 +184,20 @@ class Dataset:
             object.__setattr__(self, "_col_scales", cached)
         return cached
 
+    def standardized(self, columns, rows: np.ndarray | None = None) -> np.ndarray:
+        """(x - mean) * scale of the 0-based ``columns`` (an index, or an
+        ascending array of distinct indices) in a new array: each column
+        centered and divided by its sd, or zeros if constant.  With ``rows``,
+        only those rows, in that order; all p columns are then one gather of
+        whole rows."""
+        if rows is None:
+            x = self.x[:, columns] - self.column_means()[columns]
+        else:
+            x = self.x[rows] if np.size(columns) == self.p else self.x[:, columns][rows]
+            x -= self.column_means()[columns]
+        x *= self.column_scales()[columns]
+        return x
+
 
 @dataclass(frozen=True)
 class SliceAssignment:
@@ -257,7 +293,7 @@ class MomentStats:
     ``xc`` holds the standardized working-set columns X_F (n x |F|), in the
     sorted order of ``f``, so downstream residual computations do not
     re-center.  Every other moment is derived from it with the n-divisor
-    convention: the correlation matrix Sigma_F = X_F' X_F / n is decomposed
+    convention: the correlation matrix Sigma_F = X_F' X_F / n is factored
     once and not stored, and the slice moments are kept only in the whitened
     coordinates of ``whitening``.  Each is a product of fixed shape in the
     dataset, the slicing and the sorted F, so it is the same bits for every
@@ -269,7 +305,8 @@ class MomentStats:
     ``whitening`` and the whitened moments built on it raise
     ``SingularDesignError`` when the smallest eigenvalue of the correlation
     matrix Sigma_F falls below ``EIGENVALUE_FLOOR`` times the largest
-    (condition number above 1e12, in any units of the columns).
+    (condition number above 1e12, in any units of the columns) or its
+    Cholesky factorization fails; the verdict is cached with the factor.
     """
 
     f: IndexSet
@@ -282,20 +319,27 @@ class MomentStats:
         return len(self.f)
 
     @cached_property
-    def _eigh(self) -> tuple[np.ndarray, np.ndarray, bool]:
-        evals, evecs = np.linalg.eigh(self.xc.T @ self.xc / self.d.n)
-        return evals, evecs, is_singular_spectrum(evals)
+    def _whitening(self) -> np.ndarray | None:
+        """U^{-1} for the upper Cholesky factor U of Sigma_F = U'U, or None
+        when Sigma_F fails the floor rule or cannot be factored."""
+        try:
+            u = np.linalg.cholesky(self.xc.T @ self.xc / self.d.n).T
+        except np.linalg.LinAlgError:
+            return None
+        w = np.linalg.inv(u)
+        return None if is_singular_factor(u, 1.0, float(np.vdot(w, w))) else w
 
     @cached_property
     def whitening(self) -> np.ndarray:
-        """W = V Lambda^{-1/2} from ``eigh`` of Sigma_F, so W W' = Sigma_F^{-1}."""
-        evals, evecs, singular = self._eigh
-        if singular:
+        """W = U^{-1}, upper triangular, so W W' = Sigma_F^{-1}; it equals
+        sqrt(n) R_Q^{-1} of a forward scan grown over F in ascending order."""
+        if self._whitening is None:
+            evals = np.linalg.eigvalsh(self.xc.T @ self.xc / self.d.n)
             raise SingularDesignError(
                 f"working-set correlation matrix is numerically singular "
                 f"(eigenvalue range [{evals[0]:.3e}, {evals[-1]:.3e}])"
             )
-        return evecs / np.sqrt(evals)
+        return self._whitening
 
     @cached_property
     def white_xc(self) -> np.ndarray:
@@ -362,7 +406,5 @@ def compute_moments(d: Dataset, s: SliceAssignment, f: Iterable[int]) -> MomentS
             f"working set of size {k} with only n={d.n} samples"
         )
 
-    idx = np.array(fs, dtype=np.int64) - 1
-    xc = d.x[:, idx] - d.column_means()[idx]
-    xc *= d.column_scales()[idx]
+    xc = d.standardized(np.array(fs, dtype=np.int64) - 1)
     return MomentStats(f=fs, xc=xc, d=d, s=s)

@@ -15,13 +15,16 @@ n-divisor empirical average over the same observations and the candidate
 residual is exactly orthogonal to the working set in sample.
 
 The scalar route works in whitened coordinates: the terms that depend on
-the working set alone (the whitening W with W W' = Sigma_F^{-1}, the
-whitened columns Z = X_F W and slice moments M Z and Z_h' Z_h / n_h, and
-kappa) live on ``MomentStats`` and are computed once per working set;
-``residualize`` and ``auxiliary_stats`` do only the per-candidate work on
-top of them, taking slice means with the same averaging matrix M.  Every
-trace and gain depends on W only through W W', so it does not matter which
-whitening ``MomentStats`` picks.  ``residualize(m, j)`` returns a
+the working set alone (the whitening W = U^{-1} from the upper Cholesky
+factor of Sigma_F = U'U, the whitened columns Z = X_F W and slice moments
+M Z and Z_h' Z_h / n_h, and kappa) live on ``MomentStats`` and are computed
+once per working set; ``residualize`` projects a candidate off Z and, with
+``auxiliary_stats``, does only the per-candidate work on top of them, taking
+slice means with the same averaging matrix M.  ``ScanState`` keeps the same
+factor as R_Q = sqrt(n) U, and both take the floor verdict from it through
+``is_singular_factor``.  Every trace and gain depends on W only through
+W W', so any other whitening W O, O orthogonal, gives the same values.
+``residualize(m, j)`` returns a
 ``ResidualStats`` that holds ``m`` (and through it the dataset and the
 slicing) and ``j``, and caches the cross-moments ``nu`` on first use, so
 ``trace_diff(method, r)`` and the null law of the test take the residual
@@ -38,13 +41,12 @@ from functools import cached_property
 import numpy as np
 
 from .data import (
-    EIGENVALUE_FLOOR,
     Dataset,
     IndexSet,
     MomentStats,
     SliceAssignment,
     check_slicing,
-    is_singular_spectrum,
+    is_singular_factor,
     validate_working_set,
 )
 from .errors import CollinearCandidateError, SingularDesignError, WorkingSetIndexError
@@ -115,13 +117,12 @@ def residualize(m: MomentStats, j: int) -> ResidualStats:
     if j in m.f:
         raise WorkingSetIndexError(f"candidate {j} already in working set {m.f}")
 
-    xj = (d.x[:, j - 1] - d.column_means()[j - 1]) * d.column_scales()[j - 1]
+    xj = d.standardized(j - 1)
     if m.size == 0:
         resid = xj
     else:
-        b = (m.xc.T @ xj) / d.n
-        w = m.whitening
-        resid = xj - m.xc @ (w @ (w.T @ b))
+        z = m.white_xc
+        resid = xj - z @ (z.T @ xj) / d.n
 
     mean_r = resid.mean()
     sigma2 = float(resid @ resid) / d.n - mean_r**2
@@ -279,9 +280,9 @@ class ScanState:
     width it and the kept statistics are copied without them, in the same
     order.  Rows are kept slice by slice, so each slice is a contiguous
     block; the gains are sums over samples within slices, which row order
-    does not change.  With Q the whitening is W = sqrt(n) R_Q^{-1}, which satisfies
-    W W' = Sigma_F^{-1}; the gains depend on the whitening only through such
-    products, so no Sigma_F^{-1/2} is formed.
+    does not change.  R_Q / sqrt(n) is the upper Cholesky factor of Sigma_F,
+    so W = sqrt(n) R_Q^{-1} is ``MomentStats.whitening`` of F taken in
+    ascending order; the gains read it only through Q = X_F W / sqrt(n).
     """
 
     def __init__(
@@ -300,11 +301,7 @@ class ScanState:
         self.indicator = np.zeros((d.n, s.h_count), order="F")
         for h, (a, b) in enumerate(self.bounds):
             self.indicator[a:b, h] = 1.0
-        idx = self.columns - 1
-        x = d.x if self.columns.size == d.p else d.x[:, idx]
-        block = x[np.concatenate(s.rows)]
-        block -= d.column_means()[idx]
-        block *= d.column_scales()[idx]
+        block = d.standardized(self.columns - 1, np.concatenate(s.rows))
         block.setflags(write=False)
         self.block = block
         self.live = np.arange(self.columns.size)  # positions of the block's columns
@@ -414,17 +411,10 @@ class ScanState:
                 self.cross[:k, h, slots] = basis[a:b].T @ r[a:b]
 
     def _is_singular(self, k: int) -> bool:
-        """The ``EIGENVALUE_FLOOR`` verdict on Sigma_F, usually without eigvalsh.
-
-        With Sigma_F = R_Q' R_Q / n, lambda_max <= |R_Q|_F^2 / n = k, since
-        each standardized column has squared norm n, and lambda_min >=
-        1 / (n |R_Q^{-1}|_F^2), so n k |R_Q^{-1}|_F^2 below
-        1 / EIGENVALUE_FLOOR proves the rule passes; half that bound leaves
-        room for rounding in R_Q^{-1} and the sum.  The new column (r; rho)
+        """The ``is_singular_factor`` verdict on R_Q.  The new column (r; rho)
         of R_Q extends R_Q^{-1} by the column (-R^{-1} r / rho; 1 / rho) and
-        the sum by one term.  A zero pivot (a constant column) or a failed
-        bound leaves the verdict to the eigenvalues of R_Q' R_Q / n.
-        """
+        |R_Q^{-1}|_F^2 by one term, so the bound costs one matrix-vector
+        product per addition."""
         rk = self.rq[:k, :k]
         r, rho = rk[:-1, -1], float(rk[-1, -1])
         if rho > 0.0:
@@ -432,9 +422,9 @@ class ScanState:
             self._rinv_t[k - 1, : k - 1] = t / -rho
             self._rinv_t[k - 1, k - 1] = 1.0 / rho
             self._inv_norm2 += (float(t @ t) + 1.0) / rho / rho
-            if self.n * k * self._inv_norm2 < 0.5 / EIGENVALUE_FLOOR:
-                return False
-        return is_singular_spectrum(np.linalg.eigvalsh(rk.T @ rk / self.n))
+        else:
+            self._inv_norm2 = math.inf
+        return is_singular_factor(rk, self.n, self._inv_norm2)
 
     def gains(self) -> tuple[np.ndarray, list[tuple[int, str]]]:
         """Trace gain of each column over F, with the skipped candidates.

@@ -13,11 +13,14 @@ Per-coordinate signs of the stacked influence vector do not affect the
 weights: flipping signs conjugates the outer product by a diagonal
 orthogonal matrix, which preserves eigenvalues.  Nor does the whitening of
 the working set: the vector is written in the coordinates of
-``MomentStats.whitening``, and another whitening W O (O orthogonal, since
-W O O' W' = W W' = Sigma_F^{-1}) right-multiplies each |F|-dimensional
-block by the same O.  The stacked vector is then multiplied by a
-block-diagonal orthogonal matrix, which conjugates the outer product and
-again preserves its eigenvalues.
+``MomentStats.whitening``, the inverse U^{-1} of the upper Cholesky factor
+of Sigma_F, and any other whitening W with W W' = Sigma_F^{-1} is
+U^{-1} O for the orthogonal O = U W (O O' = U W W' U' = I).  It
+right-multiplies each |F|-dimensional block by the same O, so the stacked
+vector is multiplied by a block-diagonal orthogonal matrix, which
+conjugates the outer product and again preserves its eigenvalues; the
+eigh whitening V Lambda^{-1/2} and the forward scan's sqrt(n) R_Q^{-1} give
+the same weights.
 
 For SAVE and DR, every column of the samples L is, apart from terms that
 carry the slice indicator, a linear combination of the columns of

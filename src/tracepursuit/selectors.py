@@ -33,7 +33,7 @@ candidate outside F_k, a superset of the refinement's candidates U - F_k
 (U the BIC prefix) that holds the winner, and both break ties toward the
 smallest index; a candidate of U skipped at F_k would stay skipped and
 never have joined the path.  The backward pass scores every member from one
-whitening of F (``deletion_gains``): one ``eigh`` plus
+whitening of F (``deletion_gains``): one Cholesky factorization plus
 O(n |F|^2 + H |F|^3) work.  Only the question a pass tests,
 the forward winner or the cheapest member, goes through ``trace_test``, and
 each test is computed once per run: every STP decision is a pure function

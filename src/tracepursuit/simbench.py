@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cache
 from typing import Iterable
 
 import numpy as np
@@ -29,8 +30,6 @@ from .selectors import StpConfig, ftp_run, htp_run, stp_run
 
 PREDICTOR_DISTS = ("normal", "uniform12", "exponential1", "geometric_half")
 ALGORITHMS = ("stp", "ftp", "htp")
-
-_sqrt_cov_cache: dict[tuple[int, float], np.ndarray] = {}
 
 
 @dataclass(frozen=True)
@@ -62,15 +61,15 @@ class SimDesign:
             raise ValueError(f"predictor_dist must be one of {PREDICTOR_DISTS}")
 
 
+@cache
 def _sqrt_cov(p: int, rho: float) -> np.ndarray:
-    key = (p, rho)
-    factor = _sqrt_cov_cache.get(key)
-    if factor is None:
-        idx = np.arange(p)
-        cov = rho ** np.abs(idx[:, None] - idx[None, :])
-        evals, evecs = np.linalg.eigh(cov)
-        factor = evecs @ (evecs * np.sqrt(np.clip(evals, 0.0, None))).T
-        _sqrt_cov_cache[key] = factor
+    """The symmetric square root of the covariance rho^|i-j|, one read-only
+    array per (p, rho)."""
+    idx = np.arange(p)
+    cov = rho ** np.abs(idx[:, None] - idx[None, :])
+    evals, evecs = np.linalg.eigh(cov)
+    factor = evecs @ (evecs * np.sqrt(np.clip(evals, 0.0, None))).T
+    factor.setflags(write=False)
     return factor
 
 

@@ -26,6 +26,9 @@ def model_csv(tmp_path):
     return str(path)
 
 
+BENCH_ARGV = ["bench", "--model", "1", "--p", "5", "--n", "60", "--reps", "1"]
+
+
 class TestIngest:
     def test_too_few_samples(self, tmp_path):
         path = tmp_path / "tiny.csv"
@@ -245,14 +248,15 @@ class TestCommands:
         assert record["error"]["category"] == "invalid-argument"
 
     @pytest.mark.parametrize(
-        "flag, message",
-        [(["--slices", "0"], "h_count must be >= 2"),
-         (["--sigma", "nan"], "sigma_noise must be finite")],
-        ids=["slices-0", "sigma-nan"],
+        "argv, message",
+        [(BENCH_ARGV + ["--slices", "0"], "h_count must be >= 2"),
+         (BENCH_ARGV + ["--sigma", "nan"], "sigma_noise must be finite"),
+         (["test", "d.csv", "--working-set", "1,a", "--candidate", "3"],
+          "--working-set must be comma-separated integers, got '1,a'")],
+        ids=["slices-0", "sigma-nan", "working-set-1,a"],
     )
-    def test_bench_rejects_degenerate_flag(self, flag, message, capsys):
-        rc = main(["bench", "--model", "1", "--p", "5", "--n", "60", "--reps", "1",
-                   *flag, "--format", "json-lines"])
+    def test_bench_rejects_degenerate_flag(self, argv, message, capsys):
+        rc = main(argv + ["--format", "json-lines"])
         captured = capsys.readouterr()
         assert rc == 1
         assert "error[invalid-argument]" in captured.err
@@ -316,8 +320,7 @@ class TestCommands:
         assert rec["uf"] + rec["cf"] + rec["of"] == rec["reps"]
 
 
-COMMON_ECHO = {"method": "sir", "alpha": None, "h_count": None, "seed": 0,
-               "format": "json-lines"}
+COMMON_ECHO = {"method": "sir", "h_count": None, "format": "json-lines"}
 
 
 @pytest.mark.parametrize(
@@ -327,12 +330,12 @@ COMMON_ECHO = {"method": "sir", "alpha": None, "h_count": None, "seed": 0,
          {"algorithm": "stp", "alpha": 0.3}),
         (["screen", "--k-max", "3", "--slices", "5"], {"k_max": 3, "h_count": 5}),
         (["test", "--working-set", "1, 2", "--candidate", "3", "--seed", "2"],
-         {"working_set": [1, 2], "candidate": 3, "seed": 2}),
+         {"working_set": [1, 2], "candidate": 3, "alpha": None, "seed": 2}),
         (["bench", "--model", "2", "--p", "5", "--n", "60", "--reps", "1", "--rho", "0.5",
           "--dist", "uniform12", "--sigma", "0.5", "--seed", "4", "--algorithm", "ftp"],
          {"design": {"model": "II", "n": 60, "p": 5, "rho": 0.5, "sigma_noise": 0.5,
                      "predictor_dist": "uniform12", "seed": 4},
-          "algorithm": "ftp", "reps": 1, "seed": 4}),
+          "algorithm": "ftp", "reps": 1, "alpha": None, "seed": 4}),
     ],
     ids=["select", "screen", "test", "bench"],
 )
@@ -360,3 +363,15 @@ def test_config_echo_and_error_out_file(argv, echo, model_csv, tmp_path, capsys)
     assert main(bad + ["--format", "table", "--out", str(out)]) == 1
     assert capsys.readouterr().out == ""
     assert out.read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["screen", "--alpha", "0.05"], ["screen", "--seed", "1"], ["select", "--seed", "1"]],
+    ids=["screen-alpha", "screen-seed", "select-seed"],
+)
+def test_command_rejects_options_it_does_not_read(argv, model_csv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], model_csv, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -161,11 +161,11 @@ class TestTraceKernel:
 
 
 @pytest.fixture
-def eigh_calls(monkeypatch):
-    """Counts ``np.linalg.eigh`` calls made while the test runs."""
+def cholesky_calls(monkeypatch):
+    """Counts ``np.linalg.cholesky`` calls made while the test runs."""
     calls = []
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(1) or eigh(a))
+    cholesky = np.linalg.cholesky
+    monkeypatch.setattr(np.linalg, "cholesky", lambda a: calls.append(1) or cholesky(a))
     return calls
 
 
@@ -182,6 +182,18 @@ class TestWorkingSetAlgebra:
             assert np.allclose(w @ w.T @ sigma, np.eye(m.size), atol=1e-10)
             assert np.allclose(m.white_u, u @ w, atol=1e-12)
             assert np.allclose(m.white_v, np.einsum("ab,hac,cd->hbd", w, v, w), atol=1e-12)
+
+    def test_whitening_is_the_scans_triangular_factor(self, rng):
+        """W is upper triangular and equals sqrt(n) R_Q^{-1} of a forward scan
+        grown over F in ascending order: the scan and the test share it."""
+        for _ in range(10):
+            d, s, f, j = random_case(rng)
+            fs = tuple(sorted(f + (j,)))
+            w = compute_moments(d, s, fs).whitening
+            state = ScanState(d, s, Method.SIR, tuple(range(1, d.p + 1)), fs)
+            rq = state.rq[: len(fs), : len(fs)]
+            assert np.array_equal(w, np.triu(w))
+            assert np.allclose(w, np.sqrt(d.n) * np.linalg.inv(rq), rtol=1e-10, atol=1e-12)
 
     def test_kappa_is_sir_trace(self, rng):
         for _ in range(10):
@@ -202,7 +214,7 @@ class TestWorkingSetAlgebra:
         d, s, _ = small_case
         assert compute_moments(d, s, ()).kappa == 0.0
 
-    def test_one_eigendecomposition_per_working_set(self, small_case, eigh_calls):
+    def test_one_eigendecomposition_per_working_set(self, small_case, cholesky_calls):
         d, s, m = small_case
         for j in (3, 4, 5):
             r = residualize(m, j)
@@ -210,9 +222,9 @@ class TestWorkingSetAlgebra:
                 trace_diff(method, r)
                 trace_kernel(method, m)
                 influence_samples(method, r)
-        assert len(eigh_calls) == 1
+        assert len(cholesky_calls) == 1
 
-    def test_singular_set_decomposed_once(self, eigh_calls):
+    def test_singular_set_decomposed_once(self, cholesky_calls):
         rng = np.random.default_rng(5)
         base = rng.standard_normal(30)
         x = np.column_stack([base, base, rng.standard_normal(30)])
@@ -221,7 +233,7 @@ class TestWorkingSetAlgebra:
         for _ in range(3):
             with pytest.raises(SingularDesignError):
                 m.whitening
-        assert len(eigh_calls) == 1
+        assert len(cholesky_calls) == 1
 
 
 def _rotation(rng, k):
@@ -412,6 +424,12 @@ class TestScanCertificateAndRepack:
             evals = np.linalg.eigvalsh(xc.T @ xc / n)
             if not 1e-13 <= evals[0] / evals[-1] <= 1e-11:  # both solvers clear of the floor
                 assert state.singular == is_singular_spectrum(evals), state.f
+                m = compute_moments(d, s, state.f)
+                if state.singular:
+                    with pytest.raises(SingularDesignError):
+                        m.whitening
+                else:
+                    m.whitening  # raises nothing
             for each in states:
                 gains, skipped = each.gains()
                 assert np.all(np.isfinite(gains) | (gains == -np.inf))

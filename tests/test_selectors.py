@@ -283,10 +283,10 @@ def test_scripted_return_to_an_earlier_working_set(monkeypatch):
 @pytest.mark.parametrize("method", list(Method))
 def test_backward_pass_whitens_once(method, monkeypatch):
     """Outside the tests it asks for, a backward pass builds one MomentStats
-    and runs one eigh, whatever |F| is."""
+    and runs one Cholesky factorization, whatever |F| is."""
     import tracepursuit.selectors as selectors
 
-    eigh, calls, testing = np.linalg.eigh, [], []
+    cholesky, calls, testing = np.linalg.cholesky, [], []
 
     def spy_moments(d, s, f):
         calls.append("moments")
@@ -296,10 +296,10 @@ def test_backward_pass_whitens_once(method, monkeypatch):
         calls.append("scan")
         return deletion_gains(method, m)
 
-    def spy_eigh(a):
+    def spy_cholesky(a):
         if not testing:
-            calls.append("eigh")
-        return eigh(a)
+            calls.append("cholesky")
+        return cholesky(a)
 
     def spy_test(*args):
         testing.append(1)
@@ -313,11 +313,11 @@ def test_backward_pass_whitens_once(method, monkeypatch):
     monkeypatch.setattr(selectors, "compute_moments", spy_moments)
     monkeypatch.setattr(selectors, "deletion_gains", spy_gains)
     monkeypatch.setattr(selectors, "trace_test", spy_test)
-    monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+    monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
     report = stp_run(d, s, StpConfig(method=method, alpha=0.4))
     assert len(report.selected) > 2
     assert calls.count("scan") > 2
-    assert calls == ["moments", "scan", "eigh"] * calls.count("scan")
+    assert calls == ["moments", "scan", "cholesky"] * calls.count("scan")
 
 
 @pytest.mark.parametrize("rows", [50, 100])
