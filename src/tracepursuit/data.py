@@ -321,7 +321,10 @@ class MomentStats:
     @cached_property
     def _whitening(self) -> np.ndarray | None:
         """U^{-1} for the upper Cholesky factor U of Sigma_F = U'U, or None
-        when Sigma_F fails the floor rule or cannot be factored."""
+        when Sigma_F fails the floor rule or cannot be factored; an empty F
+        has the 0 x 0 whitening and nothing to factor."""
+        if self.size == 0:
+            return np.empty((0, 0))
         try:
             u = np.linalg.cholesky(self.xc.T @ self.xc / self.d.n).T
         except np.linalg.LinAlgError:

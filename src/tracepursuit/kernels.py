@@ -8,7 +8,10 @@ it scores single candidates (the trace tests).  ``ScanState`` evaluates the
 same gains for every candidate of a forward scan at once, from slice
 statistics of the candidate residuals that it keeps current as the working
 set grows, without forming the residuals, and ``deletion_gains`` those of
-every member of F, from the whitening of F alone.
+every member of F, from the whitening of F alone.  Besides the projections
+Q'X of the candidates on a basis Q of F, every statistic the scan keeps is
+an (H, p) array whatever the kernel, so a scan of the candidates costs
+O(H (p - |F|)) for SIR, SAVE and DR alike.
 
 The routes agree to floating point because every sample moment is an
 n-divisor empirical average over the same observations and the candidate
@@ -257,23 +260,40 @@ class ScanState:
     of Sigma_F's eigenvalues.  The residuals R = X - Q Q'X are not formed:
     the state keeps only what the gains read of them, namely the slice sums
     S'R and the residual sums of squares, and for SAVE and DR the slice sums
-    of squares and the slice cross-moments Q_h' R_h.  Each is computed from
-    X at |F| = 0 and then updated, as pivoted QR keeps its column norms
-    (Businger and Golub 1965); as there, a column whose sum of squares has
-    lost most of its digits to cancellation is computed again from its
-    explicit residual (``_REFRESH``).
+    of squares and, by column, nu2_h = |Q_h' R_h|^2, with, for SAVE alone,
+    mc_h = s_h' Q_h' R_h, s_h the row of S'Q: the gains read the slice
+    cross-moments Q_h' R_h only through these two contractions, so no array
+    of |F| H entries per column is kept.  Each is computed from X at |F| = 0 and then
+    updated, as pivoted QR keeps its column norms (Businger and Golub 1965);
+    as there, a column whose sum of squares has lost most of its digits to
+    cancellation is computed again from its explicit residual
+    (``_REFRESH``).  The one trigger on rss serves nu2 as well.  Since
+    |Q_h|_2 <= 1, nu2_h <= sq_h <= rss, so the terms that update nu2 are no
+    larger than those that update rss, and its rounding error, like that of
+    rss, stays within about 1/``_REFRESH`` units of roundoff of the rss by
+    which the gains divide it.
 
     ``add`` grows F by one member.  Its residual x_j - Q Q'x_j,
     orthogonalized twice (Giraud, Langou and Rozloznik 2005), gives the new
     basis vector q and the new column of R_Q, and one more column of
-    R_Q^{-1} comes from one matrix-vector product.  One product of q, split
-    by slice, with the block gives w = q'X and b_h = q_h' R_h, from which
-    S'R loses (S'q) w', the sums of squares lose w^2, the slice sums of
-    squares lose 2 w b_h - |q_h|^2 w^2 and Q_h' R_h loses (Q_h' q_h) w' and
-    gains the row b_h - |q_h|^2 w.  With m columns an addition costs
-    O(n m) for the product plus O(H m) for SIR and O(H |F| m) for SAVE and
-    DR; no n x m block is written.  ``gains`` then scores all candidates in
-    O(H m) for SIR and O(H |F| m) for SAVE and DR.
+    R_Q^{-1} comes from one matrix-vector product.  The product w = q'X
+    takes q out of the residuals (R loses q w'), so S'R loses (S'q) w' and
+    the sums of squares lose w^2.  For SAVE and DR, with a_h = Q_h' q_h and
+    v_h = Q_h a_h, the products of the slice parts q_h and of v_h with the
+    block, less their products with Q times Q'X, give b_h = q_h' R_h and
+    v_h' R_h.  Q_h' R_h loses a_h w' and gains the row t_h = b_h - |q_h|^2 w,
+    so
+
+        sq_h  -= 2 w b_h - |q_h|^2 w^2,
+        nu2_h += t_h^2 - 2 w v_h' R_h + |a_h|^2 w^2,
+        mc_h  += s_hk t_h - (s_h . a_h) w,
+
+    elementwise over the columns, s_hk the new entry of s_h.  The product
+    takes the |q_h|^2 and |a_h|^2 terms in at half weight, so sq_h and nu2_h
+    each gain -2 w times one row of it.  With m columns an addition
+    costs O(n m) for SIR and O(H (n + |F|) m) for SAVE and DR, in two
+    matrix products; no n x m block is written.  ``gains`` then scores all
+    candidates in O(H m) for every kernel.
 
     The block holds the columns at positions ``live`` (ascending) and stays
     C-contiguous: once at least ``_REPACK`` members fill 1/``_REPACK`` of its
@@ -320,7 +340,9 @@ class ScanState:
         self.base = np.empty(width)  # rss when last computed from the residual
         if method is not Method.SIR:
             self.sq = np.empty((s.h_count, width))  # slice sums of R^2
-            self.cross = np.empty((cap, s.h_count, width))  # row k: q_k,h' R_h
+            self.nu2 = np.empty((s.h_count, width))  # |Q_h' R_h|^2
+        if method is Method.SAVE:
+            self.mc = np.empty((s.h_count, width))  # (S'Q)_h' Q_h' R_h
         self._refresh(slice(None))
         for j in f:
             self.add(j)
@@ -371,24 +393,33 @@ class ScanState:
         self.sums, self.rss = compress(self.sums), compress(self.rss)
         self.base = compress(self.base)
         if self.method is not Method.SIR:
-            self.sq, self.cross = compress(self.sq), compress(self.cross, k)
+            self.sq, self.nu2 = compress(self.sq), compress(self.nu2)
+        if self.method is Method.SAVE:
+            self.mc = compress(self.mc)
         self._dead = 0
 
     def _update(self, k: int, q: np.ndarray) -> None:
         """Take the new basis vector q, column k of Q, out of the kept statistics."""
         if self.method is Method.SIR:
-            w = q @ self.block
+            self.qx[k] = w = q @ self.block
         else:
-            split = q[:, None] * self.indicator  # column h is q_h, (n, H)
-            qx_h = split.T @ self.block  # q_h' X_h, (H, width)
-            w = qx_h.sum(axis=0)
-            qq = split.T @ self.q[:, : k + 1]  # q_h' Q_h, the last column |q_h|^2
-            q2 = qq[:, k, None]
-            b = qx_h - qq[:, :k] @ self.qx[:k]  # q_h' R_h
-            self.sq -= (2.0 * b - q2 * w) * w
-            self.cross[:k] -= qq[:, :k].T[:, :, None] * w
-            self.cross[k] = b - q2 * w
-        self.qx[k] = w
+            hc, basis = self.counts.size, self.q[:, :k]
+            split = np.empty((self.n, 2 * hc), order="F")  # columns q_h, then v_h
+            np.multiply(q[:, None], self.indicator, out=split[:, :hc])
+            a = split[:, :hc].T @ basis  # row h: a_h = Q_h' q_h
+            np.multiply((a @ basis.T).T, self.indicator, out=split[:, hc:])  # v_h = Q_h a_h
+            coef = split.T @ self.q[:, : k + 1]  # last column: |q_h|^2, then |a_h|^2
+            coef[:, k] *= 0.5
+            prod = split.T @ self.block
+            self.qx[k] = w = prod[:hc].sum(axis=0)
+            prod -= coef @ self.qx[: k + 1]  # b_h - |q_h|^2 w / 2, v_h' R_h - |a_h|^2 w / 2
+            t = prod[:hc] - coef[:hc, k, None] * w  # t_h, the new row of Q_h' R_h
+            if self.method is Method.SAVE:
+                sa = np.einsum("hk,hk->h", self.slice_q[:, :k], a)  # s_h . a_h
+                self.mc += self.slice_q[:, k, None] * t - sa[:, None] * w
+            prod *= -2.0 * w
+            self.sq += prod[:hc]
+            self.nu2 += prod[hc:] + t * t
         self.sums -= self.slice_q[:, k, None] * w
         self.rss -= w * w
         stale = ~self.member[self.live] & (self.rss < _REFRESH * self.base)
@@ -408,7 +439,10 @@ class ScanState:
         if self.method is not Method.SIR:
             for h, (a, b) in enumerate(self.bounds):
                 self.sq[h, slots] = np.einsum("ij,ij->j", r[a:b], r[a:b])
-                self.cross[:k, h, slots] = basis[a:b].T @ r[a:b]
+                c = basis[a:b].T @ r[a:b]  # Q_h' R_h
+                self.nu2[h, slots] = np.einsum("kj,kj->j", c, c)
+                if self.method is Method.SAVE:
+                    self.mc[h, slots] = self.slice_q[h, :k] @ c
 
     def _is_singular(self, k: int) -> bool:
         """The ``is_singular_factor`` verdict on R_Q.  The new column (r; rho)
@@ -454,14 +488,11 @@ class ScanState:
         z = nu2 = phi2 = iota_sum2 = kappa = None
         if method is not Method.SIR:
             z = self.sq / (nh * sigma2)
-            k = len(self.f)
-            c = self.cross[:k]  # slice cross-moments Q_h' R_h, (k, H, width)
-            mh = self.slice_q[:, :k] / nh  # whitened slice means / sqrt(n)
-            nu2 = np.einsum("khj,khj->hj", c, c) * (n / (nh**2 * sigma2))  # |nu_h|^2
+            mh = self.slice_q[:, : len(self.f)] / nh  # whitened slice means / sqrt(n)
+            nu2 = self.nu2 * (n / (nh**2 * sigma2))  # |nu_h|^2
             gram = n * (mh @ mh.T)  # Gram of the whitened slice means
             if method is Method.SAVE:
-                mc = np.einsum("hk,khj->hj", mh, c)
-                iota_nu = g * mc * (n / (nh * np.sqrt(sigma2)))
+                iota_nu = g * self.mc * (n / (nh**2 * np.sqrt(sigma2)))
                 phi2 = g**2 * np.diag(gram)[:, None] - 2.0 * iota_nu + nu2
             else:
                 pg = p_hat[:, None] * g

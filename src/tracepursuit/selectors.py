@@ -22,13 +22,14 @@ Forward scans are vectorized: a ``ScanState`` for the run's kernel holds
 the standardized candidate columns, written once, and keeps current only
 the slice statistics of their residuals given the working set that the
 gains read.  An addition costs one product of the new basis vector with
-the columns, O(n p), plus O(H p) for SIR and O(H |F| p) for SAVE and DR;
-no n x p block of residuals is formed.  A scan then costs O(H (p - |F|)) for SIR and
-O(H |F| (p - |F|)) for SAVE and DR.  FTP keeps one state for its whole
-path; STP keeps one across its forward passes and builds a new one only
-after a deletion.  HTP's refinement builds none until its first deletion:
-while its working set is the path prefix F_k, its forward winner is the
-path's step k + 1.  That step is the argmax of the same gains over every
+the columns, O(n p), for SIR, and for SAVE and DR one product of 2H slice
+vectors with them, O(H (n + |F|) p); no n x p block of residuals is formed,
+and besides the projections on the working set the kept statistics take
+O(H p).  A scan then costs O(H (p - |F|)) for every kernel.  FTP keeps
+one state for its whole path; STP keeps one across its forward passes and
+builds a new one only after a deletion.  HTP's refinement builds none
+until its first deletion: while its working set is the path prefix F_k,
+its forward winner is the path's step k + 1.  That step is the argmax of the same gains over every
 candidate outside F_k, a superset of the refinement's candidates U - F_k
 (U the BIC prefix) that holds the winner, and both break ties toward the
 smallest index; a candidate of U skipped at F_k would stay skipped and

@@ -224,6 +224,16 @@ class TestWorkingSetAlgebra:
                 influence_samples(method, r)
         assert len(cholesky_calls) == 1
 
+    def test_empty_set_is_not_factored(self, small_case, cholesky_calls):
+        d, s, _ = small_case
+        m = compute_moments(d, s, ())
+        for j in (3, 4, 5):
+            r = residualize(m, j)
+            for method in METHODS:
+                trace_diff(method, r)
+                influence_samples(method, r)
+        assert len(cholesky_calls) == 0
+
     def test_singular_set_decomposed_once(self, cholesky_calls):
         rng = np.random.default_rng(5)
         base = rng.standard_normal(30)
@@ -528,8 +538,13 @@ class TestScanKeptStatistics:
             close(state.rss, (r * r).sum(0))
             if method is not Method.SIR:
                 close(state.sq, np.array([(r[rows] ** 2).sum(0) for rows in slices]))
-                cross = np.stack([q[rows].T @ r[rows] for rows in slices], axis=1)
-                close(state.cross[: len(state.f)], cross)
+                cross = [q[rows].T @ r[rows] for rows in slices]  # Q_h' R_h
+                close(state.nu2, np.array([(c * c).sum(0) for c in cross]))
+                # |Q_h' R_h| <= |R_h|, so nu2 <= sq: the rss refresh rule bounds both
+                assert np.all(state.nu2 <= state.sq * (1.0 + 1e-10) + 1e-10 * n)
+            if method is Method.SAVE:
+                mc = [q[rows].sum(0) @ c for rows, c in zip(slices, cross)]
+                close(state.mc, np.array(mc))
             _, skipped = state.gains()
             skipped = {i for i, _ in skipped}
             m = compute_moments(d, s, state.f)

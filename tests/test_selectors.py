@@ -349,6 +349,23 @@ def test_long_stepwise_run_holds_no_moments_per_question():
     assert peak < 2e6
 
 
+def test_save_and_dr_paths_hold_no_more_than_sir():
+    # a SAVE or DR scan keeps (H, p) slice statistics besides Q'X, as SIR does,
+    # not the (|F|, H, p) cross-moments Q_h' R_h
+    d, _ = generate(SimDesign(model="I", n=100, p=2000, seed=0))
+    s = slice_response(d.y, 4)
+    peaks = {}
+    for method in Method:
+        tracemalloc.start()
+        try:
+            ftp_run(d, s, method)
+            peaks[method] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[Method.SAVE] <= 1.5 * peaks[Method.SIR]
+    assert peaks[Method.DR] <= 1.5 * peaks[Method.SIR]
+
+
 def _noise_dataset(seed, n=300, p=10):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=9000, spawn_key=(seed,)))
     x = rng.standard_normal((n, p))
