@@ -2,13 +2,13 @@
 
 All moment estimators use the n-divisor convention and one global
 standardization of the predictors: each column is centered and divided by
-its standard deviation (``Dataset.column_means`` and ``column_scales``, a
-constant column becomes zeros), and a working set selects those columns
-rather than re-centering.  The traces, gains and statistics do not depend
-on the units of a column, and with standardized columns neither do the
-floors: Sigma_F is the correlation matrix of F, so ``EIGENVALUE_FLOOR``
-bounds its eigenvalue spread whatever the units.  ``Dataset.x`` keeps the
-raw units; no standardized copy of it is stored.
+its standard deviation (``Dataset.means`` and ``scales``, computed once
+when the dataset is built; a constant column becomes zeros), and a working
+set selects those columns rather than re-centering.  The traces, gains and
+statistics do not depend on the units of a column, and with standardized
+columns neither do the floors: Sigma_F is the correlation matrix of F, so
+``EIGENVALUE_FLOOR`` bounds its eigenvalue spread whatever the units.
+``Dataset.x`` keeps the raw units; no standardized copy of it is stored.
 
 ``MomentStats`` holds the standardized columns X_F of a working set and owns
 the working-set algebra: the terms that depend on F alone, and so are shared
@@ -30,8 +30,12 @@ candidate.  A ``MomentStats`` also holds the dataset ``d`` and the slicing
 proportions, rows and averaging matrix from the moments themselves and
 cannot pair them with another slicing.
 
+``Dataset`` and ``SliceAssignment`` hold only arrays computed once, when
+``Dataset.from_arrays`` and ``slice_response`` build them: the column
+statistics of a dataset, and the counts, proportions and rows of a slicing.
 Everything here is a pure function of its inputs; the returned objects are
-treated as immutable apart from those caches.
+treated as immutable apart from the cached properties of ``MomentStats``
+and ``SliceAssignment.averaging``.
 """
 
 from __future__ import annotations
@@ -56,6 +60,10 @@ from .errors import (
 # singular rather than regularized, which would break the exact trace-gain
 # identities.
 EIGENVALUE_FLOOR = 1e-12
+
+# Columns per pass of ``Dataset.from_arrays``'s column statistics: each pass
+# copies n x _STAT_CHUNK_COLS floats, so the copy stays small next to x.
+_STAT_CHUNK_COLS = 512
 
 # Working sets are tuples of 1-based predictor indices, strictly increasing.
 IndexSet = tuple[int, ...]
@@ -95,6 +103,15 @@ def as_integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _real(a, name: str) -> np.ndarray:
+    """``a`` as an array; a complex one raises ``ValueError``, as converting
+    it to float would drop its imaginary part."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValueError(f"{name} has complex dtype {a.dtype}")
+    return a
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     a = np.array(a, dtype=np.float64, order="C")
     a.setflags(write=False)
@@ -103,12 +120,25 @@ def _readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A predictor matrix (n x p, raw units) with a scalar response."""
+    """A predictor matrix (n x p, raw units) with a scalar response.
+
+    ``means`` and ``scales`` hold each column's mean and 1/sd (n-divisor),
+    with scale 0 for a constant column, so (x - mean) * scale is the
+    standardized column or zeros.  ``from_arrays`` computes both once, for
+    all columns, and every array field is read-only.  Each statistic is the
+    same bits as the 1-D reduction of its column alone, ``x[:, a].mean()``
+    and ``1 / sqrt(dev @ dev / n)`` with dev = x[:, a] - mean: a chunk of
+    columns is copied to a C-order array of rows, so each row is one column
+    and the row-wise ``mean`` runs the same pairwise sum, and the row-wise
+    ``matmul`` of each row with itself runs the same dot product.
+    """
 
     x: np.ndarray
     y: np.ndarray
     n: int
     p: int
+    means: np.ndarray
+    scales: np.ndarray
     column_names: tuple[str, ...] | None = None
 
     @classmethod
@@ -118,11 +148,12 @@ class Dataset:
         y: np.ndarray,
         column_names: Sequence[str] | None = None,
     ) -> "Dataset":
-        x = np.asarray(x, dtype=np.float64)
+        x, y = _real(x, "x"), _real(y, "y").ravel()
         if x.ndim == 1:
             x = x[:, None]  # single predictor
-        x = _readonly(x)
-        y = _readonly(np.asarray(y).ravel())
+        if x.ndim != 2:
+            raise ValueError(f"x must be 1-D or 2-D, got shape {x.shape}")
+        x, y = _readonly(x), _readonly(y)
         n, p = x.shape
         if n < 2 or p < 1:
             raise ValueError(f"need n >= 2 and p >= 1, got n={n}, p={p}")
@@ -140,49 +171,32 @@ class Dataset:
             raise ValueError(f"x column {label(int(np.argmin(finite)))} has non-finite entries")
         if not np.all(np.isfinite(y)):
             raise ValueError("y contains non-finite entries")
-        d = cls(x=x, y=y, n=n, p=p, column_names=names)
-        # Every moment sums squares and products of centered columns, so the
-        # squared deviations of a nonconstant column must stay normal floats:
-        # below that they lose digits, above it they overflow.
-        means = d.column_means()
+        means, sumsq = np.empty(p), np.empty(p)
         top, bottom = x.max(axis=0), x.min(axis=0)
+        varies = top > bottom
         with np.errstate(over="ignore", under="ignore"):
+            for a in range(0, p, _STAT_CHUNK_COLS):
+                cols = slice(a, a + _STAT_CHUNK_COLS)
+                dev = np.array(x[:, cols].T, order="C")  # row i is column a + i
+                means[cols] = dev.mean(axis=1)
+                dev -= means[cols, None]
+                sumsq[cols] = np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0]
+            # Every moment sums squares and products of centered columns, so
+            # the squared deviations of a nonconstant column must stay normal
+            # floats: below that they lose digits, above it they overflow.
             dev2 = np.maximum(top - means, means - bottom) ** 2
-            bad = (top > bottom) & ~((dev2 >= np.finfo(np.float64).tiny) & np.isfinite(n * dev2))
+            bad = varies & ~((dev2 >= np.finfo(np.float64).tiny) & np.isfinite(n * dev2))
         if bad.any():
             raise ValueError(
                 f"x column {label(int(np.argmax(bad)))} has squared deviations "
                 "outside the normal float range"
             )
-        return d
-
-    def __getstate__(self) -> dict:
-        """The fields alone: the caches are rebuilt on use, not pickled."""
-        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
-
-    def column_means(self) -> np.ndarray:
-        """Per-column means, each computed as a 1-D reduction of that column."""
-        cached = getattr(self, "_col_means", None)
-        if cached is None:
-            cached = np.array([self.x[:, a].mean() for a in range(self.p)])
-            cached.setflags(write=False)
-            object.__setattr__(self, "_col_means", cached)
-        return cached
-
-    def column_scales(self) -> np.ndarray:
-        """Per-column 1/sd (n-divisor), each from a 1-D reduction of that
-        column, and 0 for a constant column: (x - mean) * scale is the
-        standardized column, or zeros."""
-        cached = getattr(self, "_col_scales", None)
-        if cached is None:
-            means = self.column_means()
-            cached = np.zeros(self.p)
-            for a in np.flatnonzero(self.x.max(axis=0) > self.x.min(axis=0)):
-                dev = self.x[:, a] - means[a]
-                cached[a] = 1.0 / math.sqrt(dev @ dev / self.n)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_col_scales", cached)
-        return cached
+        scales = np.zeros(p)
+        np.divide(1.0, np.sqrt(sumsq / n), out=scales, where=varies)
+        return cls(
+            x=x, y=y, n=n, p=p, means=_readonly(means), scales=_readonly(scales),
+            column_names=names,
+        )
 
     def standardized(self, columns, rows: np.ndarray | None = None) -> np.ndarray:
         """(x - mean) * scale of the 0-based ``columns`` (an index, or an
@@ -191,11 +205,11 @@ class Dataset:
         only those rows, in that order; all p columns are then one gather of
         whole rows."""
         if rows is None:
-            x = self.x[:, columns] - self.column_means()[columns]
+            x = self.x[:, columns] - self.means[columns]
         else:
             x = self.x[rows] if np.size(columns) == self.p else self.x[:, columns][rows]
-            x -= self.column_means()[columns]
-        x *= self.column_scales()[columns]
+            x -= self.means[columns]
+        x *= self.scales[columns]
         return x
 
 
@@ -203,27 +217,18 @@ class Dataset:
 class SliceAssignment:
     """A partition of the sample into H response slices.
 
-    ``membership`` holds slice labels in 1..h_count; ``proportions[h-1]`` is
-    the exact slice-h count divided by n.  ``rows`` caches the row indices of
-    each slice (in original sample order).
+    ``membership`` holds slice labels in 1..h_count, ``counts[h-1]`` the
+    size of slice h, ``proportions[h-1]`` that count divided by n, and
+    ``rows[h-1]`` the row indices of slice h in original sample order.
+    ``slice_response`` computes them all once, from ``membership``; the
+    arrays are read-only.
     """
 
     h_count: int
     membership: np.ndarray
+    counts: np.ndarray
     proportions: np.ndarray
-    rows: tuple[np.ndarray, ...] = field(default=(), repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if not self.rows:
-            rows = tuple(
-                np.flatnonzero(self.membership == h)
-                for h in range(1, self.h_count + 1)
-            )
-            object.__setattr__(self, "rows", rows)
-
-    @property
-    def counts(self) -> np.ndarray:
-        return np.array([r.size for r in self.rows])
+    rows: tuple[np.ndarray, ...] = field(repr=False)
 
     @cached_property
     def averaging(self) -> np.ndarray:
@@ -242,9 +247,12 @@ def slice_response(y: np.ndarray, h_count: int, discrete: bool = False) -> Slice
     Continuous responses get equal-frequency slices by rank (ties broken by
     original sample index, slice sizes differing by at most one).  Discrete
     responses get one slice per distinct value, smallest value first, and the
-    slice count is reset to the number of distinct values.
+    slice count is reset to the number of distinct values.  A NaN or
+    infinite response raises ``ValueError``.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y contains non-finite entries")
     n = y.size
     h_count = as_integer(h_count, "h_count")
     if h_count < 2:
@@ -282,8 +290,14 @@ def slice_response(y: np.ndarray, h_count: int, discrete: bool = False) -> Slice
         h = h_count
 
     counts = np.bincount(membership, minlength=h + 1)[1:]
-    proportions = _readonly(counts / n)
-    return SliceAssignment(h_count=h, membership=membership, proportions=proportions)
+    order = np.argsort(membership, kind="stable")  # slice by slice, in sample order
+    for a in (membership, counts, order):
+        a.setflags(write=False)
+    return SliceAssignment(
+        h_count=h, membership=membership, counts=counts,
+        proportions=_readonly(counts / n),
+        rows=tuple(np.split(order, np.cumsum(counts)[:-1])),
+    )
 
 
 @dataclass

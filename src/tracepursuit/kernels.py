@@ -314,8 +314,7 @@ class ScanState:
         self.columns = np.asarray(columns, dtype=np.int64)
         self.f: list[int] = []
         self.member = np.zeros(self.columns.size, dtype=bool)
-        self.counts = s.counts.astype(np.float64)
-        self.proportions = np.asarray(s.proportions)
+        self.s = s
         ends = np.cumsum(s.counts)
         self.bounds = list(zip(ends - s.counts, ends))
         self.indicator = np.zeros((d.n, s.h_count), order="F")
@@ -403,7 +402,7 @@ class ScanState:
         if self.method is Method.SIR:
             self.qx[k] = w = q @ self.block
         else:
-            hc, basis = self.counts.size, self.q[:, :k]
+            hc, basis = self.s.h_count, self.q[:, :k]
             split = np.empty((self.n, 2 * hc), order="F")  # columns q_h, then v_h
             np.multiply(q[:, None], self.indicator, out=split[:, :hc])
             a = split[:, :hc].T @ basis  # row h: a_h = Q_h' q_h
@@ -481,8 +480,7 @@ class ScanState:
         category = CollinearCandidateError.category
         skipped = [(int(j), category) for j in self.columns[self.live[collinear]]]
         sigma2 = np.where(ok, sigma2, 1.0)
-        nh = self.counts[:, None]
-        p_hat = self.proportions
+        nh, p_hat = self.s.counts[:, None], self.s.proportions
         g = self.sums / (nh * np.sqrt(sigma2))  # slice means of the standardized residual
 
         z = nu2 = phi2 = iota_sum2 = kappa = None

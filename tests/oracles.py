@@ -8,6 +8,8 @@ gains, collapsed influence terms).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -17,6 +19,18 @@ def center_columns(x: np.ndarray) -> np.ndarray:
     for a in range(p):
         out[:, a] = x[:, a] - sum(x[:, a]) / n
     return out
+
+
+def column_statistics(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and 1/sd (n-divisor, 0 for a constant column), each
+    from a 1-D reduction of that column alone, one column at a time."""
+    n, p = x.shape
+    means = np.array([x[:, a].mean() for a in range(p)])
+    scales = np.zeros(p)
+    for a in np.flatnonzero(x.max(axis=0) > x.min(axis=0)):
+        dev = x[:, a] - means[a]
+        scales[a] = 1.0 / math.sqrt(dev @ dev / n)
+    return means, scales
 
 
 def standardize_columns(x: np.ndarray) -> np.ndarray:

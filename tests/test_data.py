@@ -27,10 +27,11 @@ from tracepursuit.errors import (
     SingularDesignError,
     WorkingSetIndexError,
 )
+from tracepursuit.data import _STAT_CHUNK_COLS
 from tracepursuit.kernels import Method, residualize
 
 from conftest import make_dataset
-from oracles import naive_moments, standardize_columns
+from oracles import column_statistics, naive_moments, standardize_columns
 
 
 class TestSliceResponse:
@@ -87,6 +88,25 @@ class TestSliceResponse:
         with pytest.raises(ValueError, match="h_count must be an integer"):
             slice_response(y, h_count, discrete=discrete)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_non_finite_response_rejected(self, bad, discrete):
+        y = np.r_[[0.0] * 10 + [1.0] * 9 if discrete else np.arange(19.0), bad]
+        with pytest.raises(ValueError, match="y contains non-finite entries"):
+            slice_response(y, 4, discrete=discrete)
+
+    @pytest.mark.parametrize("discrete", [False, True])
+    def test_counts_and_rows_are_stored_read_only(self, rng, discrete):
+        y = rng.integers(0, 3, 50).astype(float) if discrete else rng.standard_normal(50)
+        s = slice_response(y, 4, discrete=discrete)
+        assert s.counts is s.counts
+        labels = range(1, s.h_count + 1)
+        assert s.counts.tolist() == [np.sum(s.membership == h) for h in labels]
+        for h, rows in zip(labels, s.rows, strict=True):
+            assert np.array_equal(rows, np.flatnonzero(s.membership == h))
+        for a in (s.membership, s.counts, s.proportions, *s.rows):
+            assert not a.flags.writeable
+
     def test_proportions_sum_to_one(self, rng):
         for _ in range(10):
             y = rng.standard_normal(int(rng.integers(20, 200)))
@@ -116,6 +136,54 @@ class TestDataset:
             Dataset.from_arrays(bad, np.ones(5))
         with pytest.raises(ValueError):
             Dataset.from_arrays(np.ones((5, 2)), np.array([1, 2, np.inf, 4, 5.0]))
+
+    @pytest.mark.parametrize(
+        "x, y, match",
+        [
+            (np.ones((5, 2)) + 1j, np.arange(5.0), "x has complex dtype complex128"),
+            (np.ones((5, 2)), np.arange(5.0) + 0j, "y has complex dtype complex128"),
+            (np.ones((5, 2, 2)), np.arange(5.0), r"x must be 1-D or 2-D, got shape \(5, 2, 2\)"),
+            (np.float64(1.0), np.arange(1.0), r"x must be 1-D or 2-D, got shape \(\)"),
+        ],
+        ids=["complex-x", "complex-y", "3-d-x", "0-d-x"],
+    )
+    def test_complex_and_misshapen_input_rejected(self, x, y, match):
+        with pytest.raises(ValueError, match=match):
+            Dataset.from_arrays(x, y)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 60),
+        p=st.sampled_from(
+            [1, 2, _STAT_CHUNK_COLS - 1, _STAT_CHUNK_COLS, _STAT_CHUNK_COLS + 1,
+             2 * _STAT_CHUNK_COLS + 3]
+        ),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_statistics_match_the_per_column_loop(self, n, p, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, p))
+        kind = rng.integers(0, 6, p)
+        x[:, kind == 1] = rng.standard_normal(np.sum(kind == 1))  # constant columns
+        x[:, kind == 2] *= 1e7
+        x[:, kind == 3] *= 1e-7
+        x[:, kind == 4] += 1e8
+        x[:, kind == 5] *= 1e-150
+        d = Dataset.from_arrays(x, rng.standard_normal(n))
+        means, scales = column_statistics(x)
+        assert np.array_equal(d.means, means)
+        assert np.array_equal(d.scales, scales)
+        assert not (d.means.flags.writeable or d.scales.flags.writeable)
+
+    def test_construction_peak_memory_stays_near_one_copy_of_x(self, rng):
+        x, y = rng.standard_normal((100, 20000)), rng.standard_normal(100)
+        tracemalloc.start()
+        try:
+            Dataset.from_arrays(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * x.nbytes
 
     @pytest.mark.parametrize("scale", [1e160, 1e-160])
     def test_squares_outside_the_normal_range_are_rejected(self, scale):
@@ -350,7 +418,7 @@ class TestMomentCache:
             tracemalloc.stop()
         assert peak < n * p * 8 / 4
 
-    def test_pickle_and_deepcopy_drop_the_caches(self, rng):
+    def test_pickle_and_deepcopy_give_the_same_moments(self, rng):
         d = make_dataset(rng, 50, 40)
         fresh = Dataset.from_arrays(np.array(d.x), np.array(d.y))
         s = slice_response(d.y, 4)
