@@ -17,25 +17,29 @@ W W' = Sigma_F^{-1}, the inverse of the upper Cholesky factor U of
 Sigma_F = X_F' X_F / n = U'U, factored at most once per instance, and are
 cached there.  U is the triangular factor R_Q / sqrt(n) of the forward
 scan's X_F = Q R_Q (the R of a QR is the Cholesky factor of X'X), so the
-scan and the test share one whitening, and both take the floor verdict
-from their factor through ``is_singular_factor``.  These are W itself,
-the whitened columns Z = X_F W, the whitened slice moments, which are read
-from Z alone (slice means M Z with the slice-averaging matrix M of the
-slicing, and slice second moments Z_h' Z_h / n_h), and ``kappa``, the SIR
-kernel trace on F.  The traces, gains and null weights depend on Sigma_F
-only through W W', so any other whitening W O, O orthogonal, gives the same
-values.  The kernels module keeps only the work that depends on the
-candidate.  A ``MomentStats`` also holds the dataset ``d`` and the slicing
-``s`` it was built from, so everything downstream reads n, the slice
-proportions, rows and averaging matrix from the moments themselves and
-cannot pair them with another slicing.
+scan and the test share one whitening, sqrt(n) Q = X_F W = Z row for row,
+and both take the floor verdict from their factor through
+``is_singular_factor``.  These are W itself, the whitened columns
+Z = X_F W, the whitened slice moments, which are read from Z alone (slice
+means M Z with the slice-averaging matrix M of the slicing, and slice
+second moments Z_h' Z_h / n_h), and ``kappa``, the SIR kernel trace on F.
+The traces, gains and null weights depend on Sigma_F only through W W', so
+any other whitening W O, O orthogonal, gives the same values.  The kernels
+module keeps only the work that depends on the candidate.  A
+``MomentStats`` also holds the dataset ``d`` and the slicing ``s`` it was
+built from, so everything downstream reads n, the slice proportions, rows
+and averaging matrix from the moments themselves and cannot pair them with
+another slicing.
 
 ``Dataset`` and ``SliceAssignment`` hold only arrays computed once, when
 ``Dataset.from_arrays`` and ``slice_response`` build them: the column
-statistics of a dataset, and the counts, proportions and rows of a slicing.
-Everything here is a pure function of its inputs; the returned objects are
-treated as immutable apart from the cached properties of ``MomentStats``
-and ``SliceAssignment.averaging``.
+statistics of a dataset, and the counts, proportions, rows and indicator
+matrix of a slicing.  Every per-sample array, here and downstream, keeps
+the dataset's sample order; a slice is read through its rows or the
+indicator, never by re-sorting the samples, so the layout of the slices
+is known here alone.  Everything here is a pure function of its inputs;
+the returned objects are treated as immutable apart from the cached
+properties of ``MomentStats`` and ``SliceAssignment.averaging``.
 """
 
 from __future__ import annotations
@@ -123,11 +127,12 @@ class Dataset:
     """A predictor matrix (n x p, raw units) with a scalar response.
 
     ``means`` and ``scales`` hold each column's mean and 1/sd (n-divisor),
-    with scale 0 for a constant column, so (x - mean) * scale is the
-    standardized column or zeros.  ``from_arrays`` computes both once, for
-    all columns, and every array field is read-only.  Each statistic is the
-    same bits as the 1-D reduction of its column alone, ``x[:, a].mean()``
-    and ``1 / sqrt(dev @ dev / n)`` with dev = x[:, a] - mean: a chunk of
+    with scale 0 for a constant column, whose mean is its value, so (x -
+    mean) * scale is the standardized column or exact zeros.
+    ``from_arrays`` computes both once, for all columns, and every array
+    field is read-only.  Each statistic of a nonconstant column is the same
+    bits as the 1-D reduction of that column alone, ``x[:, a].mean()`` and
+    ``1 / sqrt(dev @ dev / n)`` with dev = x[:, a] - mean: a chunk of
     columns is copied to a C-order array of rows, so each row is one column
     and the row-wise ``mean`` runs the same pairwise sum, and the row-wise
     ``matmul`` of each row with itself runs the same dot product.
@@ -181,6 +186,8 @@ class Dataset:
                 means[cols] = dev.mean(axis=1)
                 dev -= means[cols, None]
                 sumsq[cols] = np.matmul(dev[:, None, :], dev[:, :, None])[:, 0, 0]
+            # a constant column's mean is its value, also where its sum overflows
+            np.copyto(means, top, where=~varies)
             # Every moment sums squares and products of centered columns, so
             # the squared deviations of a nonconstant column must stay normal
             # floats: below that they lose digits, above it they overflow.
@@ -198,17 +205,14 @@ class Dataset:
             column_names=names,
         )
 
-    def standardized(self, columns, rows: np.ndarray | None = None) -> np.ndarray:
+    def standardized(self, columns) -> np.ndarray:
         """(x - mean) * scale of the 0-based ``columns`` (an index, or an
         ascending array of distinct indices) in a new array: each column
-        centered and divided by its sd, or zeros if constant.  With ``rows``,
-        only those rows, in that order; all p columns are then one gather of
-        whole rows."""
-        if rows is None:
-            x = self.x[:, columns] - self.means[columns]
-        else:
-            x = self.x[rows] if np.size(columns) == self.p else self.x[:, columns][rows]
-            x -= self.means[columns]
+        centered and divided by its sd, or zeros if constant.  Rows stay in
+        sample order.  All p columns take no gather: the result is x - means,
+        C-contiguous like x, scaled in place."""
+        x = self.x if np.shape(columns) == (self.p,) else self.x[:, columns]
+        x = x - self.means[columns]
         x *= self.scales[columns]
         return x
 
@@ -218,10 +222,11 @@ class SliceAssignment:
     """A partition of the sample into H response slices.
 
     ``membership`` holds slice labels in 1..h_count, ``counts[h-1]`` the
-    size of slice h, ``proportions[h-1]`` that count divided by n, and
-    ``rows[h-1]`` the row indices of slice h in original sample order.
-    ``slice_response`` computes them all once, from ``membership``; the
-    arrays are read-only.
+    size of slice h, ``proportions[h-1]`` that count divided by n,
+    ``rows[h-1]`` the row indices of slice h in original sample order, and
+    ``indicator`` the (n, H) slice indicator matrix S, S[i, h-1] = 1 if
+    sample i is in slice h, else 0 (Fortran order).  ``slice_response``
+    computes them all once, from ``membership``; the arrays are read-only.
     """
 
     h_count: int
@@ -229,14 +234,13 @@ class SliceAssignment:
     counts: np.ndarray
     proportions: np.ndarray
     rows: tuple[np.ndarray, ...] = field(repr=False)
+    indicator: np.ndarray = field(repr=False)
 
     @cached_property
     def averaging(self) -> np.ndarray:
         """Slice-averaging matrix M, (H, n): M[h-1, i] = 1/n_h if sample i is
         in slice h, else 0, so M a holds the slice means of a per-sample a."""
-        m = np.zeros((self.h_count, self.membership.size))
-        for idx, rows in enumerate(self.rows):
-            m[idx, rows] = 1.0 / rows.size
+        m = (self.indicator / self.counts).T
         m.setflags(write=False)
         return m
 
@@ -248,9 +252,9 @@ def slice_response(y: np.ndarray, h_count: int, discrete: bool = False) -> Slice
     original sample index, slice sizes differing by at most one).  Discrete
     responses get one slice per distinct value, smallest value first, and the
     slice count is reset to the number of distinct values.  A NaN or
-    infinite response raises ``ValueError``.
+    infinite response raises ``ValueError``, as does a complex one.
     """
-    y = np.asarray(y, dtype=np.float64).ravel()
+    y = np.asarray(_real(y, "y"), dtype=np.float64).ravel()
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite entries")
     n = y.size
@@ -279,24 +283,23 @@ def slice_response(y: np.ndarray, h_count: int, discrete: bool = False) -> Slice
                 f"response has fewer than {h_count} distinct values; "
                 "equal-frequency slicing would be degenerate"
             )
-        order = np.argsort(y, kind="stable")
-        membership = np.empty(n, dtype=np.int64)
+        labels = np.arange(1, h_count + 1)
         base, extra = divmod(n, h_count)
-        pos = 0
-        for h_label in range(1, h_count + 1):
-            size = base + (1 if h_label <= extra else 0)
-            membership[order[pos : pos + size]] = h_label
-            pos += size
+        membership = np.empty(n, dtype=np.int64)
+        sizes = base + (labels <= extra)
+        membership[np.argsort(y, kind="stable")] = np.repeat(labels, sizes)
         h = h_count
 
     counts = np.bincount(membership, minlength=h + 1)[1:]
     order = np.argsort(membership, kind="stable")  # slice by slice, in sample order
-    for a in (membership, counts, order):
+    indicator = np.zeros((n, h), order="F")
+    indicator[np.arange(n), membership - 1] = 1.0
+    for a in (membership, counts, order, indicator):
         a.setflags(write=False)
     return SliceAssignment(
         h_count=h, membership=membership, counts=counts,
         proportions=_readonly(counts / n),
-        rows=tuple(np.split(order, np.cumsum(counts)[:-1])),
+        rows=tuple(np.split(order, np.cumsum(counts)[:-1])), indicator=indicator,
     )
 
 

@@ -24,7 +24,9 @@ M Z and Z_h' Z_h / n_h, and kappa) live on ``MomentStats`` and are computed
 once per working set; ``residualize`` projects a candidate off Z and, with
 ``auxiliary_stats``, does only the per-candidate work on top of them, taking
 slice means with the same averaging matrix M.  ``ScanState`` keeps the same
-factor as R_Q = sqrt(n) U, and both take the floor verdict from it through
+factor as R_Q = sqrt(n) U and its basis as Q = Z / sqrt(n), in the same
+sample order, reading slices through the slicing's indicator and rows, and
+both take the floor verdict from the factor through
 ``is_singular_factor``.  Every trace and gain depends on W only through
 W W', so any other whitening W O, O orthogonal, gives the same values.
 ``residualize(m, j)`` returns a
@@ -255,16 +257,17 @@ class ScanState:
     members in the order added.  It holds the standardized columns X as a
     read-only block, an orthonormal basis Q and the triangular factor R_Q of
     the standardized working set (X_F = Q R_Q, so Sigma_F = R_Q' R_Q / n),
-    the projections Q'X, the slice indicator matrix S, and R_Q^{-1} with its
-    squared Frobenius norm, which with |R_Q|_F^2 = n |F| bounds the spread
-    of Sigma_F's eigenvalues.  The residuals R = X - Q Q'X are not formed:
-    the state keeps only what the gains read of them, namely the slice sums
-    S'R and the residual sums of squares, and for SAVE and DR the slice sums
-    of squares and, by column, nu2_h = |Q_h' R_h|^2, with, for SAVE alone,
-    mc_h = s_h' Q_h' R_h, s_h the row of S'Q: the gains read the slice
-    cross-moments Q_h' R_h only through these two contractions, so no array
-    of |F| H entries per column is kept.  Each is computed from X at |F| = 0 and then
-    updated, as pivoted QR keeps its column norms (Businger and Golub 1965);
+    the projections Q'X, and R_Q^{-1} with its squared Frobenius norm,
+    which with |R_Q|_F^2 = n |F| bounds the spread of Sigma_F's
+    eigenvalues.  The residuals R = X - Q Q'X are not formed: the state
+    keeps only what the gains read of them, namely the slice sums S'R, S
+    the slicing's ``indicator``, and the residual sums of squares, and for
+    SAVE and DR the slice sums of squares and, by column, nu2_h =
+    |Q_h' R_h|^2, with, for SAVE alone, mc_h = s_h' Q_h' R_h, s_h the row
+    of S'Q: the gains read the slice cross-moments Q_h' R_h only through
+    these two contractions, so no array of |F| H entries per column is
+    kept.  Each is computed from X at |F| = 0 and then updated, as pivoted
+    QR keeps its column norms (Businger and Golub 1965);
     as there, a column whose sum of squares has lost most of its digits to
     cancellation is computed again from its explicit residual
     (``_REFRESH``).  The one trigger on rss serves nu2 as well.  Since
@@ -298,11 +301,12 @@ class ScanState:
     The block holds the columns at positions ``live`` (ascending) and stays
     C-contiguous: once at least ``_REPACK`` members fill 1/``_REPACK`` of its
     width it and the kept statistics are copied without them, in the same
-    order.  Rows are kept slice by slice, so each slice is a contiguous
-    block; the gains are sums over samples within slices, which row order
-    does not change.  R_Q / sqrt(n) is the upper Cholesky factor of Sigma_F,
-    so W = sqrt(n) R_Q^{-1} is ``MomentStats.whitening`` of F taken in
-    ascending order; the gains read it only through Q = X_F W / sqrt(n).
+    order.  Rows keep the dataset's sample order, and the slices are read
+    through the slicing's ``indicator`` and ``rows``.  R_Q / sqrt(n) is the
+    upper Cholesky factor of Sigma_F, so W = sqrt(n) R_Q^{-1} is
+    ``MomentStats.whitening`` of F taken in ascending order, and Q = X_F W /
+    sqrt(n) row for row: sqrt(n) Q is ``MomentStats.white_xc``.  The gains
+    read W only through Q.
     """
 
     def __init__(
@@ -315,12 +319,7 @@ class ScanState:
         self.f: list[int] = []
         self.member = np.zeros(self.columns.size, dtype=bool)
         self.s = s
-        ends = np.cumsum(s.counts)
-        self.bounds = list(zip(ends - s.counts, ends))
-        self.indicator = np.zeros((d.n, s.h_count), order="F")
-        for h, (a, b) in enumerate(self.bounds):
-            self.indicator[a:b, h] = 1.0
-        block = d.standardized(self.columns - 1, np.concatenate(s.rows))
+        block = np.ascontiguousarray(d.standardized(self.columns - 1))
         block.setflags(write=False)
         self.block = block
         self.live = np.arange(self.columns.size)  # positions of the block's columns
@@ -370,7 +369,7 @@ class ScanState:
             return
         q = r / self.rq[k, k]
         self.q[:, k] = q
-        self.slice_q[:, k] = self.indicator.T @ q
+        self.slice_q[:, k] = self.s.indicator.T @ q
         self._dead += 1
         if self._dead >= _REPACK and _REPACK * self._dead >= self.live.size:
             self._repack(k)
@@ -402,11 +401,11 @@ class ScanState:
         if self.method is Method.SIR:
             self.qx[k] = w = q @ self.block
         else:
-            hc, basis = self.s.h_count, self.q[:, :k]
+            hc, basis, indicator = self.s.h_count, self.q[:, :k], self.s.indicator
             split = np.empty((self.n, 2 * hc), order="F")  # columns q_h, then v_h
-            np.multiply(q[:, None], self.indicator, out=split[:, :hc])
+            np.multiply(q[:, None], indicator, out=split[:, :hc])
             a = split[:, :hc].T @ basis  # row h: a_h = Q_h' q_h
-            np.multiply((a @ basis.T).T, self.indicator, out=split[:, hc:])  # v_h = Q_h a_h
+            np.multiply((a @ basis.T).T, indicator, out=split[:, hc:])  # v_h = Q_h a_h
             coef = split.T @ self.q[:, : k + 1]  # last column: |q_h|^2, then |a_h|^2
             coef[:, k] *= 0.5
             prod = split.T @ self.block
@@ -433,12 +432,13 @@ class ScanState:
         if k:
             r = r - basis @ (basis.T @ r)
             r -= basis @ (basis.T @ r)
-        self.sums[:, slots] = self.indicator.T @ r
+        self.sums[:, slots] = self.s.indicator.T @ r
         self.rss[slots] = self.base[slots] = np.einsum("ij,ij->j", r, r)
         if self.method is not Method.SIR:
-            for h, (a, b) in enumerate(self.bounds):
-                self.sq[h, slots] = np.einsum("ij,ij->j", r[a:b], r[a:b])
-                c = basis[a:b].T @ r[a:b]  # Q_h' R_h
+            for h, rows in enumerate(self.s.rows):
+                rh = r[rows]
+                self.sq[h, slots] = np.einsum("ij,ij->j", rh, rh)
+                c = basis[rows].T @ rh  # Q_h' R_h
                 self.nu2[h, slots] = np.einsum("kj,kj->j", c, c)
                 if self.method is Method.SAVE:
                     self.mc[h, slots] = self.slice_q[h, :k] @ c

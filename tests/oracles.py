@@ -23,11 +23,13 @@ def center_columns(x: np.ndarray) -> np.ndarray:
 
 def column_statistics(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-column mean and 1/sd (n-divisor, 0 for a constant column), each
-    from a 1-D reduction of that column alone, one column at a time."""
+    from a 1-D reduction of that column alone, one column at a time; a
+    constant column's mean is its value."""
     n, p = x.shape
-    means = np.array([x[:, a].mean() for a in range(p)])
+    varies = x.max(axis=0) > x.min(axis=0)
+    means = np.array([x[:, a].mean() if varies[a] else x[0, a] for a in range(p)])
     scales = np.zeros(p)
-    for a in np.flatnonzero(x.max(axis=0) > x.min(axis=0)):
+    for a in np.flatnonzero(varies):
         dev = x[:, a] - means[a]
         scales[a] = 1.0 / math.sqrt(dev @ dev / n)
     return means, scales

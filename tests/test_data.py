@@ -22,6 +22,7 @@ from tracepursuit import (
     trace_test,
 )
 from tracepursuit.errors import (
+    CollinearCandidateError,
     DegenerateSlicingError,
     IllPosedMomentsError,
     SingularDesignError,
@@ -96,15 +97,25 @@ class TestSliceResponse:
             slice_response(y, 4, discrete=discrete)
 
     @pytest.mark.parametrize("discrete", [False, True])
+    def test_complex_response_rejected(self, discrete):
+        y = np.repeat([0.0, 1.0], 4) if discrete else np.arange(8.0)
+        with pytest.raises(ValueError, match="y has complex dtype"):
+            slice_response(y + 1j, 2, discrete=discrete)
+
+    @pytest.mark.parametrize("discrete", [False, True])
     def test_counts_and_rows_are_stored_read_only(self, rng, discrete):
         y = rng.integers(0, 3, 50).astype(float) if discrete else rng.standard_normal(50)
         s = slice_response(y, 4, discrete=discrete)
         assert s.counts is s.counts
         labels = range(1, s.h_count + 1)
         assert s.counts.tolist() == [np.sum(s.membership == h) for h in labels]
+        averaging = np.zeros((s.h_count, 50))
         for h, rows in zip(labels, s.rows, strict=True):
             assert np.array_equal(rows, np.flatnonzero(s.membership == h))
-        for a in (s.membership, s.counts, s.proportions, *s.rows):
+            assert np.array_equal(s.indicator[:, h - 1], s.membership == h)
+            averaging[h - 1, rows] = 1.0 / rows.size
+        assert np.array_equal(s.averaging, averaging)  # the same bits as 1 / n_h
+        for a in (s.membership, s.counts, s.proportions, *s.rows, s.indicator, s.averaging):
             assert not a.flags.writeable
 
     def test_proportions_sum_to_one(self, rng):
@@ -197,6 +208,29 @@ class TestDataset:
         x, y = _scaled_design(1.0)
         x[:, 1], x[:, 4] = 1e-300, 1e300
         assert Dataset.from_arrays(x, y).p == 6
+
+    @pytest.mark.parametrize("value", [1.5e308, 0.1, -1e300])
+    def test_constant_column_is_a_collinear_candidate_at_any_value(self, value):
+        """A constant column's mean is its value, even where its n-fold sum
+        overflows, so it standardizes to zeros and every route skips it."""
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((50, 4))
+        y = x[:, 0] + 0.1 * rng.standard_normal(50)
+        x[:, 1] = value
+        d = Dataset.from_arrays(x, y)
+        assert d.means[1] == value and d.scales[1] == 0.0
+        assert np.array_equal(d.standardized(1), np.zeros(50))
+        s = slice_response(d.y, 4)
+        for method in Method:
+            with pytest.raises(CollinearCandidateError):
+                trace_test(method, d, s, (), 2, 0.05)
+            path = ftp_run(d, s, method)
+            assert 2 not in [step.added_index for step in path.steps]
+            assert 2 not in htp_run(d, s, method).selected
+            report = stp_run(d, s, StpConfig(method=method))
+            assert 2 not in report.selected
+            skips = [(e.index, e.note) for e in report.trail if e.action == "skip"]
+            assert (2, "collinear-candidate") in skips
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     @pytest.mark.parametrize("method", list(Method))

@@ -185,15 +185,19 @@ class TestWorkingSetAlgebra:
 
     def test_whitening_is_the_scans_triangular_factor(self, rng):
         """W is upper triangular and equals sqrt(n) R_Q^{-1} of a forward scan
-        grown over F in ascending order: the scan and the test share it."""
+        grown over F in ascending order: the scan and the test share it, and
+        sqrt(n) Q is the whitened working set Z = X_F W row for row."""
         for _ in range(10):
             d, s, f, j = random_case(rng)
             fs = tuple(sorted(f + (j,)))
-            w = compute_moments(d, s, fs).whitening
+            m = compute_moments(d, s, fs)
+            w = m.whitening
             state = ScanState(d, s, Method.SIR, tuple(range(1, d.p + 1)), fs)
-            rq = state.rq[: len(fs), : len(fs)]
+            k = len(fs)
+            rq = state.rq[:k, :k]
             assert np.array_equal(w, np.triu(w))
             assert np.allclose(w, np.sqrt(d.n) * np.linalg.inv(rq), rtol=1e-10, atol=1e-12)
+            assert np.allclose(np.sqrt(d.n) * state.q[:, :k], m.white_xc, rtol=1e-12, atol=1e-12)
 
     def test_kappa_is_sir_trace(self, rng):
         for _ in range(10):
@@ -455,8 +459,8 @@ class TestScanCertificateAndRepack:
         s = slice_response(d.y, 4)
         columns = tuple(j for j in range(1, 61) if j % 7)
         f = [int(j) for j in rng.choice(columns, 14, replace=False)]
-        # the standardized columns, rows slice by slice
-        standardized = standardize_columns(d.x)[np.concatenate(s.rows)][:, np.subtract(columns, 1)]
+        # the standardized columns, rows in sample order
+        standardized = standardize_columns(d.x)[:, np.subtract(columns, 1)]
         m = compute_moments(d, s, f)
         for method in METHODS:
             grown = ScanState(d, s, method, columns)
@@ -513,8 +517,7 @@ class TestScanKeptStatistics:
         d = Dataset.from_arrays(x, y)
         order = data.draw(st.permutations(range(1, p + 1)), label="order")
         state = ScanState(d, s, method, tuple(range(1, p + 1)))
-        ends = np.cumsum(s.counts)
-        slices = [slice(b - c, b) for b, c in zip(ends, s.counts)]
+        slices = s.rows
         floor = COLLINEARITY_FLOOR
 
         def explicit():
