@@ -3,7 +3,9 @@
 Conditional-independence trace tests built on the SIR, SAVE, and
 directional-regression kernels, calibrated against weighted chi-square null
 laws, and the stepwise / forward / hybrid selection algorithms on top of
-them, plus a simulation bench.
+them, plus a simulation bench.  The selectors ``stp_run``, ``ftp_run`` and
+``htp_run`` take ``(d, s, method)`` and their options by keyword; STP and
+HTP test at level ``alpha``, 0.1/p by default.
 
 The names below are the supported API.  The pieces of the per-candidate
 scalar route (``residualize``, ``auxiliary_stats``, ``trace_diff``,
@@ -24,7 +26,6 @@ from .nulldist import TraceTestResult, trace_test, weighted_chisq_upper_quantile
 from .selectors import (
     SelectionReport,
     SolutionPath,
-    StpConfig,
     TrailEntry,
     bic_score,
     ftp_run,
@@ -53,7 +54,6 @@ __all__ = [
     "SimDesign",
     "SliceAssignment",
     "SolutionPath",
-    "StpConfig",
     "TraceTestResult",
     "TracePursuitError",
     "TrailEntry",

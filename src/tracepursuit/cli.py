@@ -40,7 +40,7 @@ from .errors import (
 )
 from .kernels import Method
 from .nulldist import trace_test_with_weights
-from .selectors import StpConfig, ftp_run, htp_run, stp_run
+from .selectors import ftp_run, htp_run, stp_run
 from .simbench import PREDICTOR_DISTS, SimDesign, generate, run_experiment
 
 SCHEMA_VERSION = 1
@@ -134,12 +134,8 @@ def _name_of(d: Dataset, j: int) -> str:
 
 def _run_select(args: argparse.Namespace) -> tuple[dict, str, list[list]]:
     d, s = _load(args)
-    method = Method(args.method)
-    stp_cfg = StpConfig(method=method, alpha=args.alpha)
-    if args.algorithm == "stp":
-        report = stp_run(d, s, stp_cfg)
-    else:
-        report = htp_run(d, s, method, stp_cfg)
+    run = stp_run if args.algorithm == "stp" else htp_run
+    report = run(d, s, Method(args.method), alpha=args.alpha)
     names = [_name_of(d, j) for j in report.selected]
     result = {
         "selected": list(report.selected),

@@ -45,12 +45,16 @@ Ties break toward the smallest index (gains within ``TIE_RTOL`` of the
 best, the largest forward or the smallest backward, count as tied), and a
 visited-set cycle guard makes STP terminate on data that oscillates at a
 threshold boundary.
+
+The three selectors take ``(d, s, method)`` and keyword-only options:
+``k_max`` caps a forward path, and STP and HTP test at level ``alpha``,
+0.1/p by default.  Both check it, and ``stp_set_cap``, before any work.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -60,6 +64,7 @@ from .data import (
     IndexSet,
     SliceAssignment,
     as_integer,
+    check_slicing,
     compute_moments,
     validate_working_set,
 )
@@ -84,46 +89,45 @@ TIE_RTOL = 1e-12
 STP_MAX_PASSES = 100
 
 
-@dataclass(frozen=True)
-class StpConfig:
-    """Configuration for the stepwise selector.
-
-    ``alpha`` defaults to 0.1/p when left as None.  The working set grows to
-    at most ``resolved_max_set_size``: min(p, n - H - 2), which keeps the
-    working-set covariance invertible with slack for the slices, lowered for
-    SAVE and DR until every test the run can make has fewer influence
-    dimensions than samples, so no null law rests on a rank-deficient weight
-    matrix.  A size below 1 raises ``ValueError``: no test could be made.
-    """
-
-    method: Method
-    alpha: float | None = None
-
-    def resolved_alpha(self, p: int) -> float:
-        alpha = 0.1 / p if self.alpha is None else self.alpha
-        if not 0.0 < alpha < 1.0:
-            raise ValueError(f"alpha must be in (0,1), got {alpha}")
-        return alpha
-
-    def resolved_max_set_size(self, n: int, p: int, h_count: int) -> int:
-        size = default_path_cap(n, p, h_count)
-        if size < 1:
-            raise ValueError(f"n={n} leaves no room for a working set beside {h_count} slices")
-        # the largest working set tested has size - 1 members
-        while size > 0 and influence_dim(self.method, size - 1, h_count) >= n:
-            size -= 1
-        if size < 1:
-            dim = influence_dim(self.method, 0, h_count)
-            raise ValueError(
-                f"n={n} leaves no room for a {self.method.value.upper()} test beside "
-                f"{h_count} slices: its influence vector has {dim} dimensions"
-            )
-        return size
-
-
 def default_path_cap(n: int, p: int, h_count: int) -> int:
     """Largest working-set size kept numerically and statistically sane."""
     return min(p, n - h_count - 2)
+
+
+def stp_set_cap(method: Method, n: int, p: int, h_count: int) -> int:
+    """Largest working set an STP run grows.
+
+    ``default_path_cap``: min(p, n - H - 2), which keeps the working-set
+    covariance invertible with slack for the slices, lowered for SAVE and DR
+    until every test the run can make has fewer influence dimensions than
+    samples, so no null law rests on a rank-deficient weight matrix.  A size
+    below 1 raises ``ValueError``: no test could be made.
+    """
+    size = default_path_cap(n, p, h_count)
+    if size < 1:
+        raise ValueError(f"n={n} leaves no room for a working set beside {h_count} slices")
+    # the largest working set tested has size - 1 members
+    while size > 0 and influence_dim(method, size - 1, h_count) >= n:
+        size -= 1
+    if size < 1:
+        dim = influence_dim(method, 0, h_count)
+        raise ValueError(
+            f"n={n} leaves no room for a {method.value.upper()} test beside "
+            f"{h_count} slices: its influence vector has {dim} dimensions"
+        )
+    return size
+
+
+def _stp_options(
+    d: Dataset, s: SliceAssignment, method: Method, alpha: float | None
+) -> tuple[float, int]:
+    """An STP run's level, 0.1/p unless given, and its ``stp_set_cap``,
+    checked before any work; a slicing of another length is reported first."""
+    check_slicing(d, s)
+    alpha = 0.1 / d.p if alpha is None else alpha
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0,1), got {alpha}")
+    return alpha, stp_set_cap(method, d.n, d.p, s.h_count)
 
 
 @dataclass(frozen=True)
@@ -223,6 +227,7 @@ def ftp_run(
     d: Dataset,
     s: SliceAssignment,
     method: Method,
+    *,
     k_max: int | None = None,
 ) -> SolutionPath:
     """Greedy forward path of trace-maximizing additions with BIC scores.
@@ -281,41 +286,38 @@ def _forward_path(
 def stp_run(
     d: Dataset,
     s: SliceAssignment,
-    cfg: StpConfig,
+    method: Method,
+    *,
+    alpha: float | None = None,
     universe: Iterable[int] | None = None,
 ) -> SelectionReport:
-    """Stepwise selection over ``universe`` (all predictors by default).
+    """Stepwise selection at level ``alpha`` (0.1/p by default) over
+    ``universe`` (all predictors by default).
 
     Each pass attempts one tested addition and one tested deletion; the run
     stops when a full pass changes nothing, a prior working set recurs, or
     ``STP_MAX_PASSES`` passes are done.  The final trail entry names the
     reason: "converged", "set-size cap reached" (no addition was tried
-    because the working set has ``resolved_max_set_size`` members), "cycle
-    detected" or "iteration cap reached".
+    because the working set has ``stp_set_cap`` members), "cycle detected"
+    or "iteration cap reached".
     """
+    alpha, max_size = _stp_options(d, s, method, alpha)
     if universe is None:
         universe = range(1, d.p + 1)
-    return _stepwise(d, s, cfg, validate_working_set(universe, d.p), order=())
+    uni = validate_working_set(universe, d.p)
+    if not uni:
+        return _finish((), [TrailEntry("stop", None, None, None, "empty universe")], method, uni)
+    return _stepwise(d, s, method, alpha, max_size, uni, order=())
 
 
 def _stepwise(
-    d: Dataset, s: SliceAssignment, cfg: StpConfig, uni: IndexSet, order: IndexSet
+    d: Dataset, s: SliceAssignment, method: Method, alpha: float, max_size: int,
+    uni: IndexSet, order: IndexSet,
 ) -> SelectionReport:
-    """``stp_run`` over the validated universe ``uni``.  While no deletion has
-    been made, the forward pass proposes ``order[len(current)]`` without a
-    scan; ``order`` must then be the forward path's order of ``uni`` (module
-    docstring), and ``()`` scans from the start."""
-    method = cfg.method
-    if not uni:
-        return SelectionReport(
-            selected=(),
-            trail=(TrailEntry("stop", None, None, None, "empty universe"),),
-            method=method,
-            stage_sizes=(0, 0),
-        )
-    alpha = cfg.resolved_alpha(d.p)
-    max_size = cfg.resolved_max_set_size(d.n, d.p, s.h_count)
-
+    """``stp_run`` over the validated, nonempty universe ``uni``.  While no
+    deletion has been made, the forward pass proposes ``order[len(current)]``
+    without a scan; ``order`` must then be the forward path's order of
+    ``uni`` (module docstring), and ``()`` scans from the start."""
     current: set[int] = set()
     visited = {frozenset()}
     trail: list[TrailEntry] = []
@@ -422,10 +424,12 @@ def htp_run(
     d: Dataset,
     s: SliceAssignment,
     method: Method,
-    cfg: StpConfig | None = None,
+    *,
+    alpha: float | None = None,
     k_max: int | None = None,
 ) -> SelectionReport:
-    """Two-stage hybrid: FTP screening, BIC prefix choice, then STP refinement.
+    """Two-stage hybrid: FTP screening, BIC prefix choice, then STP refinement
+    at level ``alpha`` (0.1/p by default).
 
     A SIR screening path stops once no longer prefix can win the BIC (module
     docstring), so the chosen prefix is the full path's.  The refinement
@@ -435,21 +439,12 @@ def htp_run(
     state only after it: the path's next entry is the argmax of the same gains
     over a superset of the refinement's candidates (module docstring).
     """
-    if cfg is None:
-        cfg = StpConfig(method=method)
-    elif cfg.method is not method:
-        cfg = replace(cfg, method=method)
-
+    alpha, max_size = _stp_options(d, s, method, alpha)
     path = _forward_path(d, s, method, k_max, bic_stop=True)
     m_hat = path.bic_argmin()
     screened = path.prefix(m_hat)
     if not screened:
-        return SelectionReport(
-            selected=(),
-            trail=(TrailEntry("stop", None, None, None, "screening produced no set"),),
-            method=method,
-            stage_sizes=(0, 0),
-        )
+        stop = TrailEntry("stop", None, None, None, "screening produced no set")
+        return _finish((), [stop], method, screened)
     order = tuple(step.added_index for step in path.steps[:m_hat])
-    report = _stepwise(d, s, cfg, screened, order)
-    return replace(report, stage_sizes=(len(screened), len(report.selected)))
+    return _stepwise(d, s, method, alpha, max_size, screened, order)

@@ -26,7 +26,7 @@ import numpy as np
 from .data import Dataset, IndexSet, as_integer, slice_response
 from .errors import TracePursuitError
 from .kernels import Method
-from .selectors import StpConfig, ftp_run, htp_run, stp_run
+from .selectors import ftp_run, htp_run, stp_run
 
 PREDICTOR_DISTS = ("normal", "uniform12", "exponential1", "geometric_half")
 ALGORITHMS = ("stp", "ftp", "htp")
@@ -181,11 +181,9 @@ def run_experiment(
         try:
             s = slice_response(d.y, h_count)
             if algorithm == "htp":
-                report = htp_run(d, s, method, StpConfig(method=method, alpha=alpha))
-                selected.append(report.selected)
+                selected.append(htp_run(d, s, method, alpha=alpha).selected)
             elif algorithm == "stp":
-                report = stp_run(d, s, StpConfig(method=method, alpha=alpha))
-                selected.append(report.selected)
+                selected.append(stp_run(d, s, method, alpha=alpha).selected)
             else:
                 path = ftp_run(d, s, method)
                 selected.append(path.prefix(path.bic_argmin()))

@@ -29,7 +29,6 @@ from tracepursuit import (
     weighted_chisq_upper_quantile,
 )
 from tracepursuit.kernels import Method, residualize, trace_diff
-from tracepursuit.selectors import StpConfig
 
 from conftest import make_dataset, random_case
 from oracles import explicit_trace_kernel, mc_weighted_chisq_quantile
@@ -242,9 +241,8 @@ def test_criterion_9_structural_suite():
     checks.append(("sir-path-monotone", all(b >= a for a, b in zip(traces, traces[1:]))))
 
     # stepwise determinism and trail replay
-    cfg = StpConfig(method=Method.SIR, alpha=0.05)
-    rep1 = stp_run(d, s, cfg)
-    rep2 = stp_run(d, s, cfg)
+    rep1 = stp_run(d, s, Method.SIR, alpha=0.05)
+    rep2 = stp_run(d, s, Method.SIR, alpha=0.05)
     checks.append(("stp-deterministic", rep1 == rep2))
     checks.append(("trail-replay", replay_trail(rep1.trail) == rep1.selected))
 

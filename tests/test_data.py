@@ -6,13 +6,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tracepursuit import (
     Dataset,
     SimDesign,
-    StpConfig,
     compute_moments,
     ftp_run,
     generate,
@@ -171,7 +170,12 @@ class TestDataset:
         ),
         seed=st.integers(0, 2**32 - 1),
     )
+    @example(n=2, p=2 * _STAT_CHUNK_COLS + 3, seed=1256)  # a x1e-150 column is rejected
     def test_statistics_match_the_per_column_loop(self, n, p, seed):
+        """Bit equality with the loop, or, where a nonconstant column's largest
+        squared deviation falls below the smallest normal float (two close
+        draws x1e-150 can), the error that names the first such column; no
+        column here comes near overflow."""
         rng = np.random.default_rng(seed)
         x = rng.standard_normal((n, p))
         kind = rng.integers(0, 6, p)
@@ -180,7 +184,17 @@ class TestDataset:
         x[:, kind == 3] *= 1e-7
         x[:, kind == 4] += 1e8
         x[:, kind == 5] *= 1e-150
-        d = Dataset.from_arrays(x, rng.standard_normal(n))
+        y = rng.standard_normal(n)
+        subnormal = [
+            a for a in range(p)
+            if x[:, a].max() > x[:, a].min()
+            and np.max((x[:, a] - x[:, a].mean()) ** 2) < np.finfo(np.float64).tiny
+        ]
+        if subnormal:
+            with pytest.raises(ValueError, match=f"x column {subnormal[0] + 1} has squared"):
+                Dataset.from_arrays(x, y)
+            return
+        d = Dataset.from_arrays(x, y)
         means, scales = column_statistics(x)
         assert np.array_equal(d.means, means)
         assert np.array_equal(d.scales, scales)
@@ -227,7 +241,7 @@ class TestDataset:
             path = ftp_run(d, s, method)
             assert 2 not in [step.added_index for step in path.steps]
             assert 2 not in htp_run(d, s, method).selected
-            report = stp_run(d, s, StpConfig(method=method))
+            report = stp_run(d, s, method)
             assert 2 not in report.selected
             skips = [(e.index, e.note) for e in report.trail if e.action == "skip"]
             assert (2, "collinear-candidate") in skips
@@ -294,7 +308,7 @@ class TestColumnUnits:
             d = Dataset.from_arrays(x, y)
             s = slice_response(d.y, 4)
             path = ftp_run(d, s, method)
-            trail = stp_run(d, s, StpConfig(method=method, alpha=0.2)).trail
+            trail = stp_run(d, s, method, alpha=0.2).trail
             return (
                 [step.added_index for step in path.steps],
                 [(e.action, e.index) for e in trail],

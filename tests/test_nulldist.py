@@ -14,7 +14,6 @@ import tracepursuit.nulldist as nulldist
 from tracepursuit import (
     Dataset,
     SimDesign,
-    StpConfig,
     compute_moments,
     generate,
     htp_run,
@@ -444,7 +443,7 @@ class TestNoDecompositionOnTheDecisionPath:
         d = make_dataset(np.random.default_rng(3), 150, 8)
         s = slice_response(d.y, 4)
         trace_test(method, d, s, (1, 2), 5, 0.05)
-        report = stp_run(d, s, StpConfig(method=method, alpha=0.2))
+        report = stp_run(d, s, method, alpha=0.2)
         assert len(built) > 1 + len(report.selected)
         assert hits == []
 

@@ -28,10 +28,10 @@ from tracepursuit.kernels import Method, ScanState, deletion_gains
 from tracepursuit.nulldist import influence_dim
 from tracepursuit.selectors import (
     SIR_TRACE_RTOL,
-    StpConfig,
     _forward_path,
     _scan_candidates,
     default_path_cap,
+    stp_set_cap,
 )
 
 from conftest import make_dataset
@@ -169,11 +169,10 @@ class TestScanMatchesScalarReference:
     def test_stp_trail(self, case, method):
         d = _edge_case(case)
         s = slice_response(d.y, 4)
-        cfg = StpConfig(method=method)
-        report = stp_run(d, s, cfg)
+        report = stp_run(d, s, method)
         expected = reference_stp_trail(
-            d, s, method, cfg.resolved_alpha(d.p),
-            cfg.resolved_max_set_size(d.n, d.p, 4), range(1, d.p + 1),
+            d, s, method, 0.1 / d.p,
+            stp_set_cap(method, d.n, d.p, 4), range(1, d.p + 1),
         )
         assert [(e.action, e.index, e.statistic, e.threshold, e.note) for e in report.trail] == expected
 
@@ -188,7 +187,7 @@ def test_duplicated_column_keeps_smaller_index():
         path = ftp_run(d, s, method)
         assert path.steps[0].added_index == 3
         assert 7 in path.skipped and 7 not in path.prefix(path.k_max)
-        report = stp_run(d, s, StpConfig(method=method))
+        report = stp_run(d, s, method)
         assert ("skip", 7, "collinear-candidate") in [
             (e.action, e.index, e.note) for e in report.trail
         ]
@@ -213,20 +212,16 @@ def test_each_working_set_and_candidate_tested_once(model, method, monkeypatch):
     desk, _ = generate(SimDesign(model=model, n=300, p=10, seed=5))
     # a looser alpha on correlated columns, so that some runs also delete
     loose, _ = generate(SimDesign(model=model, n=200, p=20, rho=0.5, seed=8))
-    runs = [
-        (desk, None),
-        (desk, StpConfig(method=method)),
-        (loose, StpConfig(method=method, alpha=0.4)),
-    ]
-    for d, cfg in runs:
+    runs = [(desk, htp_run, None), (desk, stp_run, None), (loose, stp_run, 0.4)]
+    for d, run, alpha in runs:
         s = slice_response(d.y, 4)
         tested.clear()
-        report = htp_run(d, s, method) if cfg is None else stp_run(d, s, cfg)
+        report = run(d, s, method, alpha=alpha)
         assert tested and len(set(tested)) == len(tested)
-        if cfg is not None:
+        if run is stp_run:
             expected = reference_stp_trail(
-                d, s, method, cfg.resolved_alpha(d.p),
-                cfg.resolved_max_set_size(d.n, d.p, 4), range(1, d.p + 1),
+                d, s, method, alpha or 0.1 / d.p,
+                stp_set_cap(method, d.n, d.p, 4), range(1, d.p + 1),
             )
             got = [(e.action, e.index, e.statistic, e.threshold, e.note) for e in report.trail]
             assert got == expected
@@ -270,7 +265,7 @@ def test_scripted_return_to_an_earlier_working_set(monkeypatch):
     monkeypatch.setattr(selectors, "deletion_gains", deletion_gains)
     monkeypatch.setattr(selectors, "trace_test", trace_test)
     d = make_dataset(np.random.default_rng(0), 40, 3)
-    report = stp_run(d, slice_response(d.y, 2), StpConfig(method=Method.SIR, alpha=0.5))
+    report = stp_run(d, slice_response(d.y, 2), Method.SIR, alpha=0.5)
     steps = [(e.action, e.index) for e in report.trail if e.action != "stop"]
     assert steps == [
         ("add", 1), ("add", 2), ("add", 3), ("delete", 2), ("delete", 1), ("add", 2), ("add", 1)
@@ -314,7 +309,7 @@ def test_backward_pass_whitens_once(method, monkeypatch):
     monkeypatch.setattr(selectors, "deletion_gains", spy_gains)
     monkeypatch.setattr(selectors, "trace_test", spy_test)
     monkeypatch.setattr(np.linalg, "cholesky", spy_cholesky)
-    report = stp_run(d, s, StpConfig(method=method, alpha=0.4))
+    report = stp_run(d, s, method, alpha=0.4)
     assert len(report.selected) > 2
     assert calls.count("scan") > 2
     assert calls == ["moments", "scan", "cholesky"] * calls.count("scan")
@@ -328,7 +323,7 @@ def test_slicing_of_another_length_is_rejected(rows):
         lambda: trace_test(Method.SIR, d, s, (1, 2), 3, 0.05),
         lambda: ftp_run(d, s, Method.SIR),
         lambda: htp_run(d, s, Method.DR),
-        lambda: stp_run(d, s, StpConfig(method=Method.SAVE)),
+        lambda: stp_run(d, s, Method.SAVE),
     ]
     for run in runs:
         with pytest.raises(ValueError, match=f"slicing has {rows} rows but the dataset has n=80"):
@@ -341,7 +336,7 @@ def test_long_stepwise_run_holds_no_moments_per_question():
     s = slice_response(d.y, 4)
     tracemalloc.start()
     try:
-        report = stp_run(d, s, StpConfig(method=Method.SIR, alpha=0.5))
+        report = stp_run(d, s, Method.SIR, alpha=0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -378,14 +373,14 @@ class TestStp:
         # tiny alpha makes every threshold huge; nothing can enter
         d = _noise_dataset(0, n=200, p=4)
         s = slice_response(d.y, 4)
-        report = stp_run(d, s, StpConfig(method=Method.SIR, alpha=1e-9))
+        report = stp_run(d, s, Method.SIR, alpha=1e-9)
         assert report.selected == ()
         assert [e.action for e in report.trail] == ["stop"]
 
     def test_trail_replay_and_audit(self):
         d, _ = generate(SimDesign(model="I", n=300, p=10, seed=21))
         s = slice_response(d.y, 4)
-        report = stp_run(d, s, StpConfig(method=Method.SIR, alpha=0.01))
+        report = stp_run(d, s, Method.SIR, alpha=0.01)
         assert replay_trail(report.trail) == report.selected
         for e in report.trail:
             if e.action == "add":
@@ -396,15 +391,14 @@ class TestStp:
     def test_deterministic_reruns(self):
         d, _ = generate(SimDesign(model="I", n=300, p=8, seed=33))
         s = slice_response(d.y, 4)
-        cfg = StpConfig(method=Method.DR, alpha=0.0125)
-        r1 = stp_run(d, s, cfg)
-        r2 = stp_run(d, s, cfg)
+        r1 = stp_run(d, s, Method.DR, alpha=0.0125)
+        r2 = stp_run(d, s, Method.DR, alpha=0.0125)
         assert r1 == r2
 
     def test_universe_restriction(self):
         d, _ = generate(SimDesign(model="I", n=300, p=10, seed=2))
         s = slice_response(d.y, 4)
-        report = stp_run(d, s, StpConfig(method=Method.SIR, alpha=0.01), universe=(1, 3, 4))
+        report = stp_run(d, s, Method.SIR, alpha=0.01, universe=(1, 3, 4))
         assert set(report.selected) <= {1, 3, 4}
         assert report.stage_sizes[0] == 3
 
@@ -426,14 +420,11 @@ class TestStp:
         14 and 11, where the influence dimension would reach n."""
         d, _ = generate(SimDesign(model="I", n=n, p=p, seed=1))
         s = slice_response(d.y, 4)
-        cfg = StpConfig(method=method, alpha=alpha)
-        cap = cfg.resolved_max_set_size(d.n, d.p, 4)
-        report = stp_run(d, s, cfg)
+        cap = stp_set_cap(method, d.n, d.p, 4)
+        report = stp_run(d, s, method, alpha=alpha)
         assert report.trail[-1].note == note
         assert (len(report.selected) == cap) == (note != "converged")
-        expected = reference_stp_trail(
-            d, s, method, cfg.resolved_alpha(d.p), cap, range(1, d.p + 1)
-        )
+        expected = reference_stp_trail(d, s, method, alpha or 0.1 / d.p, cap, range(1, d.p + 1))
         got = [(e.action, e.index, e.statistic, e.threshold, e.note) for e in report.trail]
         assert got == expected
 
@@ -441,7 +432,7 @@ class TestStp:
         """At n = H + 2 the cap min(p, n - H - 2) is 0: no set can be tested."""
         d = _noise_dataset(5, n=6, p=3)
         with pytest.raises(ValueError, match="no room for a working set"):
-            stp_run(d, slice_response(d.y, 4), StpConfig(method=Method.SIR, alpha=0.5))
+            stp_run(d, slice_response(d.y, 4), Method.SIR, alpha=0.5)
 
     def test_no_room_for_a_dr_test_is_rejected(self):
         """At H + 3 <= n <= 2H + 1 the base cap is positive, but a DR test at
@@ -450,19 +441,18 @@ class TestStp:
         d = Dataset.from_arrays(rng.standard_normal((9, 3)), rng.standard_normal(9))
         s = slice_response(d.y, 4)
         for method in (Method.SIR, Method.SAVE):  # these keep room for a test
-            assert stp_run(d, s, StpConfig(method=method, alpha=0.3)).selected
-        cfg = StpConfig(method=Method.DR, alpha=0.3)
+            assert stp_run(d, s, method, alpha=0.3).selected
         message = "n=9 leaves no room for a DR test beside 4 slices: .* 9 dimensions"
         with pytest.raises(ValueError, match=message):
-            stp_run(d, s, cfg)
+            stp_run(d, s, Method.DR, alpha=0.3)
         with pytest.raises(ValueError, match=message):
-            htp_run(d, s, Method.DR, cfg)
+            htp_run(d, s, Method.DR, alpha=0.3)
 
     def test_terminates_within_iteration_cap(self):
         d = _noise_dataset(5, n=120, p=6)
         s = slice_response(d.y, 4)
         # generous alpha encourages churn; the guard must still stop the run
-        report = stp_run(d, s, StpConfig(method=Method.SIR, alpha=0.6))
+        report = stp_run(d, s, Method.SIR, alpha=0.6)
         assert report.trail[-1].action == "stop"
 
     @pytest.mark.xfail(
@@ -479,7 +469,7 @@ class TestStp:
         for rep in range(reps):
             d, truth = generate(SimDesign(model="I", n=300, p=10, seed=77), replication=rep)
             s = slice_response(d.y, 4)
-            report = stp_run(d, s, StpConfig(method=Method.SIR, alpha=0.01))
+            report = stp_run(d, s, Method.SIR, alpha=0.01)
             hits += report.selected == truth
         assert hits >= 95
 
@@ -491,7 +481,7 @@ class TestStp:
         for rep in range(reps):
             d, truth = generate(SimDesign(model="I", n=300, p=10, seed=77), replication=rep)
             s = slice_response(d.y, 4)
-            report = stp_run(d, s, StpConfig(method=Method.SIR, alpha=0.01))
+            report = stp_run(d, s, Method.SIR, alpha=0.01)
             misses += not set(truth) <= set(report.selected)
         assert misses == 0
 
@@ -501,7 +491,7 @@ class TestStp:
         for rep in range(reps):
             d = _noise_dataset(rep)
             s = slice_response(d.y, 4)
-            report = stp_run(d, s, StpConfig(method=Method.SIR, alpha=0.01))
+            report = stp_run(d, s, Method.SIR, alpha=0.01)
             empty += report.selected == ()
         assert empty >= 85
 
@@ -515,13 +505,6 @@ class TestHtp:
         report = htp_run(d, s, Method.SIR)
         assert set(report.selected) <= screened <= set(path.prefix(path.k_max))
         assert report.stage_sizes == (len(screened), len(report.selected))
-
-    def test_config_method_coerced(self):
-        d, _ = generate(SimDesign(model="I", n=300, p=8, seed=3))
-        s = slice_response(d.y, 4)
-        cfg = StpConfig(method=Method.SIR, alpha=0.0125)
-        r1 = htp_run(d, s, Method.DR, cfg)
-        assert r1.method is Method.DR
 
     def test_model_two_save_hits_size_band(self):
         from tracepursuit import run_experiment
@@ -621,7 +604,7 @@ class TestHtpScreeningStop:
         s = slice_response(d.y, 4)
         path = ftp_run(d, s, method)
         screened = path.prefix(path.bic_argmin())
-        expected = stp_run(d, s, StpConfig(method=method), universe=screened)
+        expected = stp_run(d, s, method, universe=screened)
         report = htp_run(d, s, method)
         assert report.selected == expected.selected
         assert report.trail == expected.trail
@@ -640,9 +623,8 @@ class TestHtpScreeningStop:
                     path = ftp_run(d, s, method)
                     screened = path.prefix(path.bic_argmin())
                     for alpha in (None, 0.3, 0.45):
-                        cfg = StpConfig(method=method, alpha=alpha)
-                        expected = stp_run(d, s, cfg, universe=screened)
-                        report = htp_run(d, s, method, cfg)
+                        expected = stp_run(d, s, method, alpha=alpha, universe=screened)
+                        report = htp_run(d, s, method, alpha=alpha)
                         assert report.selected == expected.selected
                         assert report.trail == expected.trail
                         deleting += any(e.action == "delete" for e in report.trail)
@@ -687,7 +669,7 @@ def test_htp_refinement_builds_its_scan_state_after_the_first_deletion(monkeypat
     path = ftp_run(d, s, Method.SAVE)
     screened = path.prefix(path.bic_argmin())
     events = _spy_scans(monkeypatch)
-    report = htp_run(d, s, Method.SAVE, StpConfig(method=Method.SAVE, alpha=0.3))
+    report = htp_run(d, s, Method.SAVE, alpha=0.3)
     actions = [e.action for e in report.trail]
     first_delete = actions.index("delete")
     builds = [i for i, e in enumerate(events) if e[0] == "build"]
@@ -697,6 +679,42 @@ def test_htp_refinement_builds_its_scan_state_after_the_first_deletion(monkeypat
     assert events[builds[1]][2:] == (screened, replay_trail(report.trail[: first_delete + 1]))
     assert all(e[1] is path_state for e in events[: builds[1]])
     assert all(e[1] is refine_state for e in events[builds[1] :])
+
+
+@pytest.mark.parametrize("bad", ["alpha", "dr-cap", "slicing"])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda d, s, method, alpha: stp_run(d, s, method, alpha=alpha, universe=()),
+        lambda d, s, method, alpha: stp_run(d, s, method, alpha=alpha),
+        lambda d, s, method, alpha: htp_run(d, s, method, alpha=alpha),
+    ],
+    ids=["stp-empty-universe", "stp", "htp"],
+)
+def test_options_are_checked_before_any_work(run, bad, monkeypatch):
+    """A level outside (0, 1) or a DR test with no room beside 4 slices at
+    n=9 raises before any scan state is built, also where the run would stop
+    at once; a slicing of another length is reported before either."""
+    rng = np.random.default_rng(0)
+    d = Dataset.from_arrays(rng.standard_normal((9, 3)), rng.standard_normal(9))
+    method, alpha, message = {
+        "alpha": (Method.SIR, 5.0, "alpha must be in \\(0,1\\), got 5.0"),
+        "dr-cap": (Method.DR, 0.3, "no room for a DR test"),
+        "slicing": (Method.DR, 5.0, "slicing has 8 rows but the dataset has n=9"),
+    }[bad]
+    s = slice_response(d.y[: 8 if bad == "slicing" else 9], 4)
+    events = _spy_scans(monkeypatch)
+    with pytest.raises(ValueError, match=message):
+        run(d, s, method, alpha)
+    assert events == []
+
+
+@pytest.mark.parametrize("run", [ftp_run, stp_run, htp_run])
+def test_options_are_keyword_only(run):
+    """A fourth positional argument, such as a level, raises ``TypeError``."""
+    d, _ = generate(SimDesign(model="I", n=100, p=6, seed=1))
+    with pytest.raises(TypeError):
+        run(d, slice_response(d.y, 4), Method.SIR, 0.3)
 
 
 @pytest.mark.parametrize("method", list(Method))
@@ -721,13 +739,12 @@ def test_stp_cap_keeps_every_weight_matrix_full_rank(method):
     as many influence dimensions as samples; STP stops before making one."""
     d, _ = generate(SimDesign(model="I", n=60, p=40, seed=1), replication=0)
     s = slice_response(d.y, 4)
-    cfg = StpConfig(method=method, alpha=0.45)
-    cap = cfg.resolved_max_set_size(d.n, d.p, 4)
+    cap = stp_set_cap(method, d.n, d.p, 4)
     if method is Method.SIR:
         assert cap == default_path_cap(d.n, d.p, 4)
     else:
         assert influence_dim(method, cap - 1, 4) < d.n <= influence_dim(method, cap, 4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = stp_run(d, s, cfg)
+        report = stp_run(d, s, method, alpha=0.45)
     assert len(report.selected) <= cap
