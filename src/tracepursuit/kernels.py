@@ -74,6 +74,12 @@ _REPACK = 8
 # nearly collinear candidate keeps its gain to about 1e-10.
 _REFRESH = 1e-4
 
+# Entries of the squared residual block that ScanState forms at once: 64 KB,
+# below glibc's default mmap threshold of 128 KB, so the square reuses heap
+# pages where one n x m square would be a fresh mapping whose page faults
+# cost more than the arithmetic.
+_SQUARE_CHUNK = 8192
+
 
 class Method(enum.Enum):
     """The three inverse-moment kernels supported by the trace tests."""
@@ -338,9 +344,9 @@ class ScanState:
         self.base = np.empty(width)  # rss when last computed from the residual
         if method is not Method.SIR:
             self.sq = np.empty((s.h_count, width))  # slice sums of R^2
-            self.nu2 = np.empty((s.h_count, width))  # |Q_h' R_h|^2
+            self.nu2 = np.zeros((s.h_count, width))  # |Q_h' R_h|^2
         if method is Method.SAVE:
-            self.mc = np.empty((s.h_count, width))  # (S'Q)_h' Q_h' R_h
+            self.mc = np.zeros((s.h_count, width))  # (S'Q)_h' Q_h' R_h
         self._refresh(slice(None))
         for j in f:
             self.add(j)
@@ -433,15 +439,21 @@ class ScanState:
             r = r - basis @ (basis.T @ r)
             r -= basis @ (basis.T @ r)
         self.sums[:, slots] = self.s.indicator.T @ r
-        self.rss[slots] = self.base[slots] = np.einsum("ij,ij->j", r, r)
-        if self.method is not Method.SIR:
-            for h, rows in enumerate(self.s.rows):
-                rh = r[rows]
-                self.sq[h, slots] = np.einsum("ij,ij->j", rh, rh)
-                c = basis[rows].T @ rh  # Q_h' R_h
-                self.nu2[h, slots] = np.einsum("kj,kj->j", c, c)
-                if self.method is Method.SAVE:
-                    self.mc[h, slots] = self.slice_q[h, :k] @ c
+        if self.method is Method.SIR:
+            self.rss[slots] = self.base[slots] = np.einsum("ij,ij->j", r, r)
+            return
+        ind_t, sq = self.s.indicator.T, np.zeros((self.s.h_count, r.shape[1]))
+        step = max(1, _SQUARE_CHUNK // r.shape[1])
+        for i in range(0, self.n, step):  # S'(R * R), a few rows at a time
+            ri = r[i : i + step]
+            sq += ind_t[:, i : i + step] @ (ri * ri)
+        self.sq[:, slots] = sq
+        self.rss[slots] = self.base[slots] = sq.sum(axis=0)
+        for h, rows in enumerate(self.s.rows if k else ()):  # at |F| = 0, Q_h' R_h is empty
+            c = basis[rows].T @ r[rows]  # Q_h' R_h
+            self.nu2[h, slots] = np.einsum("kj,kj->j", c, c)
+            if self.method is Method.SAVE:
+                self.mc[h, slots] = self.slice_q[h, :k] @ c
 
     def _is_singular(self, k: int) -> bool:
         """The ``is_singular_factor`` verdict on R_Q.  The new column (r; rho)

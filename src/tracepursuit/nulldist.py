@@ -45,10 +45,16 @@ sum w^2 = ||Omega||_F^2 (``weight_moments``), so a test decomposes no
 Omega.  Eigenvalue weights, with their PSD clamp check, come from
 ``omega_weights`` only where they are used: the Monte Carlo quantile and
 reports (``trace_test_with_weights``).
+
+The two-moment threshold is a multiple of a chi-square quantile at a
+non-integer dof, computed here from ``math`` alone: the regularized
+incomplete gamma tails from their series and continued fraction, and their
+inverse by bracketed Newton-Halley steps (``_upper_gamma_inv``).
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -71,6 +77,20 @@ MC_CHUNK_ROWS = 10_000
 
 # Default number of Monte Carlo draws of the weighted chi-square.
 MC_DRAWS = 100_000
+
+_EPS = 2.0**-52
+
+# Relative step, or bracket width, at which the gamma quantile stops.
+_INV_RTOL = 16 * _EPS
+
+# Lentz's stand-in for a zero denominator of the continued fraction.
+_LENTZ_TINY = 1e-300
+
+# Shapes a >= _STIRLING_MIN take log Gamma(a) from its Stirling series,
+# whose terms are B_2k / (2k (2k - 1) a^(2k - 1)), k = 1..7; at a >= 10 the
+# first term left out is below 1e-16.
+_STIRLING_MIN = 10.0
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 
 
 def influence_dim(method: Method, f_size: int, h_count: int) -> int:
@@ -215,6 +235,124 @@ def _checked_weights(weights: np.ndarray, alpha: float) -> np.ndarray:
     return w
 
 
+def _log_gamma_front(a: float, x: float) -> float:
+    """log of x^a e^-x / Gamma(a), the common factor of both gamma tails.
+
+    From ``math.lgamma`` below ``_STIRLING_MIN``.  Above it, a log x, x and
+    log Gamma(a) are large and nearly cancel, so the log is taken as
+    -a phi(x/a) + log(a/(2 pi))/2 - (Stirling series), with phi(l) = l - 1 -
+    log l from ``log1p`` near l = 1: its error is then a few units of
+    roundoff of |x - a|, not of a log x.
+    """
+    if a < _STIRLING_MIN:
+        return a * math.log(x) - x - math.lgamma(a)
+    t = (x - a) / a
+    phi = t - math.log1p(t) if t > -0.5 else x / a - 1.0 - math.log(x / a)
+    inv_a2 = 1.0 / (a * a)
+    series = 0.0
+    for c in reversed(_STIRLING):
+        series = series * inv_a2 + c
+    return -a * phi + 0.5 * math.log(a / (2.0 * math.pi)) - series / a
+
+
+def _log_gamma_tails(a: float, x: float) -> tuple[float, float, float]:
+    """(log P(a, x), log Q(a, x), log front) of the regularized incomplete
+    gamma functions at a, x > 0, front = x^a e^-x / Gamma(a).
+
+    One tail is summed from terms of one sign and the other is its
+    complement: for x < a + 1, P = front/a (1 + x/(a+1) + x^2/((a+1)(a+2))
+    + ...); for x >= a + 1, Q = front / (x + 1 - a - 1 (1 - a) / (x + 3 - a
+    - 2 (2 - a) / (x + 5 - a - ...))), the continued fraction by the
+    modified Lentz method.  Each runs until its next term changes the result
+    by less than a unit of roundoff.
+    """
+    log_front = _log_gamma_front(a, x)
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        ap = a
+        while term > total * _EPS:
+            ap += 1.0
+            term *= x / ap
+            total += term
+        log_p = log_front + math.log(total)
+        return log_p, math.log1p(-math.exp(log_p)), log_front
+    b = x + 1.0 - a
+    c = 1.0 / _LENTZ_TINY
+    d = h = 1.0 / b
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _LENTZ_TINY else _LENTZ_TINY)
+        c = b + an / c
+        if abs(c) < _LENTZ_TINY:
+            c = _LENTZ_TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            break
+    log_q = log_front + math.log(h)
+    return math.log1p(-math.exp(log_q)), log_q, log_front
+
+
+def _upper_gamma_inv(a: float, q: float) -> float:
+    """The x > 0 with Q(a, x) = q, for 0 < q < 1 and the shapes a = d/2 of
+    the two-moment law, d >= 1 up to ``DOF_TOLERANCE``.
+
+    Solves log T(x) = log t for the smaller tail, T = Q and t = q for q <=
+    1/2, else T = P and t = 1 - q (exact), so the root keeps the digits of
+    the tail that is given (DiDonato and Morris 1986).  The start is
+    Wilson-Hilferty's (1931) cube of a normal quantile, or x^a / Gamma(a + 1)
+    = t where that cube is not positive.  Each evaluation moves one end of a
+    bracket [lo, hi] of the root to x; the next x is a Newton step on log T
+    with Halley's correction, or, where that step leaves the bracket or is
+    not below half the step before it, the bracket's midpoint (2 lo while
+    hi is unbounded).  The steps so shrink at least geometrically, and the
+    loop ends once a step, or the bracket, is within ``_INV_RTOL`` of x.
+    """
+    lower = q > 0.5
+    target = math.log1p(-q) if lower else math.log(q)
+    sign = 1.0 if lower else -1.0  # sign of d log T / dx
+    u = math.sqrt(-2.0 * math.log(min(q, 1.0 - q)))
+    z = u - (2.515517 + 0.802853 * u + 0.010328 * u * u) / (
+        1.0 + 1.432788 * u + 0.189269 * u * u + 0.001308 * u**3
+    )  # upper min(q, 1 - q) quantile of N(0, 1), to 4.5e-4 (Abramowitz and Stegun 26.2.23)
+    v = 1.0 / (9.0 * a)
+    cube = 1.0 - v + (-z if lower else z) * math.sqrt(v)
+    if cube > 0.0:
+        x = a * cube**3
+    else:
+        x = math.exp((target + math.lgamma(a + 1.0)) / a)
+    lo, hi = 0.0, math.inf
+    step_before = step = math.inf
+    while True:
+        log_p, log_q, log_front = _log_gamma_tails(a, x)
+        log_t = log_p if lower else log_q
+        g = log_t - target
+        if sign * g < 0.0:
+            lo = x
+        else:
+            hi = x
+        slope = sign * math.exp(log_front - log_t) / x  # d log T / dx
+        if slope == 0.0:
+            x_new = math.inf  # out of the bracket
+        else:
+            newton = g / slope
+            # d^2 log T / dx^2 = slope ((a - 1) / x - 1 - slope)
+            halley = 0.5 * newton * ((a - 1.0) / x - 1.0 - slope)
+            x_new = x - (newton / (1.0 - halley) if abs(halley) < 0.5 else newton)
+        if abs(x_new - x) <= _INV_RTOL * x:
+            return x_new
+        if hi - lo <= _INV_RTOL * x:
+            return x
+        if not lo < x_new < hi or abs(x_new - x) > 0.5 * abs(step_before):
+            x_new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        step_before, step = step, x_new - x
+        x = x_new
+
+
 def scaled_chisq_upper_quantile(sum_w: float, sum_w2: float, alpha: float) -> float:
     """Two-moment upper quantile of sum_k w_k chi2_1 from sum w and sum w^2.
 
@@ -222,7 +360,10 @@ def scaled_chisq_upper_quantile(sum_w: float, sum_w2: float, alpha: float) -> fl
     mean and variance of the weighted sum (Box 1954).  Nonnegative weights
     give d >= 1; a ``sum_w2`` above ``sum_w^2`` by more than
     ``DOF_TOLERANCE`` relative cannot come from a PSD weight matrix and
-    raises ``NumericalFailureError``.
+    raises ``NumericalFailureError``.  The chi2_d quantile is twice the
+    inverse of the regularized upper incomplete gamma function at d/2
+    (``_upper_gamma_inv``), within 1e-13 relative of scipy's
+    ``gammainccinv`` for d in [1, 10^4] and alpha in [1e-12, 1 - 1e-9].
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
@@ -235,23 +376,20 @@ def scaled_chisq_upper_quantile(sum_w: float, sum_w2: float, alpha: float) -> fl
             f"weight moments sum_w={sum_w:.6e}, sum_w2={sum_w2:.6e} give an "
             "effective dof below 1, so the weight matrix is not PSD"
         )
-    # imported here: scipy.special is most of the package's import time, and
-    # only a trace test needs it
-    from scipy.special import gammainccinv
-
     scale = sum_w2 / sum_w
     dof = sum_w**2 / sum_w2
-    return scale * 2.0 * float(gammainccinv(dof / 2.0, alpha))
+    return scale * 2.0 * _upper_gamma_inv(dof / 2.0, alpha)
 
 
 def weighted_chisq_upper_quantile(weights: np.ndarray, alpha: float) -> float:
     """Two-moment (scaled chi-square) upper quantile of sum_k w_k chi2_1.
 
     Matches the mean and variance with a * chi2_d, a = sum(w^2)/sum(w) and
-    d = sum(w)^2/sum(w^2); exact for a single weight and for equal weights,
-    and exactly scale-equivariant in the weights.  Only the two sums enter,
-    so the trace tests call ``scaled_chisq_upper_quantile`` with tr Omega
-    and ||Omega||_F^2 and never form the weights.
+    d = sum(w)^2/sum(w^2); within 1e-13 of the chi-square quantile for a
+    single weight and for equal weights, and scale-equivariant in the weights
+    up to the rounding of d.  Only the two sums enter, so the trace tests
+    call ``scaled_chisq_upper_quantile`` with tr Omega and ||Omega||_F^2 and
+    never form the weights.
     """
     w = _checked_weights(weights, alpha)
     return scaled_chisq_upper_quantile(float(w.sum()), float(w @ w), alpha)

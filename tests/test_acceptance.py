@@ -284,6 +284,56 @@ def test_criterion_9_structural_suite():
     _report(9, "structural-suite", ok, detail, elapsed, 60.0)
 
 
+# UF/CF/OF of 20 replications at n=200, p=1000 (seed 3, default alpha = 0.1/p),
+# as measured when the gate below was added.
+P_MUCH_GREATER_THAN_N = {
+    ("I", "stp", Method.SIR): (0, 15, 5),
+    ("I", "stp", Method.SAVE): (20, 0, 0),
+    ("I", "stp", Method.DR): (1, 19, 0),
+    ("I", "htp", Method.SIR): (0, 20, 0),
+    ("II", "stp", Method.SIR): (20, 0, 0),
+    ("II", "stp", Method.SAVE): (18, 2, 0),
+    ("II", "stp", Method.DR): (16, 4, 0),
+    ("II", "htp", Method.SIR): (20, 0, 0),
+    ("III", "stp", Method.SIR): (20, 0, 0),
+    ("III", "stp", Method.SAVE): (20, 0, 0),
+    ("III", "stp", Method.DR): (17, 3, 0),
+    ("III", "htp", Method.SIR): (20, 0, 0),
+}
+P_MUCH_GREATER_THAN_N_BAND = 2
+
+
+def test_criterion_10_selection_at_p_much_greater_than_n():
+    """STP with each kernel and HTP-SIR on Models I-III at n=200, p=1000.
+
+    A regression gate, not a claim about the paper: each UF/CF/OF count must
+    stay within ``P_MUCH_GREATER_THAN_N_BAND`` of the count the program gave
+    when the gate was added, so a change to the entry rule or to the null
+    law shows here.  The default level 0.1/p = 1e-4 puts every test in the
+    far tail of its null law, where an error in the quantile would move
+    decisions.  Many cells underfit by design: SIR cannot see Model II's
+    terms or Model III's x_1 and x_p terms, which are even in x, and at this
+    n SAVE and DR reject rarely at 1e-4.
+    """
+    t0 = time.perf_counter()
+    off = []
+    for (model, algorithm, method), expected in P_MUCH_GREATER_THAN_N.items():
+        design = SimDesign(model=model, n=200, p=1000, rho=0.0, seed=3)
+        res = run_experiment(design, algorithm, method, 20)
+        got = (res.metrics.uf, res.metrics.cf, res.metrics.of_)
+        drift = max(abs(g - e) for g, e in zip(got, expected))
+        if res.failures or drift > P_MUCH_GREATER_THAN_N_BAND:
+            off.append(f"{algorithm}-{method.value} model {model}: {got} (expected {expected}, "
+                       f"{res.failures} failures)")
+    elapsed = time.perf_counter() - t0
+    _report(
+        10, "p>>n", not off,
+        "; ".join(off) or f"{len(P_MUCH_GREATER_THAN_N)} cells within "
+        f"+-{P_MUCH_GREATER_THAN_N_BAND} of their UF/CF/OF counts",
+        elapsed, 60.0,
+    )
+
+
 def test_full_scale_smoke_p500():
     # exercises the p > n screening code path; no accuracy assertion
     t0 = time.perf_counter()

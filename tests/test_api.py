@@ -61,13 +61,28 @@ def test_scalar_route_is_imported_from_its_modules():
         assert hasattr(kernels, name) or hasattr(nulldist, name), name
 
 
-def test_scipy_special_is_imported_only_by_a_trace_test():
-    """``scipy.special`` is most of the package's import time; importing the
-    package and running a forward path must not load it."""
+def test_no_scipy_at_run_time(tmp_path):
+    """scipy is a test dependency only: with every scipy import made to
+    fail, the trace tests (both quantile schemes), HTP and the CLI's
+    ``select`` and ``test`` still run for each kernel."""
     code = (
-        "import sys, tracepursuit as tp\n"
-        "d, _ = tp.generate(tp.SimDesign(model='I', n=60, p=8, seed=1))\n"
-        "tp.ftp_run(d, tp.slice_response(d.y, 4), tp.Method.SIR)\n"
-        "assert 'scipy.special' not in sys.modules, 'imported scipy.special'\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None  # any import of scipy or a submodule raises\n"
+        "import tracepursuit as tp\n"
+        "from tracepursuit import cli\n"
+        "from tracepursuit.nulldist import trace_test_with_weights\n"
+        "path = sys.argv[1]\n"
+        "d, _ = tp.generate(tp.SimDesign(model='I', n=120, p=6, seed=3))\n"
+        "cli.write_csv(d, path)\n"
+        "s = tp.slice_response(d.y, 4)\n"
+        "commands = (['select', path], ['test', path, '--working-set', '1', '--candidate', '2'])\n"
+        "for m in tp.Method:\n"
+        "    tp.trace_test(m, d, s, (1,), 2, 0.05)\n"
+        "    for quantile in ('two-moment', 'monte-carlo'):\n"
+        "        trace_test_with_weights(m, d, s, (1,), 2, 0.05, quantile=quantile)\n"
+        "    tp.htp_run(d, s, m)\n"
+        "    for argv in commands:\n"
+        "        assert cli.main(argv + ['--method', m.value, '--format', 'json-lines']) == 0\n"
     )
-    subprocess.run([sys.executable, "-c", code], check=True, cwd=ROOT / "src")
+    argv = [sys.executable, "-c", code, str(tmp_path / "d.csv")]
+    subprocess.run(argv, check=True, cwd=ROOT / "src")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 import pickle
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammainccinv  # the quantile's oracle; scipy is a test dependency
 
 import tracepursuit.kernels as kernels
 import tracepursuit.nulldist as nulldist
@@ -320,6 +322,40 @@ class TestWeightedChisqQuantile:
         # one chunk of draws plus a few n_draws vectors; one block would be 48 MB
         assert peak < 8 * (MC_CHUNK_ROWS * w.size + 4 * n_draws) < 8 * n_draws * w.size
         assert q == pytest.approx(mc_weighted_chisq_quantile(w, 0.05, n_draws, seed=6), rel=0.03)
+
+
+def _chisq_upper(dof, alpha):
+    return 2.0 * nulldist._upper_gamma_inv(dof / 2.0, alpha)
+
+
+class TestChisqQuantileOracle:
+    """The in-package chi-square upper quantile against scipy and closed forms."""
+
+    @pytest.mark.parametrize(
+        "dof", [1 / (1 + 1e-10), 1, 1.01, 1.85, 2, 3.7, 10.5, 50.7, 159, 2000, 1e4]
+    )
+    def test_grid_against_scipy(self, dof):
+        for alpha in (1e-12, 5e-5, 1e-4, 0.0017, 0.01, 0.05, 0.5, 0.9, 1 - 1e-9):
+            expected = 2.0 * float(gammainccinv(dof / 2.0, alpha))
+            assert _chisq_upper(dof, alpha) == pytest.approx(expected, rel=1e-13, abs=0.0), alpha
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(1.0, 2000.0), st.floats(1e-10, 0.999))
+    def test_against_scipy(self, dof, alpha):
+        expected = 2.0 * float(gammainccinv(dof / 2.0, alpha))
+        assert _chisq_upper(dof, alpha) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_two_dof_is_minus_twice_log_alpha(self):
+        for alpha in np.geomspace(1e-300, 1.0 - 1e-12, 200):
+            expected = -2.0 * math.log(alpha)
+            assert _chisq_upper(2.0, alpha) == pytest.approx(expected, rel=1e-13, abs=0.0), alpha
+
+    def test_one_dof_inverts_erfc(self):
+        # P(chi2_1 > x) = erfc(sqrt(x / 2)); from x = 0.5 on, alpha <= 0.48 and
+        # the root is well conditioned in it
+        for x in np.geomspace(0.5, 60.0, 200):
+            alpha = math.erfc(math.sqrt(x / 2.0))
+            assert _chisq_upper(1.0, alpha) == pytest.approx(x, rel=1e-13, abs=0.0), x
 
 
 class TestResidualCarriesItsWorkingSet:
