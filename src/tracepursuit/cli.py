@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import Dataset, SliceAssignment, slice_response
+from .data import Dataset, SliceAssignment, slice_response, sorted_runs
 from .errors import (
     CellValueError,
     FileAccessError,
@@ -123,7 +123,7 @@ def _load(args: argparse.Namespace) -> tuple[Dataset, SliceAssignment]:
     d = ingest_csv(args.input)
     if args.slices is not None:
         return d, slice_response(d.y, args.slices)
-    if np.unique(d.y).size <= DISCRETE_VALUE_LIMIT:
+    if np.count_nonzero(sorted_runs(d.y)[1]) <= DISCRETE_VALUE_LIMIT:
         return d, slice_response(d.y, DISCRETE_VALUE_LIMIT, discrete=True)
     return d, slice_response(d.y, DEFAULT_SLICES)
 

@@ -205,14 +205,14 @@ class Dataset:
             column_names=names,
         )
 
-    def standardized(self, columns) -> np.ndarray:
+    def standardized(self, columns, out=None) -> np.ndarray:
         """(x - mean) * scale of the 0-based ``columns`` (an index, or an
-        ascending array of distinct indices) in a new array: each column
-        centered and divided by its sd, or zeros if constant.  Rows stay in
-        sample order.  All p columns take no gather: the result is x - means,
-        C-contiguous like x, scaled in place."""
+        ascending array of distinct indices) in a new array, or in ``out``:
+        each column centered and divided by its sd, or zeros if constant.
+        Rows stay in sample order.  All p columns take no gather: the result
+        is x - means, C-contiguous like x, scaled in place."""
         x = self.x if np.shape(columns) == (self.p,) else self.x[:, columns]
-        x = x - self.means[columns]
+        x = np.subtract(x, self.means[columns], out=out)
         x *= self.scales[columns]
         return x
 
@@ -245,6 +245,19 @@ class SliceAssignment:
         return m
 
 
+def sorted_runs(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable ascending sort order of a finite ``y`` and, along it, True
+    where a value differs from the one before (and at the first), so that
+    the count of True is the number of distinct values (0.0 and -0.0 are
+    one).  ``np.unique`` would import ``numpy.ma`` into every process."""
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    first = np.empty(ys.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(ys[1:], ys[:-1], out=first[1:])
+    return order, first
+
+
 def slice_response(y: np.ndarray, h_count: int, discrete: bool = False) -> SliceAssignment:
     """Partition the response sample into nonempty slices.
 
@@ -266,29 +279,29 @@ def slice_response(y: np.ndarray, h_count: int, discrete: bool = False) -> Slice
             f"cannot form {h_count} nonempty slices from {n} samples"
         )
 
+    by_value, first = sorted_runs(y)
+    distinct = int(np.count_nonzero(first))
     if discrete:
-        values = np.unique(y)
-        if values.size > h_count:
+        if distinct > h_count:
             raise DegenerateSlicingError(
-                f"discrete response has {values.size} distinct values, "
+                f"discrete response has {distinct} distinct values, "
                 f"more than h_count={h_count}"
             )
-        if values.size < 2:
+        if distinct < 2:
             raise DegenerateSlicingError("discrete response is constant")
-        membership = np.searchsorted(values, y) + 1
-        h = int(values.size)
+        labels = np.cumsum(first)  # rank of each sorted value among the distinct ones
+        h = distinct
     else:
-        if np.unique(y).size < h_count:
+        if distinct < h_count:
             raise DegenerateSlicingError(
                 f"response has fewer than {h_count} distinct values; "
                 "equal-frequency slicing would be degenerate"
             )
-        labels = np.arange(1, h_count + 1)
         base, extra = divmod(n, h_count)
-        membership = np.empty(n, dtype=np.int64)
-        sizes = base + (labels <= extra)
-        membership[np.argsort(y, kind="stable")] = np.repeat(labels, sizes)
+        labels = np.repeat(np.arange(1, h_count + 1), base + (np.arange(h_count) < extra))
         h = h_count
+    membership = np.empty(n, dtype=np.int64)
+    membership[by_value] = labels
 
     counts = np.bincount(membership, minlength=h + 1)[1:]
     order = np.argsort(membership, kind="stable")  # slice by slice, in sample order

@@ -60,12 +60,6 @@ from .errors import CollinearCandidateError, SingularDesignError, WorkingSetInde
 # candidate's own variance) below this is treated as exact collinearity.
 COLLINEARITY_FLOOR = 1e-12
 
-# ScanState drops the members from its standardized block once there are at
-# least _REPACK of them and they fill 1/_REPACK of it, so a repack copies at
-# most _REPACK times the columns that it drops and a narrow block is not copied
-# at nearly every addition.
-_REPACK = 8
-
 # A candidate's residual sum of squares, kept by subtraction, has lost about
 # -log10(_REFRESH) digits to cancellation once it falls below _REFRESH times
 # its value when last computed from the explicit residual.  ScanState then
@@ -261,7 +255,7 @@ class ScanState:
     ``trace_diff`` for scans with one kernel, ``method``: the candidates are
     the ``columns`` (1-based, ascending) outside F, and ``f`` lists the
     members in the order added.  It holds the standardized columns X as a
-    read-only block, an orthonormal basis Q and the triangular factor R_Q of
+    block, an orthonormal basis Q and the triangular factor R_Q of
     the standardized working set (X_F = Q R_Q, so Sigma_F = R_Q' R_Q / n),
     the projections Q'X, and R_Q^{-1} with its squared Frobenius norm,
     which with |R_Q|_F^2 = n |F| bounds the spread of Sigma_F's
@@ -297,22 +291,30 @@ class ScanState:
         nu2_h += t_h^2 - 2 w v_h' R_h + |a_h|^2 w^2,
         mc_h  += s_hk t_h - (s_h . a_h) w,
 
-    elementwise over the columns, s_hk the new entry of s_h.  The product
-    takes the |q_h|^2 and |a_h|^2 terms in at half weight, so sq_h and nu2_h
-    each gain -2 w times one row of it.  With m columns an addition
+    elementwise over the columns, s_hk the new entry of s_h.  Of the
+    coefficients that multiply Q'X, the rows q_h' Q repeat a_h and end in
+    |q_h|^2, so only the rows v_h' Q, ending in |a_h|^2, take a product; the
+    last column enters at half weight, so sq_h and nu2_h each gain -2 w
+    times one row of the difference.  With m candidates an addition
     costs O(n m) for SIR and O(H (n + |F|) m) for SAVE and DR, in two
     matrix products; no n x m block is written.  ``gains`` then scores all
     candidates in O(H m) for every kernel.
 
-    The block holds the columns at positions ``live`` (ascending) and stays
-    C-contiguous: once at least ``_REPACK`` members fill 1/``_REPACK`` of its
-    width it and the kept statistics are copied without them, in the same
-    order.  Rows keep the dataset's sample order, and the slices are read
-    through the slicing's ``indicator`` and ``rows``.  R_Q / sqrt(n) is the
-    upper Cholesky factor of Sigma_F, so W = sqrt(n) R_Q^{-1} is
-    ``MomentStats.whitening`` of F taken in ascending order, and Q = X_F W /
-    sqrt(n) row for row: sqrt(n) Q is ``MomentStats.white_xc``.  The gains
-    read W only through Q.
+    Every array is allocated once.  ``stats``, whose rows are the kept
+    statistics, the C-ordered block and Q'X are row ranges of one array, and
+    the candidates are its first ``m`` columns, so every product reads the
+    prefix ``block[:, :m]``.  When j joins F its column of that array swaps
+    with the last candidate's (rows of Q'X not yet written excepted) and
+    ``m`` falls by one, as pivoted QR interchanges columns (LAPACK xGEQP3);
+    ``index`` maps positions to ``columns`` and ``position`` back, and
+    ``gains`` reports by column.  The array has one shape for every kernel,
+    so a process reuses one scan's memory for the next.  Rows keep the
+    dataset's sample order, and the slices are read through the slicing's
+    ``indicator`` and ``rows``.
+    R_Q / sqrt(n) is the upper Cholesky factor of Sigma_F, so W = sqrt(n)
+    R_Q^{-1} is ``MomentStats.whitening`` of F taken in ascending order, and
+    Q = X_F W / sqrt(n) row for row: sqrt(n) Q is ``MomentStats.white_xc``.
+    The gains read W only through Q.
     """
 
     def __init__(
@@ -323,30 +325,29 @@ class ScanState:
         self.method = method
         self.columns = np.asarray(columns, dtype=np.int64)
         self.f: list[int] = []
-        self.member = np.zeros(self.columns.size, dtype=bool)
         self.s = s
-        block = np.ascontiguousarray(d.standardized(self.columns - 1))
-        block.setflags(write=False)
-        self.block = block
-        self.live = np.arange(self.columns.size)  # positions of the block's columns
-        self._dead = 0  # members among them
-        cap = min(self.columns.size, d.n)
+        width, hc = self.columns.size, s.h_count
+        self.m = width  # candidates: the first m positions of the block and statistics
+        self.index = np.arange(width)  # position -> index into columns
+        self.position = np.arange(width)  # index into columns -> position
+        cap = min(width, d.n)
+        kept = 2 + 4 * hc  # rows of stats; an addition swaps one column of _rows
+        self._rows = np.empty((kept + d.n + cap, width))
+        self.stats, self.block = self._rows[:kept], self._rows[kept : kept + d.n]
+        self.qx = self._rows[kept + d.n :]  # Q'X of the block
+        d.standardized(self.columns - 1, out=self.block)
+        self.stats.fill(0.0)
         self.q = np.empty((d.n, cap), order="F")
-        self.slice_q = np.empty((s.h_count, cap))  # S'Q, slice sums of the basis
-        self.qx = np.empty((cap, self.live.size))  # Q'X of the block
+        self.slice_q = np.empty((hc, cap))  # S'Q, slice sums of the basis
         self.rq = np.zeros((cap, cap))
         self.singular = False
         self._rinv_t = np.zeros((cap, cap))  # R_Q^{-T}: row k is column k of R_Q^{-1}
         self._inv_norm2 = 0.0  # |R_Q^{-1}|_F^2
-        width = self.live.size
-        self.sums = np.empty((s.h_count, width))  # S'R
-        self.rss = np.empty(width)  # |R|^2 by column
-        self.base = np.empty(width)  # rss when last computed from the residual
-        if method is not Method.SIR:
-            self.sq = np.empty((s.h_count, width))  # slice sums of R^2
-            self.nu2 = np.zeros((s.h_count, width))  # |Q_h' R_h|^2
-        if method is Method.SAVE:
-            self.mc = np.zeros((s.h_count, width))  # (S'Q)_h' Q_h' R_h
+        self.rss, self.base = self.stats[0], self.stats[1]  # |R|^2, and when last computed
+        # S'R, then for SAVE and DR the slice sums of R^2 and |Q_h' R_h|^2, and
+        # for SAVE (S'Q)_h' Q_h' R_h; the rows a kernel does not keep stay zero
+        rows = (self.stats[2 + i * hc : 2 + (i + 1) * hc] for i in range(4))
+        self.sums, self.sq, self.nu2, self.mc = rows
         self._refresh(slice(None))
         for j in f:
             self.add(j)
@@ -356,16 +357,21 @@ class ScanState:
         i = int(self.columns.searchsorted(j))
         if i == self.columns.size or self.columns[i] != j:
             raise WorkingSetIndexError(f"column {j} is not among the scanned columns")
-        if self.member[i]:
+        a, b = int(self.position[i]), self.m - 1
+        if a > b:
             raise WorkingSetIndexError(f"candidate {j} already in working set")
         k = len(self.f)
-        self.member[i] = True
+        # j takes the last candidate's place; rows of Q'X not yet written stay untouched
+        x = self._rows[: self.stats.shape[0] + self.n + k]
+        x[:, a], x[:, b] = x[:, b], x[:, a].copy()
+        self.index[a], self.index[b] = self.index[b], self.index[a]
+        self.position[self.index[a]], self.position[self.index[b]] = a, b
+        self.m = b
         self.f.append(int(j))
         if self.singular:
             return  # a singular Sigma_F stays singular as F grows (interlacing)
-        slot = int(self.live.searchsorted(i))
-        basis, c = self.q[:, :k], self.qx[:k, slot]  # Q and Q'x_j
-        r = self.block[:, slot] - basis @ c
+        basis, c = self.q[:, :k], self.qx[:k, b]  # Q and Q'x_j
+        r = self.block[:, b] - basis @ c
         c2 = basis.T @ r  # the second Gram-Schmidt pass
         r -= basis @ c2
         self.rq[:k, k] = c + c2
@@ -376,57 +382,42 @@ class ScanState:
         q = r / self.rq[k, k]
         self.q[:, k] = q
         self.slice_q[:, k] = self.s.indicator.T @ q
-        self._dead += 1
-        if self._dead >= _REPACK and _REPACK * self._dead >= self.live.size:
-            self._repack(k)
         self._update(k, q)
 
-    def _repack(self, k: int) -> None:
-        """Copy the block and the kept statistics without the members, in order."""
-        keep = ~self.member[self.live]
-        self.live = self.live[keep]
-
-        def compress(a, rows=None):  # C order, as a[..., keep] is not
-            out = np.empty(a.shape[:-1] + (self.live.size,))
-            np.compress(keep, a[:rows], axis=-1, out=out[:rows])
-            return out
-
-        self.block = compress(self.block)
-        self.block.setflags(write=False)
-        self.qx = compress(self.qx, k)
-        self.sums, self.rss = compress(self.sums), compress(self.rss)
-        self.base = compress(self.base)
-        if self.method is not Method.SIR:
-            self.sq, self.nu2 = compress(self.sq), compress(self.nu2)
-        if self.method is Method.SAVE:
-            self.mc = compress(self.mc)
-        self._dead = 0
-
     def _update(self, k: int, q: np.ndarray) -> None:
-        """Take the new basis vector q, column k of Q, out of the kept statistics."""
+        """Take the new basis vector q, column k of Q, out of the kept
+        statistics of the candidates."""
+        m, indicator = self.m, self.s.indicator
+        # views of the candidates' prefix, updated in place (``v[:, :m] += x``
+        # would also write the view back onto itself)
+        block, sums, rss = self.block[:, :m], self.sums[:, :m], self.rss[:m]
         if self.method is Method.SIR:
-            self.qx[k] = w = q @ self.block
+            self.qx[k, :m] = w = q @ block
         else:
-            hc, basis, indicator = self.s.h_count, self.q[:, :k], self.s.indicator
+            hc, basis = self.s.h_count, self.q[:, :k]
             split = np.empty((self.n, 2 * hc), order="F")  # columns q_h, then v_h
             np.multiply(q[:, None], indicator, out=split[:, :hc])
-            a = split[:, :hc].T @ basis  # row h: a_h = Q_h' q_h
+            coef = np.empty((2 * hc, k + 1))  # rows q_h' Q, then v_h' Q
+            np.matmul(split[:, :hc].T, self.q[:, : k + 1], out=coef[:hc])  # row h: (a_h', |q_h|^2)
+            a = coef[:hc, :k]  # a_h = Q_h' q_h
             np.multiply((a @ basis.T).T, indicator, out=split[:, hc:])  # v_h = Q_h a_h
-            coef = split.T @ self.q[:, : k + 1]  # last column: |q_h|^2, then |a_h|^2
+            np.matmul(split[:, hc:].T, self.q[:, : k + 1], out=coef[hc:])  # last column: |a_h|^2
             coef[:, k] *= 0.5
-            prod = split.T @ self.block
-            self.qx[k] = w = prod[:hc].sum(axis=0)
-            prod -= coef @ self.qx[: k + 1]  # b_h - |q_h|^2 w / 2, v_h' R_h - |a_h|^2 w / 2
+            prod = split.T @ block
+            self.qx[k, :m] = w = prod[:hc].sum(axis=0)
+            prod -= coef @ self.qx[: k + 1, :m]  # b_h - |q_h|^2 w / 2, v_h' R_h - |a_h|^2 w / 2
             t = prod[:hc] - coef[:hc, k, None] * w  # t_h, the new row of Q_h' R_h
             if self.method is Method.SAVE:
                 sa = np.einsum("hk,hk->h", self.slice_q[:, :k], a)  # s_h . a_h
-                self.mc += self.slice_q[:, k, None] * t - sa[:, None] * w
+                mc = self.mc[:, :m]
+                mc += self.slice_q[:, k, None] * t - sa[:, None] * w
             prod *= -2.0 * w
-            self.sq += prod[:hc]
-            self.nu2 += prod[hc:] + t * t
-        self.sums -= self.slice_q[:, k, None] * w
-        self.rss -= w * w
-        stale = ~self.member[self.live] & (self.rss < _REFRESH * self.base)
+            sq, nu2 = self.sq[:, :m], self.nu2[:, :m]
+            sq += prod[:hc]
+            nu2 += prod[hc:] + t * t
+        sums -= self.slice_q[:, k, None] * w
+        rss -= w * w
+        stale = rss < _REFRESH * self.base[:m]
         if stale.any():
             self._refresh(np.flatnonzero(stale))
 
@@ -481,33 +472,36 @@ class ScanState:
         variance fails the ``COLLINEARITY_FLOOR`` rule of ``residualize``.
         """
         out = np.full(self.columns.size, -np.inf)
+        m, index = self.m, self.index[: self.m]
         if self.singular:
             category = SingularDesignError.category
-            return out, [(int(j), category) for j in self.columns[~self.member]]
+            return out, [(j, category) for j in sorted(self.columns[index].tolist())]
         n, method = self.n, self.method
-        cand = ~self.member[self.live]
-        sigma2 = self.rss / n - (self.sums.sum(0) / n) ** 2
-        collinear = cand & (sigma2 < COLLINEARITY_FLOOR)
-        ok = cand & ~collinear
-        category = CollinearCandidateError.category
-        skipped = [(int(j), category) for j in self.columns[self.live[collinear]]]
-        sigma2 = np.where(ok, sigma2, 1.0)
+        sums = self.sums[:, :m]
+        sigma2 = self.rss[:m] / n - (sums.sum(0) / n) ** 2
+        collinear, skipped = sigma2 < COLLINEARITY_FLOOR, []
+        if collinear.any():
+            category = CollinearCandidateError.category
+            skipped = [(j, category) for j in sorted(self.columns[index[collinear]].tolist())]
+            sigma2[collinear] = 1.0
         nh, p_hat = self.s.counts[:, None], self.s.proportions
-        g = self.sums / (nh * np.sqrt(sigma2))  # slice means of the standardized residual
+        g = sums / (nh * np.sqrt(sigma2))  # slice means of the standardized residual
 
         z = nu2 = phi2 = iota_sum2 = kappa = None
         if method is not Method.SIR:
-            z = self.sq / (nh * sigma2)
+            z = self.sq[:, :m] / (nh * sigma2)
             mh = self.slice_q[:, : len(self.f)] / nh  # whitened slice means / sqrt(n)
-            nu2 = self.nu2 * (n / (nh**2 * sigma2))  # |nu_h|^2
+            nu2 = self.nu2[:, :m] * (n / (nh**2 * sigma2))  # |nu_h|^2
             gram = n * (mh @ mh.T)  # Gram of the whitened slice means
             if method is Method.SAVE:
-                iota_nu = g * self.mc * (n / (nh**2 * np.sqrt(sigma2)))
+                iota_nu = g * self.mc[:, :m] * (n / (nh**2 * np.sqrt(sigma2)))
                 phi2 = g**2 * np.diag(gram)[:, None] - 2.0 * iota_nu + nu2
             else:
                 pg = p_hat[:, None] * g
                 iota_sum2 = np.einsum("hj,hj->j", pg, gram @ pg)
                 kappa = p_hat @ np.diag(gram)
         gain = _gain(method, p_hat, g, z, nu2, phi2, iota_sum2, kappa)
-        out[self.live[ok]] = gain[ok]
+        if skipped:
+            gain[collinear] = -np.inf
+        out[index] = gain
         return out, skipped

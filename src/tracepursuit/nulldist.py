@@ -311,6 +311,13 @@ def _upper_gamma_inv(a: float, q: float) -> float:
     not below half the step before it, the bracket's midpoint (2 lo while
     hi is unbounded).  The steps so shrink at least geometrically, and the
     loop ends once a step, or the bracket, is within ``_INV_RTOL`` of x.
+
+    With L = log T, L'' = L' ((a - 1)/x - 1 - L'), and L''' is one more
+    derivative of that, so each evaluation also bounds the step that would
+    follow a Halley step h: about C h^3, C = L'''/(6 L') - (L''/(2 L'))^2
+    at x.  Where twice |C h^3| is within ``_INV_RTOL`` of the new x, the
+    loop returns it without the evaluation that would only confirm it, so
+    a start good to about 1e-3 takes two evaluations.
     """
     lower = q > 0.5
     target = math.log1p(-q) if lower else math.log(q)
@@ -335,20 +342,28 @@ def _upper_gamma_inv(a: float, q: float) -> float:
             lo = x
         else:
             hi = x
-        slope = sign * math.exp(log_front - log_t) / x  # d log T / dx
+        slope = sign * math.exp(log_front - log_t) / x  # L' = d log T / dx
+        next_step = math.inf  # bound on the step after a Halley step
         if slope == 0.0:
             x_new = math.inf  # out of the bracket
         else:
             newton = g / slope
-            # d^2 log T / dx^2 = slope ((a - 1) / x - 1 - slope)
-            halley = 0.5 * newton * ((a - 1.0) / x - 1.0 - slope)
-            x_new = x - (newton / (1.0 - halley) if abs(halley) < 0.5 else newton)
+            curv = (a - 1.0) / x - 1.0 - slope  # L'' / L'
+            halley = 0.5 * newton * curv
+            if abs(halley) < 0.5:
+                x_new = x - newton / (1.0 - halley)
+                third = curv * curv - (a - 1.0) / (x * x) - slope * curv  # L''' / L'
+                next_step = 2.0 * abs(third / 6.0 - curv * curv / 4.0) * abs(x_new - x) ** 3
+            else:
+                x_new = x - newton
         if abs(x_new - x) <= _INV_RTOL * x:
             return x_new
         if hi - lo <= _INV_RTOL * x:
             return x
         if not lo < x_new < hi or abs(x_new - x) > 0.5 * abs(step_before):
             x_new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        elif next_step <= _INV_RTOL * x_new:
+            return x_new
         step_before, step = step, x_new - x
         x = x_new
 

@@ -19,7 +19,7 @@ the full path's.  ``ftp_run`` keeps the full path, and so do SAVE and DR,
 whose traces have no constant bound.
 
 Forward scans are vectorized: a ``ScanState`` for the run's kernel holds
-the standardized candidate columns, written once, and keeps current only
+the standardized candidate columns, allocated once, and keeps current only
 the slice statistics of their residuals given the working set that the
 gains read.  An addition costs one product of the new basis vector with
 the columns, O(n p), for SIR, and for SAVE and DR one product of 2H slice

@@ -387,3 +387,51 @@ def reference_stp_trail(d, s, method, alpha, max_size, universe, max_iterations=
             return trail
     trail.append(("stop", None, None, None, "iteration cap reached"))
     return trail
+
+
+def reference_slice_response(y, h_count: int, discrete: bool = False) -> dict:
+    """Slicing from ``np.unique``: its distinct-value count, and for a
+    discrete response a ``searchsorted`` into its sorted distinct values.
+    Returns the fields of a ``SliceAssignment``, or raises the exception
+    ``slice_response`` documents for an input that cannot be sliced."""
+    from tracepursuit.errors import DegenerateSlicingError
+
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y contains non-finite entries")
+    n = y.size
+    if h_count < 2:
+        raise ValueError(f"h_count must be >= 2, got {h_count}")
+    if n < h_count:
+        raise DegenerateSlicingError(f"cannot form {h_count} nonempty slices from {n} samples")
+    if discrete:
+        values = np.unique(y)
+        if values.size > h_count:
+            raise DegenerateSlicingError(
+                f"discrete response has {values.size} distinct values, "
+                f"more than h_count={h_count}"
+            )
+        if values.size < 2:
+            raise DegenerateSlicingError("discrete response is constant")
+        membership = np.searchsorted(values, y) + 1
+        h = int(values.size)
+    else:
+        if np.unique(y).size < h_count:
+            raise DegenerateSlicingError(
+                f"response has fewer than {h_count} distinct values; "
+                "equal-frequency slicing would be degenerate"
+            )
+        labels = np.arange(1, h_count + 1)
+        base, extra = divmod(n, h_count)
+        membership = np.empty(n, dtype=np.int64)
+        membership[np.argsort(y, kind="stable")] = np.repeat(labels, base + (labels <= extra))
+        h = h_count
+    counts = np.bincount(membership, minlength=h + 1)[1:]
+    indicator = np.zeros((n, h), order="F")
+    indicator[np.arange(n), membership - 1] = 1.0
+    rows = tuple(np.flatnonzero(membership == label) for label in range(1, h + 1))
+    return dict(
+        h_count=h, membership=membership, counts=counts, proportions=counts / n,
+        rows=rows, indicator=indicator,
+    )
+

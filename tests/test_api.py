@@ -7,6 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import tracepursuit as tp
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,3 +89,45 @@ def test_no_scipy_at_run_time(tmp_path):
     )
     argv = [sys.executable, "-c", code, str(tmp_path / "d.csv")]
     subprocess.run(argv, check=True, cwd=ROOT / "src")
+
+
+def test_no_numpy_ma_at_run_time(tmp_path):
+    """Slicing, the three selectors, the trace test and the CLI's ``select``,
+    ``screen`` and ``test`` with automatic slicing (by value and into four)
+    run for each kernel with every import of ``numpy.ma`` made to fail; only
+    the Monte Carlo quantile's ``np.quantile`` imports it.  numpy 1.x imports
+    ``numpy.ma`` with numpy itself, so there the test is skipped; numpy 2
+    loads it on first use."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "if 'numpy.ma' in sys.modules:\n"
+        "    sys.exit(3)  # loaded by numpy itself\n"
+        "sys.modules['numpy.ma'] = None  # any later import of numpy.ma raises\n"
+        "import tracepursuit as tp\n"
+        "from tracepursuit import cli\n"
+        "d, _ = tp.generate(tp.SimDesign(model='I', n=120, p=6, seed=3))\n"
+        "paths = [sys.argv[1] + '/d.csv', sys.argv[1] + '/discrete.csv']\n"
+        "cli.write_csv(d, paths[0])\n"
+        "y7 = np.round(3.0 * d.y / np.abs(d.y).max())  # at most seven values\n"
+        "cli.write_csv(tp.Dataset.from_arrays(d.x, y7), paths[1])\n"
+        "s = tp.slice_response(d.y, 4)\n"
+        "tp.slice_response(y7, 10, discrete=True)\n"
+        "for m in tp.Method:\n"
+        "    tp.ftp_run(d, s, m)\n"
+        "    tp.stp_run(d, s, m, alpha=0.3)\n"
+        "    tp.htp_run(d, s, m)\n"
+        "    tp.trace_test(m, d, s, (1,), 2, 0.05)\n"
+        "    for path in paths:\n"
+        "        for argv in (['select', path], ['screen', path],\n"
+        "                     ['test', path, '--working-set', '1', '--candidate', '2']):\n"
+        "            argv += ['--method', m.value, '--format', 'json-lines']\n"
+        "            assert cli.main(argv) == 0, argv\n"
+        "assert sys.modules['numpy.ma'] is None\n"
+    )
+    argv = [sys.executable, "-c", code, str(tmp_path)]
+    run = subprocess.run(argv, cwd=ROOT / "src", capture_output=True, text=True)
+    if run.returncode == 3:
+        pytest.skip(f"numpy {np.__version__} imports numpy.ma when numpy is imported")
+    assert run.returncode == 0, run.stderr
+

@@ -31,7 +31,22 @@ from tracepursuit.data import _STAT_CHUNK_COLS
 from tracepursuit.kernels import Method, residualize
 
 from conftest import make_dataset
-from oracles import column_statistics, naive_moments, standardize_columns
+from oracles import (
+    column_statistics,
+    naive_moments,
+    reference_slice_response,
+    standardize_columns,
+)
+
+
+@st.composite
+def _tied_responses(draw):
+    """Up to 30 draws from at most 6 values, among them 0.0 and -0.0."""
+    values = st.one_of(
+        st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(allow_nan=False, allow_infinity=False)
+    )
+    pool = draw(st.lists(values, min_size=1, max_size=6))
+    return draw(st.lists(st.sampled_from(pool), max_size=30))
 
 
 class TestSliceResponse:
@@ -134,6 +149,35 @@ class TestSliceResponse:
         base = slice_response(y, 4).membership
         shuffled = slice_response(y[perm], 4).membership
         assert np.array_equal(shuffled, base[perm])
+
+    @settings(max_examples=300, deadline=None)
+    @given(y=_tied_responses(), h_count=st.integers(2, 8), discrete=st.booleans())
+    @example(y=[0.0, -0.0, 1.0, -0.0, 1.0, 0.0], h_count=2, discrete=True)
+    @example(y=[-0.0, 0.0, 0.0, -0.0, 2.0, 3.0, 1.0, 1.0], h_count=4, discrete=False)
+    @example(y=[5.0] * 6, h_count=2, discrete=True)
+    @example(y=[1.0, 2.0, 3.0], h_count=2, discrete=True)
+    @example(y=[1.0, 1.0, 2.0, 2.0], h_count=3, discrete=False)
+    def test_matches_the_np_unique_reference(self, y, h_count, discrete):
+        """Over ties, signed zeros, discrete responses and degenerate inputs,
+        the slicing is bit for bit that of the ``np.unique`` reference, or
+        raises the same exception with the same message."""
+        y = np.array(y, dtype=float)
+        try:
+            want = reference_slice_response(y, h_count, discrete)
+        except (ValueError, DegenerateSlicingError) as err:
+            with pytest.raises(type(err)) as got:
+                slice_response(y, h_count, discrete=discrete)
+            assert type(got.value) is type(err) and str(got.value) == str(err)
+            return
+        s = slice_response(y, h_count, discrete=discrete)
+        assert s.h_count == want["h_count"]
+        for name in ("membership", "counts", "proportions", "indicator"):
+            a, b = getattr(s, name), want[name]
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+        assert s.indicator.flags.f_contiguous
+        assert len(s.rows) == len(want["rows"])
+        for a, b in zip(s.rows, want["rows"]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class TestDataset:

@@ -12,6 +12,7 @@ from tracepursuit import (
     Dataset,
     SimDesign,
     compute_moments,
+    ftp_run,
     generate,
     slice_response,
     trace_kernel,
@@ -337,11 +338,11 @@ class TestScanState:
             state = ScanState(d, s, method, (1, 2, 3, 4, 5), (1, 2))
             gains, skipped = state.gains()
             assert skipped == [(4, "collinear-candidate")]
-            assert np.isfinite(gains[[2, 4]]).all()
+            assert np.isfinite(gains[[2, 4]]).all() and gains[3] == -np.inf
             state.add(5)  # variance 1e16 next to 1: the floors read standardized columns
             gains, skipped = state.gains()
             assert skipped == [(4, "collinear-candidate")]
-            assert np.isfinite(gains[2])
+            assert np.isfinite(gains[2]) and gains[3] == -np.inf
             state.add(4)  # x1 - 2 x2 next to x1 and x2: singular by the eigenvalue floor
             gains, skipped = state.gains()
             assert skipped == [(3, "singular-design")]
@@ -380,7 +381,7 @@ def _certificate_designs():
         yield f"scaled-{scale:g}", scaled, range(1, 13)
 
 
-class TestScanCertificateAndRepack:
+class TestScanCertificate:
     def test_singular_verdict_matches_eigenvalues_at_every_add(self, monkeypatch):
         eigvalsh = np.linalg.eigvalsh
         calls = []  # eigvalsh calls made by the scan during one add
@@ -453,38 +454,55 @@ class TestScanCertificateAndRepack:
             if state.singular:
                 break
 
-    def test_repacked_block_keeps_gains(self):
-        rng = np.random.default_rng(9)
-        d = make_dataset(rng, 200, 60)
+
+class TestScanSwaps:
+    @pytest.mark.parametrize("p", [10, 200])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_swaps_keep_arrays_and_gains(self, method, p):
+        """Along a full forward path, over all columns and over those not
+        divisible by 7: every array keeps its identity, the candidates are
+        the prefix of the block in position order and the members follow in
+        reverse order of addition, skips stay ascending, and at checkpoints
+        Sigma_F = R_Q' R_Q / n and the grown gains equal the built ones and
+        the scalar route's."""
+        d, _ = generate(SimDesign(model="I", n=300, p=p, seed=1))
         s = slice_response(d.y, 4)
-        columns = tuple(j for j in range(1, 61) if j % 7)
-        f = [int(j) for j in rng.choice(columns, 14, replace=False)]
-        # the standardized columns, rows in sample order
-        standardized = standardize_columns(d.x)[:, np.subtract(columns, 1)]
-        m = compute_moments(d, s, f)
-        for method in METHODS:
+        path = [step.added_index for step in ftp_run(d, s, method).steps]
+        standardized = d.standardized(np.arange(d.p))
+        for columns in (tuple(range(1, p + 1)), tuple(j for j in range(1, p + 1) if j % 7)):
+            order = [j for j in path if j in columns]
+            assert len(order) == len(columns)
             grown = ScanState(d, s, method, columns)
-            for j in f:
+            names = ("block", "q", "qx", "rq", "stats", "sums", "rss", "base", "sq", "nu2", "mc")
+            arrays = [getattr(grown, name) for name in names]
+            checkpoints = {1, 2, 5, len(order) // 2, len(order) - 1}
+            for k, j in enumerate(order, start=1):
                 grown.add(j)
-                block = grown.block
-                assert block.flags.c_contiguous and not block.flags.writeable
-                assert np.allclose(block, standardized[:, grown.live], rtol=1e-12, atol=1e-12)
-            assert grown.live.size < len(columns) - 1  # members were dropped
-            built = ScanState(d, s, method, columns, sorted(f))
-            rq = grown.rq[: len(f), : len(f)]  # Sigma_F = R_Q' R_Q / n, in the order added
-            order = np.argsort(f)
-            sigma = (rq.T @ rq / d.n)[np.ix_(order, order)]
-            assert np.allclose(sigma, m.xc.T @ m.xc / d.n, rtol=1e-10, atol=1e-12)
-            gains, skipped = grown.gains()
-            built_gains, built_skipped = built.gains()
-            assert skipped == built_skipped == []
-            assert np.allclose(gains, built_gains, rtol=1e-10)
-            for j, gain in zip(columns, gains):
-                if j in f:
-                    assert gain == -np.inf
+                assert all(getattr(grown, n) is a for n, a in zip(names, arrays))
+                m = grown.m
+                assert m == len(columns) - k
+                assert grown.columns[grown.index[m:]].tolist() == grown.f[::-1]
+                assert np.array_equal(grown.position[grown.index], np.arange(len(columns)))
+                at = np.subtract(grown.columns[grown.index], 1)
+                assert np.array_equal(grown.block, standardized[:, at])
+                gains, skipped = grown.gains()
+                assert skipped == []
+                assert np.isfinite(gains[grown.index[:m]]).all()
+                assert np.all(gains[grown.index[m:]] == -np.inf)
+                if k not in checkpoints:
                     continue
-                r = residualize(m, j)
-                assert gain == pytest.approx(trace_diff(method, r), rel=1e-10)
+                mom = compute_moments(d, s, grown.f)
+                rq, ordered = grown.rq[:k, :k], np.argsort(grown.f)
+                sigma = (rq.T @ rq / d.n)[np.ix_(ordered, ordered)]
+                assert np.allclose(sigma, mom.xc.T @ mom.xc / d.n, rtol=1e-10, atol=1e-12)
+                built = ScanState(d, s, method, columns, sorted(grown.f))
+                assert built.gains()[1] == []
+                assert np.allclose(gains, built.gains()[0], rtol=1e-10)
+                for i in grown.index[:m:7]:
+                    r = residualize(mom, int(columns[i]))
+                    assert gains[i] == pytest.approx(trace_diff(method, r), rel=1e-10)
+            gains, skipped = grown.gains()
+            assert grown.m == 0 and np.all(gains == -np.inf) and skipped == []
 
 
 class TestScanKeptStatistics:
@@ -520,9 +538,9 @@ class TestScanKeptStatistics:
         slices = s.rows
         floor = COLLINEARITY_FLOOR
 
-        def explicit():
+        def explicit():  # of the candidates, the prefix of the block
             k = len(state.f)
-            q, block = state.q[:, :k], state.block
+            q, block = state.q[:, :k], state.block[:, : state.m]
             r = block - q @ (q.T @ block)
             return q, r, (r * r).sum(0) / n - (r.sum(0) / n) ** 2
 
@@ -532,27 +550,28 @@ class TestScanKeptStatistics:
         for j in order:
             if len(state.f) == 40:
                 break
-            if explicit()[2][np.searchsorted(state.live, j - 1)] < 1e-6:
+            if explicit()[2][state.position[j - 1]] < 1e-6:
                 continue  # keep F well conditioned: add only clear candidates
             state.add(j)
             assert not state.singular
             q, r, sigma2 = explicit()
-            close(state.sums, np.array([r[rows].sum(0) for rows in slices]))
-            close(state.rss, (r * r).sum(0))
+            sums, rss, sq, nu2, mc = (a[..., : state.m] for a in (
+                state.sums, state.rss, state.sq, state.nu2, state.mc))
+            close(sums, np.array([r[rows].sum(0) for rows in slices]))
+            close(rss, (r * r).sum(0))
             if method is not Method.SIR:
-                close(state.sq, np.array([(r[rows] ** 2).sum(0) for rows in slices]))
+                close(sq, np.array([(r[rows] ** 2).sum(0) for rows in slices]))
                 cross = [q[rows].T @ r[rows] for rows in slices]  # Q_h' R_h
-                close(state.nu2, np.array([(c * c).sum(0) for c in cross]))
+                close(nu2, np.array([(c * c).sum(0) for c in cross]))
                 # |Q_h' R_h| <= |R_h|, so nu2 <= sq: the rss refresh rule bounds both
-                assert np.all(state.nu2 <= state.sq * (1.0 + 1e-10) + 1e-10 * n)
+                assert np.all(nu2 <= sq * (1.0 + 1e-10) + 1e-10 * n)
             if method is Method.SAVE:
-                mc = [q[rows].sum(0) @ c for rows, c in zip(slices, cross)]
-                close(state.mc, np.array(mc))
+                close(mc, np.array([q[rows].sum(0) @ c for rows, c in zip(slices, cross)]))
             _, skipped = state.gains()
             skipped = {i for i, _ in skipped}
             m = compute_moments(d, s, state.f)
-            for i, var in zip(state.columns[state.live].tolist(), sigma2):
-                if i in state.f or 0.5 * floor <= var <= 2.0 * floor:
+            for i, var in zip(state.columns[state.index[: state.m]].tolist(), sigma2):
+                if 0.5 * floor <= var <= 2.0 * floor:
                     continue
                 try:
                     residualize(m, i)

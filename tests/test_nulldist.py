@@ -350,6 +350,20 @@ class TestChisqQuantileOracle:
             expected = -2.0 * math.log(alpha)
             assert _chisq_upper(2.0, alpha) == pytest.approx(expected, rel=1e-13, abs=0.0), alpha
 
+    def test_two_tail_evaluations_on_the_workload_mix(self, monkeypatch):
+        """At the effective dof of the benchmark's tests and the levels of
+        its runs, the Halley step from the Wilson-Hilferty start is the
+        last: no evaluation of the tails only confirms a converged root."""
+        calls, tails = [], nulldist._log_gamma_tails
+        monkeypatch.setattr(nulldist, "_log_gamma_tails", lambda *a: calls.append(a) or tails(*a))
+        counts = {}
+        for dof in (1.85, 3.7, 10.5, 50.7):
+            for alpha in (0.05, 0.01, 5e-5):
+                calls.clear()
+                _chisq_upper(dof, alpha)
+                counts[dof, alpha] = len(calls)
+        assert max(counts.values()) == 2, counts
+
     def test_one_dof_inverts_erfc(self):
         # P(chi2_1 > x) = erfc(sqrt(x / 2)); from x = 0.5 on, alpha <= 0.48 and
         # the root is well conditioned in it

@@ -718,22 +718,6 @@ def test_options_are_keyword_only(run):
 
 
 @pytest.mark.parametrize("method", list(Method))
-def test_narrow_path_repacks_at_most_once(method, monkeypatch):
-    calls = []
-    repack = ScanState._repack
-
-    def spy_repack(self, k):
-        calls.append(k)
-        return repack(self, k)
-
-    monkeypatch.setattr(ScanState, "_repack", spy_repack)
-    d, _ = generate(SimDesign(model="I", n=300, p=10, seed=1))
-    path = ftp_run(d, slice_response(d.y, 4), method)
-    assert path.k_max == 10
-    assert len(calls) <= 1
-
-
-@pytest.mark.parametrize("method", list(Method))
 def test_stp_cap_keeps_every_weight_matrix_full_rank(method):
     """At n=60, H=4 a SAVE test on 14 members or a DR test on 11 has at least
     as many influence dimensions as samples; STP stops before making one."""
