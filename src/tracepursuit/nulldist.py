@@ -382,17 +382,21 @@ def scaled_chisq_upper_quantile(sum_w: float, sum_w2: float, alpha: float) -> fl
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0,1), got {alpha}")
-    if not (np.isfinite(sum_w) and np.isfinite(sum_w2) and sum_w >= 0.0 and sum_w2 >= 0.0):
+    try:
+        sum_w_sq = sum_w**2
+    except OverflowError:  # raised by a Python float square, where numpy gives inf
+        sum_w_sq = math.inf
+    if not (math.isfinite(sum_w_sq) and np.isfinite(sum_w2) and sum_w >= 0.0 and sum_w2 >= 0.0):
         raise ValueError("weight moments must be finite and nonnegative")
     if sum_w == 0.0 or sum_w2 == 0.0:
         raise DegenerateDistributionError("no positive weights")
-    if sum_w2 > (1.0 + DOF_TOLERANCE) * sum_w**2:
+    if sum_w2 > (1.0 + DOF_TOLERANCE) * sum_w_sq:
         raise NumericalFailureError(
             f"weight moments sum_w={sum_w:.6e}, sum_w2={sum_w2:.6e} give an "
             "effective dof below 1, so the weight matrix is not PSD"
         )
     scale = sum_w2 / sum_w
-    dof = sum_w**2 / sum_w2
+    dof = sum_w_sq / sum_w2
     return scale * 2.0 * _upper_gamma_inv(dof / 2.0, alpha)
 
 
@@ -420,7 +424,10 @@ def weighted_chisq_quantile_mc(
 
     The draws come ``MC_CHUNK_ROWS`` rows at a time from one generator, so
     memory stays bounded in the weight count and the draws are those of a
-    single (n_draws, k) block.
+    single (n_draws, k) block.  The quantile is ``np.quantile``'s default
+    ("linear") one, bit for bit, interpolated here between the two order
+    statistics that one ``np.partition`` places, since ``np.quantile``
+    imports ``numpy.ma``.
     """
     n_draws = as_integer(n_draws, "n_draws")
     if n_draws < 1:
@@ -432,7 +439,13 @@ def weighted_chisq_quantile_mc(
     for start in range(0, n_draws, MC_CHUNK_ROWS):
         rows = min(MC_CHUNK_ROWS, n_draws - start)
         draws[start : start + rows] = rng.chisquare(1.0, size=(rows, pos.size)) @ pos
-    return float(np.quantile(draws, 1.0 - alpha))
+    at = (n_draws - 1) * (1.0 - alpha)
+    lo = math.floor(at)
+    hi = min(lo + 1, n_draws - 1)
+    draws.partition((lo, hi))
+    a, b, t = float(draws[lo]), float(draws[hi]), at - lo
+    # numpy's linear interpolation, from the nearer order statistic
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 @dataclass(frozen=True)

@@ -90,8 +90,12 @@ STP_MAX_PASSES = 100
 
 
 def default_path_cap(n: int, p: int, h_count: int) -> int:
-    """Largest working-set size kept numerically and statistically sane."""
-    return min(p, n - h_count - 2)
+    """Largest working-set size kept numerically and statistically sane,
+    min(p, n - H - 2).  A size below 1 raises ``ValueError``: no set fits."""
+    size = min(p, n - h_count - 2)
+    if size < 1:
+        raise ValueError(f"n={n} leaves no room for a working set beside {h_count} slices")
+    return size
 
 
 def stp_set_cap(method: Method, n: int, p: int, h_count: int) -> int:
@@ -104,8 +108,6 @@ def stp_set_cap(method: Method, n: int, p: int, h_count: int) -> int:
     below 1 raises ``ValueError``: no test could be made.
     """
     size = default_path_cap(n, p, h_count)
-    if size < 1:
-        raise ValueError(f"n={n} leaves no room for a working set beside {h_count} slices")
     # the largest working set tested has size - 1 members
     while size > 0 and influence_dim(method, size - 1, h_count) >= n:
         size -= 1

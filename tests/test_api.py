@@ -92,12 +92,11 @@ def test_no_scipy_at_run_time(tmp_path):
 
 
 def test_no_numpy_ma_at_run_time(tmp_path):
-    """Slicing, the three selectors, the trace test and the CLI's ``select``,
-    ``screen`` and ``test`` with automatic slicing (by value and into four)
-    run for each kernel with every import of ``numpy.ma`` made to fail; only
-    the Monte Carlo quantile's ``np.quantile`` imports it.  numpy 1.x imports
-    ``numpy.ma`` with numpy itself, so there the test is skipped; numpy 2
-    loads it on first use."""
+    """Slicing, the three selectors, the trace test with either quantile and
+    the CLI's ``select``, ``screen`` and ``test`` with automatic slicing (by
+    value and into four) run for each kernel with every import of
+    ``numpy.ma`` made to fail.  numpy 1.x imports ``numpy.ma`` with numpy
+    itself, so there the test is skipped; numpy 2 loads it on first use."""
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -106,6 +105,7 @@ def test_no_numpy_ma_at_run_time(tmp_path):
         "sys.modules['numpy.ma'] = None  # any later import of numpy.ma raises\n"
         "import tracepursuit as tp\n"
         "from tracepursuit import cli\n"
+        "from tracepursuit.nulldist import trace_test_with_weights\n"
         "d, _ = tp.generate(tp.SimDesign(model='I', n=120, p=6, seed=3))\n"
         "paths = [sys.argv[1] + '/d.csv', sys.argv[1] + '/discrete.csv']\n"
         "cli.write_csv(d, paths[0])\n"
@@ -118,9 +118,11 @@ def test_no_numpy_ma_at_run_time(tmp_path):
         "    tp.stp_run(d, s, m, alpha=0.3)\n"
         "    tp.htp_run(d, s, m)\n"
         "    tp.trace_test(m, d, s, (1,), 2, 0.05)\n"
+        "    trace_test_with_weights(m, d, s, (1,), 2, 0.05, quantile='monte-carlo')\n"
         "    for path in paths:\n"
         "        for argv in (['select', path], ['screen', path],\n"
-        "                     ['test', path, '--working-set', '1', '--candidate', '2']):\n"
+        "                     ['test', path, '--working-set', '1', '--candidate', '2'],\n"
+        "                     ['test', path, '--candidate', '2', '--mc-quantile']):\n"
         "            argv += ['--method', m.value, '--format', 'json-lines']\n"
         "            assert cli.main(argv) == 0, argv\n"
         "assert sys.modules['numpy.ma'] is None\n"

@@ -270,7 +270,8 @@ class TestDataset:
     @pytest.mark.parametrize("value", [1.5e308, 0.1, -1e300])
     def test_constant_column_is_a_collinear_candidate_at_any_value(self, value):
         """A constant column's mean is its value, even where its n-fold sum
-        overflows, so it standardizes to zeros and every route skips it."""
+        overflows, so it standardizes to zeros, every route skips it, and
+        appending it to a design changes no HTP selection."""
         rng = np.random.default_rng(0)
         x = rng.standard_normal((50, 4))
         y = x[:, 0] + 0.1 * rng.standard_normal(50)
@@ -289,6 +290,14 @@ class TestDataset:
             assert 2 not in report.selected
             skips = [(e.index, e.note) for e in report.trail if e.action == "skip"]
             assert (2, "collinear-candidate") in skips
+        # appended to Model I at p=40, seed 0, the data of ``bench --p 40``
+        base, _ = generate(SimDesign(model="I", p=40))
+        d = Dataset.from_arrays(np.column_stack([base.x, np.full(base.n, value)]), base.y)
+        s = slice_response(d.y, 4)
+        for method in Method:
+            assert htp_run(d, s, method).selected == htp_run(base, s, method).selected
+            trail = stp_run(d, s, method, alpha=0.3).trail
+            assert ("skip", 41, "collinear-candidate") in [(e.action, e.index, e.note) for e in trail]
 
     @pytest.mark.parametrize("scale", [1e150, 1e-150])
     @pytest.mark.parametrize("method", list(Method))
@@ -367,12 +376,15 @@ class TestColumnUnits:
 
     @pytest.mark.parametrize("method", list(Method))
     def test_column_offsets_keep_paths_and_selections(self, method):
-        """Every column of Model I shifted by 1e8: the columns are centered
-        before any product, so paths, skips and selections stay the same and
-        path traces move by the rounding of the shifted data alone."""
-        for seed in (1, 2, 3):
-            d, _ = generate(SimDesign(model="I", n=200, p=40, rho=0.5, seed=seed))
-            shifted = Dataset.from_arrays(d.x + 1e8, d.y)
+        """Every column of Model I shifted by 1e8, or column 1 alone on the
+        data of ``bench --p 40`` (seed 0): the columns are centered before any
+        product, so paths, skips and selections stay the same and path traces
+        move by the rounding of the shifted data alone."""
+        designs = [SimDesign(model="I", n=200, p=40, rho=0.5, seed=seed) for seed in (1, 2, 3)]
+        for design in designs + [SimDesign(model="I", p=40)]:
+            d, _ = generate(design)
+            offset = 1e8 if design.seed else 1e8 * np.eye(1, design.p)
+            shifted = Dataset.from_arrays(d.x + offset, d.y)
             s = slice_response(d.y, 4)
             path, shifted_path = ftp_run(d, s, method), ftp_run(shifted, s, method)
             assert [st.added_index for st in shifted_path.steps] == [

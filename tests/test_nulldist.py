@@ -7,7 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammainccinv  # the quantile's oracle; scipy is a test dependency
 
@@ -228,7 +228,8 @@ class TestWeightMoments:
     @pytest.mark.parametrize(
         "moments, alpha",
         [((1.0, 1.0), 0.0), ((1.0, 1.0), 1.0), ((np.nan, 1.0), 0.05),
-         ((1.0, np.inf), 0.05), ((-1.0, 1.0), 0.05)],
+         ((1.0, np.inf), 0.05), ((-1.0, 1.0), 0.05),
+         ((1.8e154, 1.62e308), 0.05)],  # two weights of 9e153: sum_w**2 overflows
     )
     def test_bad_alpha_or_moments_rejected(self, moments, alpha):
         with pytest.raises(ValueError):
@@ -302,6 +303,16 @@ class TestWeightedChisqQuantile:
         b = weighted_chisq_quantile_mc(w, 0.05, n_draws=200_000, seed=11)
         assert a == b
         assert a == pytest.approx(weighted_chisq_upper_quantile(w, 0.05), rel=0.05)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 500), st.floats(1e-12, 1.0 - 1e-12), st.integers(0, 2**32 - 1))
+    @example(3, 0.5, 0)  # an order statistic exactly
+    @example(5, 0.125, 0)  # halfway between two
+    def test_mc_quantile_is_np_quantile_bit_for_bit(self, n_draws, alpha, seed):
+        w = np.array([1.0, 0.5, 0.25])
+        draws = np.random.default_rng(seed).chisquare(1.0, size=(n_draws, w.size)) @ w
+        got = weighted_chisq_quantile_mc(w, alpha, n_draws=n_draws, seed=seed)
+        assert got == float(np.quantile(draws, 1.0 - alpha))
 
     def test_mc_draws_in_chunks_match_one_block(self):
         w = np.linspace(0.1, 1.0, 60)

@@ -429,10 +429,12 @@ class TestStp:
         assert got == expected
 
     def test_no_room_for_a_working_set_is_rejected(self):
-        """At n = H + 2 the cap min(p, n - H - 2) is 0: no set can be tested."""
+        """At n = H + 2 the cap min(p, n - H - 2) is 0: no set can be tested
+        and no path step made, so no selector blames a ``k_max`` not given."""
         d = _noise_dataset(5, n=6, p=3)
-        with pytest.raises(ValueError, match="no room for a working set"):
-            stp_run(d, slice_response(d.y, 4), Method.SIR, alpha=0.5)
+        for run in (ftp_run, stp_run, htp_run):
+            with pytest.raises(ValueError, match="^n=6 leaves no room for a working set beside 4"):
+                run(d, slice_response(d.y, 4), Method.SIR)
 
     def test_no_room_for_a_dr_test_is_rejected(self):
         """At H + 3 <= n <= 2H + 1 the base cap is positive, but a DR test at
@@ -612,12 +614,14 @@ class TestHtpScreeningStop:
 
     def test_htp_is_path_prefix_then_stp_through_deletions(self):
         """The refinement follows the path until its first deletion and scans
-        after it; looser alphas make some refinements delete."""
-        designs = [dict(n=300, p=10), dict(n=200, p=20, rho=0.5)]
-        deleting = 0
-        for design in designs:
-            for model in ("I", "II", "III"):
-                d, _ = generate(SimDesign(model=model, seed=1, **design))
+        after it; looser alphas make some refinements delete, one at 0.3 among
+        them on Model I at p=40, seed 0, the data of ``bench --p 40``."""
+        designs = [("I II III", dict(n=300, p=10, seed=1)),
+                   ("I II III", dict(n=200, p=20, rho=0.5, seed=1)), ("I", dict(p=40))]
+        deleting = set()
+        for models, design in designs:
+            for model in models.split():
+                d, _ = generate(SimDesign(model=model, **design))
                 s = slice_response(d.y, 4)
                 for method in Method:
                     path = ftp_run(d, s, method)
@@ -627,8 +631,9 @@ class TestHtpScreeningStop:
                         report = htp_run(d, s, method, alpha=alpha)
                         assert report.selected == expected.selected
                         assert report.trail == expected.trail
-                        deleting += any(e.action == "delete" for e in report.trail)
-        assert deleting > 0
+                        if "delete" in [e.action for e in report.trail]:
+                            deleting.add((d.p, alpha))
+        assert (40, 0.3) in deleting
 
 
 def _spy_scans(monkeypatch):
