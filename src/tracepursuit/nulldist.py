@@ -39,7 +39,14 @@ A test of (F, j) reads both of its numbers from one residual
 for the statistic and ``influence_samples(method, r)`` for the null law,
 which take the dataset, the slicing, the moments and nu from ``r``.  From
 there the path passes plain arrays: ``influence_samples`` returns the
-(n, dim) samples L and ``omega_hat`` the weight matrix Omega = L'L/n.
+(n, dim) samples L and ``omega_hat`` the weight matrix Omega = L'L/n.  A
+SAVE or DR test writes a, L and Omega into one allocation with ``out=``
+(``_weight_matrix``).  glibc gives freed pages at the top of its heap back
+to the system once they pass twice the largest block it has freed from a
+mapping; the three arrays of one test at large |F| passed that together,
+so each test page-faulted them back (about 140 minor faults for DR at
+|F| = 30, n = 300), while one block of their total size raises the limit
+above them.  SIR's samples are n x H and keep their own arrays.
 The two-moment threshold needs only sum w = tr Omega and
 sum w^2 = ||Omega||_F^2 (``weight_moments``), so a test decomposes no
 Omega.  Eigenvalue weights, with their PSD clamp check, come from
@@ -112,8 +119,23 @@ def influence_samples(method: Method, r: ResidualStats) -> np.ndarray:
     population symbols in the first-order expansions are replaced by their
     full-sample estimates; each resulting column has exactly zero sample
     mean (up to roundoff) by the normal equations and the exactness of
-    slice averages.
+    slice averages.  For SAVE and DR the array is a view of a block that
+    also holds the design matrix a and room for Omega (module docstring).
     """
+    return _influence(method, r)[0]
+
+
+def _weight_matrix(method: Method, r: ResidualStats) -> np.ndarray:
+    """``omega_hat(influence_samples(method, r))``; for SAVE and DR the
+    design matrix, the samples and Omega are one allocation."""
+    ell, out = _influence(method, r)
+    return omega_hat(ell, out=out)
+
+
+def _influence(method: Method, r: ResidualStats) -> tuple[np.ndarray, np.ndarray | None]:
+    """``influence_samples(method, r)`` and, for SAVE and DR, an
+    uninitialized (dim, dim) array for its Omega in the same allocation
+    (None for SIR)."""
     m = r.m
     s = m.s
     n = m.d.n
@@ -135,7 +157,7 @@ def influence_samples(method: Method, r: ResidualStats) -> np.ndarray:
     g_star -= (z @ ubar.T) * gamma[:, None]
 
     if method is Method.SIR:
-        return g_star * sqrt_p[None, :]
+        return g_star * sqrt_p[None, :], None
 
     # zeta*_(i,h) = (gamma_i^2 - z_h) indic[i, h] + 1 - gamma_i^2 - 2 g_h gamma_i
     #               - 2 gamma_i Z_i nu_h,
@@ -147,14 +169,20 @@ def influence_samples(method: Method, r: ResidualStats) -> np.ndarray:
     hk = h * k
     gg = gamma**2
     zg = z * gamma[:, None]
-    a = np.concatenate((gamma[:, None], z, zg, g_star, 1.0 - gg[:, None]), axis=1)
+    width, dim = 2 * k + h + 2, influence_dim(method, k, h)
+    # a, L and Omega in one block, so that they are not page-faulted back
+    # at every test (module docstring)
+    buf = np.empty(n * (width + dim) + dim * dim)
+    a = buf[: n * width].reshape(n, width)
+    ell = buf[n * width : n * (width + dim)].reshape(n, dim)
+    np.concatenate((gamma[:, None], z, zg, g_star, 1.0 - gg[:, None]), axis=1, out=a)
     zg_rows, g_rows = slice(1 + k, 1 + 2 * k), slice(1 + 2 * k, 1 + 2 * k + h)
-    coef = np.zeros((a.shape[1], influence_dim(method, k, h)))
+    coef = np.zeros((width, dim))
     coef[0, :h] = -2.0 * g_h  # zeta*_h, columns :h
     coef[zg_rows, :h] = -2.0 * nu.T
     coef[-1, :h] = 1.0
     # block_coef[:, idx] gives column block idx: -nu*_h, plus iota*_h for SAVE
-    block_coef = coef[:, h : h + hk].reshape(a.shape[1], h, k)
+    block_coef = coef[:, h : h + hk].reshape(width, h, k)
     block_coef[0] = ubar
     block_coef[1 : 1 + k] = np.eye(k)[:, None, :] * g_h[:, None]
     block_coef[zg_rows] = m.white_v.transpose(1, 0, 2)
@@ -173,17 +201,18 @@ def influence_samples(method: Method, r: ResidualStats) -> np.ndarray:
         raise ValueError(f"unknown method {method!r}")
     coef[:, :h] *= zeta_scale
     block_coef *= block_scale[:, None]
-    ell = a @ coef
+    np.matmul(a, coef, out=ell)
 
     ell[:, :h] += (gg[:, None] - z_h) * (indic * zeta_scale)
     blocks = ell[:, h : h + hk].reshape(n, h, k)  # a view: blocks[:, idx] is block idx
     label = s.membership - 1  # the slice of each row, whose block it updates
     blocks[np.arange(n), label] -= (block_scale / p_hat)[label, None] * (zg - nu[label])
-    return ell
+    return ell, buf[n * (width + dim) :].reshape(dim, dim)
 
 
-def omega_hat(ell: np.ndarray) -> np.ndarray:
-    """Weight matrix Omega = L'L/n of the (n, dim) influence samples L."""
+def omega_hat(ell: np.ndarray, *, out: np.ndarray | None = None) -> np.ndarray:
+    """Weight matrix Omega = L'L/n of the (n, dim) influence samples L,
+    written to the C-contiguous (dim, dim) array ``out`` when one is given."""
     if not np.all(np.isfinite(ell)):
         raise NumericalFailureError("influence samples contain non-finite entries")
     n, dim = ell.shape
@@ -193,7 +222,7 @@ def omega_hat(ell: np.ndarray) -> np.ndarray:
             RuntimeWarning,
             stacklevel=2,
         )
-    omega = ell.T @ ell  # exactly symmetric: numpy forms L'L as a rank-k update
+    omega = np.matmul(ell.T, ell, out=out)  # exactly symmetric: a rank-k update
     omega /= n
     return omega
 
@@ -411,7 +440,9 @@ def weighted_chisq_upper_quantile(weights: np.ndarray, alpha: float) -> float:
     never form the weights.
     """
     w = _checked_weights(weights, alpha)
-    return scaled_chisq_upper_quantile(float(w.sum()), float(w @ w), alpha)
+    with np.errstate(over="ignore"):  # an overflowing sum raises ValueError below
+        sum_w, sum_w2 = float(w.sum()), float(w @ w)
+    return scaled_chisq_upper_quantile(sum_w, sum_w2, alpha)
 
 
 def weighted_chisq_quantile_mc(
@@ -427,7 +458,8 @@ def weighted_chisq_quantile_mc(
     single (n_draws, k) block.  The quantile is ``np.quantile``'s default
     ("linear") one, bit for bit, interpolated here between the two order
     statistics that one ``np.partition`` places, since ``np.quantile``
-    imports ``numpy.ma``.
+    imports ``numpy.ma``.  Weights whose draws overflow raise
+    ``ValueError``, as the two-moment quantile does for them.
     """
     n_draws = as_integer(n_draws, "n_draws")
     if n_draws < 1:
@@ -436,9 +468,12 @@ def weighted_chisq_quantile_mc(
     rng = np.random.default_rng(seed)
     pos = w[w > 0.0]
     draws = np.empty(n_draws)
-    for start in range(0, n_draws, MC_CHUNK_ROWS):
-        rows = min(MC_CHUNK_ROWS, n_draws - start)
-        draws[start : start + rows] = rng.chisquare(1.0, size=(rows, pos.size)) @ pos
+    with np.errstate(over="ignore"):
+        for start in range(0, n_draws, MC_CHUNK_ROWS):
+            rows = min(MC_CHUNK_ROWS, n_draws - start)
+            draws[start : start + rows] = rng.chisquare(1.0, size=(rows, pos.size)) @ pos
+    if not np.isfinite(draws).all():
+        raise ValueError("weighted chi-square draws overflow: the weights are too large")
     at = (n_draws - 1) * (1.0 - alpha)
     lo = math.floor(at)
     hi = min(lo + 1, n_draws - 1)
@@ -473,7 +508,7 @@ def statistic_and_threshold(
     """Test statistic of the residual ``r``, its two-moment threshold, and
     the weight moments (sum w, sum w^2) of the estimated null law."""
     statistic = r.m.d.n * trace_diff(method, r)
-    moments = weight_moments(omega_hat(influence_samples(method, r)))
+    moments = weight_moments(_weight_matrix(method, r))
     return statistic, scaled_chisq_upper_quantile(*moments, alpha), moments
 
 
@@ -535,7 +570,7 @@ def trace_test_with_weights(
     ``MC_DRAWS`` draws from generator ``seed``.
     """
     r = residualize(compute_moments(d, s, f), j)
-    omega = omega_hat(influence_samples(method, r))
+    omega = _weight_matrix(method, r)
     weights = omega_weights(omega)
     statistic = d.n * trace_diff(method, r)
     moments = weight_moments(omega)

@@ -154,9 +154,9 @@ class TestCommands:
         built, decomposed = [], []
         real_omega_hat, real_eigvalsh = nulldist.omega_hat, np.linalg.eigvalsh
 
-        def spy_omega_hat(ell):
+        def spy_omega_hat(ell, **kwargs):
             built.append(ell.shape)
-            return real_omega_hat(ell)
+            return real_omega_hat(ell, **kwargs)
 
         def spy_eigvalsh(a, *args, **kwargs):
             decomposed.append(a.shape)

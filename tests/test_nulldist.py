@@ -314,6 +314,13 @@ class TestWeightedChisqQuantile:
         got = weighted_chisq_quantile_mc(w, alpha, n_draws=n_draws, seed=seed)
         assert got == float(np.quantile(draws, 1.0 - alpha))
 
+    def test_mc_draws_that_overflow_raise_as_the_two_moment_quantile_does(self):
+        w = np.full(2, 1e308)
+        with pytest.raises(ValueError, match="finite"):
+            weighted_chisq_upper_quantile(w, 0.05)
+        with pytest.raises(ValueError, match="overflow"):
+            weighted_chisq_quantile_mc(w, 0.05, n_draws=1000)
+
     def test_mc_draws_in_chunks_match_one_block(self):
         w = np.linspace(0.1, 1.0, 60)
         n_draws = 2 * MC_CHUNK_ROWS + 5_000
@@ -476,6 +483,51 @@ class TestTraceTest:
         assert first.effective_dof == after.effective_dof
 
 
+class TestOneComputationPerTest:
+    """The benchmark's null-test design: Model I, n=300, p=40, seed 0, and a
+    candidate outside F, which holds the active set when it is not empty."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        d, _ = generate(SimDesign(model="I", n=300, p=40, seed=0))
+        return d, slice_response(d.y, 4)
+
+    @staticmethod
+    def _case(size):
+        active, inactive = (1, 2, 39, 40), tuple(range(3, 39))
+        f = tuple(sorted(active + inactive[: size - len(active)])) if size else ()
+        return f, inactive[-1]
+
+    @pytest.mark.parametrize("size", [0, 5, 15, 30])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_both_entry_points_give_the_public_pieces_bits(self, data, method, size):
+        d, s = data
+        f, j = self._case(size)
+        r = _residual(d, s, f, j)
+        statistic, threshold, moments = statistic_and_threshold(method, r, 0.05)
+        assert moments == weight_moments(omega_hat(influence_samples(method, r)))
+        reported, _ = trace_test_with_weights(method, d, s, f, j, 0.05)
+        decided = trace_test(method, d, s, f, j, 0.05)
+        assert (reported.statistic, reported.threshold) == (statistic, threshold)
+        assert (decided.statistic, decided.threshold) == (statistic, threshold)
+
+    @pytest.mark.parametrize("method", [Method.SAVE, Method.DR])
+    def test_samples_and_weight_matrix_are_one_allocation(self, data, method, monkeypatch):
+        d, s = data
+        seen = []
+        real_omega_hat = nulldist.omega_hat
+
+        def spy_omega_hat(ell, **kwargs):
+            seen.append((ell, real_omega_hat(ell, **kwargs)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(nulldist, "omega_hat", spy_omega_hat)
+        trace_test(method, d, s, *self._case(30), 0.05)
+        [(ell, omega)] = seen
+        assert ell.base is not None and omega.base is ell.base
+        assert np.array_equal(omega, omega.T)
+
+
 class TestNoDecompositionOnTheDecisionPath:
     @pytest.fixture
     def decomposed(self, monkeypatch):
@@ -484,8 +536,8 @@ class TestNoDecompositionOnTheDecisionPath:
         built, hits = [], []
         real_omega_hat = nulldist.omega_hat
 
-        def spy_omega_hat(ell):
-            built.append(real_omega_hat(ell))
+        def spy_omega_hat(ell, **kwargs):
+            built.append(real_omega_hat(ell, **kwargs))
             return built[-1]
 
         monkeypatch.setattr(nulldist, "omega_hat", spy_omega_hat)
