@@ -54,9 +54,11 @@ def ingest_csv(path: str) -> Dataset:
     """Load a header-first CSV with one response column named 'y'.
 
     All non-response columns are numeric predictors in header order; any
-    non-numeric cell is an error naming the offending row and column.
+    non-numeric cell is an error naming the offending row and column.  A
+    UTF-8 byte-order mark, which spreadsheet "CSV UTF-8" exports begin
+    with, is dropped.  Rows whose cells are all blank are skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -214,7 +216,7 @@ def _run_test(args: argparse.Namespace) -> tuple[dict, str, list[list]]:
     alpha = args.alpha if args.alpha is not None else 0.05
     res, w = trace_test_with_weights(
         Method(args.method), d, s, args.working_set, args.candidate, alpha,
-        quantile="monte-carlo" if args.mc_quantile else "two-moment", seed=args.seed,
+        quantile="exact" if args.exact_quantile else "two-moment",
     )
     result = {
         "method": args.method,
@@ -364,9 +366,9 @@ def _emit(
     return ok
 
 
-def _add_common(parser: argparse.ArgumentParser, alpha: bool = True, seed: bool = True) -> None:
-    """The options every subcommand takes, with ``--alpha`` and ``--seed``
-    only where its runner reads them."""
+def _add_common(parser: argparse.ArgumentParser, alpha: bool = True) -> None:
+    """The options every subcommand takes, with ``--alpha`` only where its
+    runner reads it."""
     parser.add_argument(
         "--method", choices=[m.value for m in Method], default="dr",
         help="kernel to use (default dr)",
@@ -377,8 +379,6 @@ def _add_common(parser: argparse.ArgumentParser, alpha: bool = True, seed: bool 
     parser.add_argument("--slices", type=int, default=None,
                         help="slice count H (default: 4, or by distinct value for "
                              f"responses with <= {DISCRETE_VALUE_LIMIT} values)")
-    if seed:
-        parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--format", choices=["table", "json-lines", "csv"],
                         default="table")
     parser.add_argument("--out", default=None, help="write output to this path")
@@ -395,13 +395,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_select.set_defaults(run=_run_select)
     p_select.add_argument("input", help="CSV with predictors and a 'y' column")
     p_select.add_argument("--algorithm", choices=["htp", "stp"], default="htp")
-    _add_common(p_select, seed=False)
+    _add_common(p_select)
 
     p_screen = sub.add_parser("screen", help="forward screening path with BIC")
     p_screen.set_defaults(run=_run_screen)
     p_screen.add_argument("input")
     p_screen.add_argument("--k-max", type=int, default=None)
-    _add_common(p_screen, alpha=False, seed=False)
+    _add_common(p_screen, alpha=False)
 
     p_test = sub.add_parser("test", help="single conditional trace test")
     p_test.set_defaults(run=_run_test)
@@ -409,9 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--working-set", default="",
                         help="comma-separated 1-based indices, e.g. 1,2")
     p_test.add_argument("--candidate", type=int, required=True)
-    p_test.add_argument("--mc-quantile", action="store_true",
-                        help="use the seeded Monte Carlo quantile instead of "
-                             "the two-moment approximation")
+    p_test.add_argument("--exact-quantile", action="store_true",
+                        help="use the exact quantile of the weighted chi-square "
+                             "instead of the two-moment approximation")
     _add_common(p_test)
 
     p_bench = sub.add_parser("bench", help="simulation benchmark row")
@@ -426,6 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--algorithm", choices=["htp", "stp", "ftp"], default="htp")
     p_bench.add_argument("--export-data", default=None,
                          help="also write replication 0 as CSV to this path")
+    p_bench.add_argument("--seed", type=int, default=0)
     _add_common(p_bench)
 
     return parser

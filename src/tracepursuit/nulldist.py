@@ -1,5 +1,5 @@
 """Null calibration for the trace tests: influence samples, weight matrices,
-and weighted chi-square upper quantiles.
+and weighted chi-square tails and upper quantiles.
 
 Under conditional independence of the candidate given the working set, n
 times the trace gain converges to a weighted sum of independent 1-df
@@ -50,13 +50,17 @@ above them.  SIR's samples are n x H and keep their own arrays.
 The two-moment threshold needs only sum w = tr Omega and
 sum w^2 = ||Omega||_F^2 (``weight_moments``), so a test decomposes no
 Omega.  Eigenvalue weights, with their PSD clamp check, come from
-``omega_weights`` only where they are used: the Monte Carlo quantile and
-reports (``trace_test_with_weights``).
+``omega_weights`` only where they are used: reports and the exact quantile
+(``trace_test_with_weights``).
 
 The two-moment threshold is a multiple of a chi-square quantile at a
 non-integer dof, computed here from ``math`` alone: the regularized
 incomplete gamma tails from their series and continued fraction, and their
-inverse by bracketed Newton-Halley steps (``_upper_gamma_inv``).
+inverse by bracketed Newton-Halley steps (``_upper_gamma_inv``).  The exact
+tail of the weighted sum (``weighted_chisq_tail``) inverts its moment
+generating function along a contour through the saddlepoint, and its
+quantile (``weighted_chisq_quantile_exact``) takes Newton steps with the
+density from the same contour.
 """
 
 from __future__ import annotations
@@ -67,7 +71,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, IndexSet, SliceAssignment, as_integer, compute_moments
+from .data import Dataset, IndexSet, SliceAssignment, compute_moments
 from .errors import DegenerateDistributionError, NumericalFailureError
 from .kernels import Method, ResidualStats, residualize, trace_diff
 
@@ -78,12 +82,6 @@ NEGATIVE_WEIGHT_TOLERANCE = 1e-10
 # Relative roundoff allowed in the PSD invariant sum w^2 <= (sum w)^2 of the
 # two-moment threshold, i.e. in effective dof >= 1.
 DOF_TOLERANCE = 1e-10
-
-# Rows of chi-square draws the Monte Carlo quantile holds at once.
-MC_CHUNK_ROWS = 10_000
-
-# Default number of Monte Carlo draws of the weighted chi-square.
-MC_DRAWS = 100_000
 
 _EPS = 2.0**-52
 
@@ -231,10 +229,10 @@ def omega_weights(omega: np.ndarray) -> np.ndarray:
     """Eigenvalue weights of a weight matrix, nonincreasing and clamped at 0.
 
     Eigenvalues up to ``NEGATIVE_WEIGHT_TOLERANCE`` times the largest are
-    set to 0, so the count of positive weights, and with it the shape of the
-    Monte Carlo draws, is the rank of Omega and not the sign of its
-    roundoff.  Raises ``NumericalFailureError`` for an eigenvalue below the
-    negative clamp window.
+    set to 0, so the count of positive weights, and with it the terms of the
+    exact tail, is the rank of Omega and not the sign of its roundoff.
+    Raises ``NumericalFailureError`` for an eigenvalue below the negative
+    clamp window.
     """
     weights = np.linalg.eigvalsh(omega)[::-1].copy()
     if weights.size == 0:
@@ -252,11 +250,10 @@ def weight_moments(omega: np.ndarray) -> tuple[float, float]:
     return float(np.trace(omega)), float(np.vdot(omega, omega))
 
 
-def _checked_weights(weights: np.ndarray, alpha: float) -> np.ndarray:
-    """The weights as a flat float array, after the checks both quantiles share."""
+def _checked_weights(weights: np.ndarray) -> np.ndarray:
+    """The weights as a flat float array, after the checks the tail and both
+    quantiles share."""
     w = np.asarray(weights, dtype=np.float64).ravel()
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0,1), got {alpha}")
     if w.size == 0 or np.all(w <= 0.0):
         raise DegenerateDistributionError("no positive weights")
     if not np.all(np.isfinite(w) & (w >= 0.0)):
@@ -439,48 +436,142 @@ def weighted_chisq_upper_quantile(weights: np.ndarray, alpha: float) -> float:
     call ``scaled_chisq_upper_quantile`` with tr Omega and ||Omega||_F^2 and
     never form the weights.
     """
-    w = _checked_weights(weights, alpha)
+    w = _checked_weights(weights)
     with np.errstate(over="ignore"):  # an overflowing sum raises ValueError below
         sum_w, sum_w2 = float(w.sum()), float(w @ w)
     return scaled_chisq_upper_quantile(sum_w, sum_w2, alpha)
 
 
-def weighted_chisq_quantile_mc(
-    weights: np.ndarray,
-    alpha: float,
-    n_draws: int = MC_DRAWS,
-    seed: int = 0,
-) -> float:
-    """Monte Carlo upper quantile of the weighted chi-square (diagnostics).
+def _contour_tail(w: np.ndarray, x: float) -> tuple[bool, float, float]:
+    """(upper, log t, log f) of Q = sum_k w_k chi2_1 at x > 0, for positive
+    weights w with largest 1: t = P(Q > x) if upper, else P(Q <= x), and f
+    the density of Q at x.
 
-    The draws come ``MC_CHUNK_ROWS`` rows at a time from one generator, so
-    memory stays bounded in the weight count and the draws are those of a
-    single (n_draws, k) block.  The quantile is ``np.quantile``'s default
-    ("linear") one, bit for bit, interpolated here between the two order
-    statistics that one ``np.partition`` places, since ``np.quantile``
-    imports ``numpy.ma``.  Weights whose draws overflow raise
-    ``ValueError``, as the two-moment quantile does for them.
+    With K(s) = -sum log(1 - 2 w_k s) / 2 and s = c + beta y^2 + i y, c < 1/2,
+    the integral of e^(K(s) - s x) / s ds / (2 pi i) is P(Q > x) for c > 0
+    and -P(Q <= x) for c < 0; without the 1/s it is f.  The integrand at -y
+    is minus the conjugate of that at y, so each is (1/pi) times the integral
+    over y > 0 of its imaginary part.  c solves K'(c) = x, the saddlepoint of
+    K(s) - s x, and beta = K'''(c) / (6 K''(c)) bends the parabola along the
+    path of steepest descent; it meets the real axis only at c, left of the
+    branch points 1/(2 w_k).  Along it e^(-s x) decays like a Gaussian of
+    width about 1/sqrt(K''(c)) in y, so the trapezoid rule converges
+    geometrically: the step starts at that width and halves until two sums
+    agree within 1e-10, which leaves the second accurate to roundoff
+    (``NumericalFailureError`` if 8 halvings do not).
+    Within a quarter width of the pole at s = 0 (x near sum w), c moves to a
+    quarter width right of it.
     """
-    n_draws = as_integer(n_draws, "n_draws")
-    if n_draws < 1:
-        raise ValueError(f"n_draws must be >= 1, got {n_draws}")
-    w = _checked_weights(weights, alpha)
-    rng = np.random.default_rng(seed)
-    pos = w[w > 0.0]
-    draws = np.empty(n_draws)
-    with np.errstate(over="ignore"):
-        for start in range(0, n_draws, MC_CHUNK_ROWS):
-            rows = min(MC_CHUNK_ROWS, n_draws - start)
-            draws[start : start + rows] = rng.chisquare(1.0, size=(rows, pos.size)) @ pos
-    if not np.isfinite(draws).all():
-        raise ValueError("weighted chi-square draws overflow: the weights are too large")
-    at = (n_draws - 1) * (1.0 - alpha)
-    lo = math.floor(at)
-    hi = min(lo + 1, n_draws - 1)
-    draws.partition((lo, hi))
-    a, b, t = float(draws[lo]), float(draws[hi]), at - lo
-    # numpy's linear interpolation, from the nearer order statistic
-    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+    # K' is convex and increasing, so Newton steps from the right of the root
+    # stay right of it; the largest weight alone gives K'(c) >= x at the start.
+    c = 0.5 - 0.5 / x
+    while True:
+        t = w / (1.0 - 2.0 * w * c)
+        k2 = 2.0 * (t @ t)
+        step = (t.sum() - x) / k2
+        c -= step
+        if step <= 1e-3 / math.sqrt(k2):
+            break
+    t = w / (1.0 - 2.0 * w * c)
+    gap = 0.25 / math.sqrt(2.0 * (t @ t))
+    if abs(c) < gap:
+        c = gap
+        t = w / (1.0 - 2.0 * w * c)
+    k2 = 2.0 * (t @ t)
+    beta = 8.0 * (t @ (t * t)) / (6.0 * k2)
+    phi0 = -0.5 * float(np.log1p(-2.0 * w * c).sum()) - c * x  # K(c) - c x
+
+    def exponent(y):  # s and K(s) - s x - phi0 on the contour
+        s = c + beta * y * y + 1j * y
+        return s, -0.5 * np.log(1.0 - 2.0 * np.multiply.outer(s, w)).sum(axis=-1) - s * x - phi0
+
+    def integrands(y):  # sums of the tail's and the density's integrands
+        s, log_e = exponent(y)
+        with np.errstate(under="ignore"):
+            e = np.exp(log_e) * (2.0 * beta * y + 1j)  # times ds/dy
+        return np.array([(e / s).imag.sum(), e.imag.sum()])
+
+    width = 1.0 / math.sqrt(k2)
+    top = 8.0 * width  # the cut, where the integrand is below e^-45 of its peak
+    while exponent(top)[1].real > -45.0:
+        top *= 2.0
+    h = width
+    # at y = 0 the integrands are 1/c and 1, with weight 1/2
+    sums = h * (np.array([0.5 / c, 0.5]) + integrands(np.arange(h, top, h)))
+    for _ in range(8):  # 3-4 halvings on the trace tests' weights
+        h *= 0.5
+        halved = 0.5 * sums + h * integrands(np.arange(h, top, 2.0 * h))
+        if np.all(np.abs(halved - sums) <= 1e-10 * np.abs(halved)):
+            tail, density = halved / math.pi
+            return c > 0.0, phi0 + math.log(abs(tail)), phi0 + math.log(density)
+        sums = halved
+    raise NumericalFailureError(f"the weighted chi-square tail at {x!r} did not converge")
+
+
+def weighted_chisq_tail(weights: np.ndarray, x: float) -> float:
+    """Exact upper tail P(Q > x) of Q = sum_k w_k chi2_1, for reports.
+
+    The moment generating function is inverted along a contour through the
+    saddlepoint (Rice 1980, SIAM J. Sci. Stat. Comput. 1:438; the contour
+    is in ``_contour_tail``), with the weights scaled to a largest of 1.  The
+    tail on the saddlepoint's side of x is computed and the other is its
+    complement, so a small tail keeps its relative accuracy: within 1e-13
+    of the chi-square closed forms down to 1e-8.  Beyond x = 4 (sum w + 750
+    max w) the Chernoff bound e^(K(1/4) - x/4) puts the tail below the
+    smallest float, and 0 is returned.
+    """
+    w = _checked_weights(weights)
+    scale = float(w.max())
+    w = w[w > 0.0] / scale
+    x = float(x) / scale
+    if math.isnan(x):
+        raise ValueError("x must not be NaN")
+    if x < 1e-33:  # P(Q <= x) <= P(chi2_1 <= x) <= sqrt(2 x / pi) < 2^-53
+        return 1.0
+    if x > 4.0 * (w.sum() + 750.0):
+        return 0.0
+    upper, log_t, _ = _contour_tail(w, x)
+    return math.exp(log_t) if upper else -math.expm1(log_t)
+
+
+def weighted_chisq_quantile_exact(weights: np.ndarray, alpha: float) -> float:
+    """The x with ``weighted_chisq_tail(weights, x)`` = alpha.
+
+    Solves log P(Q > x) = log alpha from the two-moment quantile.  Each step
+    is a Newton step with the density f (d log P / dx = -f / P), or, where
+    that step leaves the bracket of the root that the evaluations so far
+    give or is not below half the step before it, the bracket's midpoint, as
+    in ``_upper_gamma_inv``.  It stops once a Newton step is within 1e-10 of
+    x, after which the root is good to the tail's accuracy: 3-4 tail
+    evaluations on the trace tests' weights.  Weights whose sums overflow
+    raise ``ValueError``, as in the two-moment quantile, which gives the
+    start.
+    """
+    w = _checked_weights(weights)
+    scale = float(w.max())
+    x = weighted_chisq_upper_quantile(w, alpha) / scale
+    w = w[w > 0.0] / scale
+    target = math.log(alpha)
+    lo, hi = 0.0, math.inf
+    step_before = math.inf
+    while True:
+        upper, log_t, log_f = _contour_tail(w, x)
+        if not upper:  # log P(Q > x) from P(Q <= x)
+            log_t = math.log1p(-math.exp(log_t))
+        g = log_t - target
+        if g > 0.0:
+            lo = x
+        else:
+            hi = x
+        x_new = x + g * math.exp(log_t - log_f)
+        if abs(x_new - x) <= 1e-10 * x:
+            return scale * x_new
+        if hi - lo <= 1e-10 * x:
+            return scale * x
+        if not lo < x_new < hi or abs(x_new - x) > 0.5 * abs(step_before):
+            x_new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        step_before = x_new - x
+        x = x_new
 
 
 @dataclass(frozen=True)
@@ -546,7 +637,7 @@ def trace_test(
 
     The statistic is n times the closed-form trace gain; the threshold is the
     two-moment upper-alpha quantile of the estimated weighted chi-square null
-    law (the Monte Carlo quantile is in ``trace_test_with_weights``).
+    law (the exact quantile is in ``trace_test_with_weights``).
     """
     r = residualize(compute_moments(d, s, f), j)
     return _result(method, r, alpha, *statistic_and_threshold(method, r, alpha))
@@ -560,24 +651,23 @@ def trace_test_with_weights(
     j: int,
     alpha: float,
     quantile: str = "two-moment",
-    seed: int = 0,
 ) -> tuple[TraceTestResult, np.ndarray]:
     """``trace_test`` and the eigenvalue weights of its null law, for reports.
 
     The statistic, the threshold and the weights come from one weight
     matrix, decomposed once.  ``quantile`` is "two-moment", which makes the
-    decision that of ``trace_test``, or "monte-carlo", the quantile of
-    ``MC_DRAWS`` draws from generator ``seed``.
+    decision that of ``trace_test``, or "exact", the exact quantile of the
+    weights (``weighted_chisq_quantile_exact``).
     """
+    if quantile not in ("two-moment", "exact"):
+        raise ValueError(f"unknown quantile scheme {quantile!r}")
     r = residualize(compute_moments(d, s, f), j)
     omega = _weight_matrix(method, r)
     weights = omega_weights(omega)
     statistic = d.n * trace_diff(method, r)
     moments = weight_moments(omega)
-    if quantile == "two-moment":
-        threshold = scaled_chisq_upper_quantile(*moments, alpha)
-    elif quantile == "monte-carlo":
-        threshold = weighted_chisq_quantile_mc(weights, alpha, seed=seed)
+    if quantile == "exact":
+        threshold = weighted_chisq_quantile_exact(weights, alpha)
     else:
-        raise ValueError(f"unknown quantile scheme {quantile!r}")
+        threshold = scaled_chisq_upper_quantile(*moments, alpha)
     return _result(method, r, alpha, statistic, threshold, moments), weights

@@ -29,9 +29,10 @@ from tracepursuit import (
     weighted_chisq_upper_quantile,
 )
 from tracepursuit.kernels import Method, residualize, trace_diff
+from tracepursuit.nulldist import weighted_chisq_quantile_exact
 
 from conftest import make_dataset, random_case
-from oracles import explicit_trace_kernel, mc_weighted_chisq_quantile
+from oracles import explicit_trace_kernel
 
 METHODS = list(Method)
 
@@ -136,12 +137,12 @@ def test_criterion_4_quantile_approximation():
             w[0] = 0.5
         for alpha in (0.01, 0.05, 0.1):
             q = weighted_chisq_upper_quantile(w, alpha)
-            q_mc = mc_weighted_chisq_quantile(w, alpha, 1_000_000, seed=1000 + case)
-            worst = max(worst, abs(q - q_mc) / q_mc)
+            q_exact = weighted_chisq_quantile_exact(w, alpha)
+            worst = max(worst, abs(q - q_exact) / q_exact)
     elapsed = time.perf_counter() - t0
     _report(
         4, "quantile-approximation", worst <= 0.08,
-        f"max relative gap to 1e6-draw Monte Carlo = {worst:.3f} (tol 0.08) "
+        f"max relative gap to the exact quantile = {worst:.4f} (tol 0.08) "
         "over 20 weight vectors x 3 levels",
         elapsed, 120.0,
     )

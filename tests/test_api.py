@@ -21,7 +21,8 @@ SCALAR_ROUTE = (
     "trace_diff",
     "influence_samples",
     "omega_hat",
-    "weighted_chisq_quantile_mc",
+    "weighted_chisq_quantile_exact",
+    "weighted_chisq_tail",
 )
 
 
@@ -81,7 +82,7 @@ def test_no_scipy_at_run_time(tmp_path):
         "commands = (['select', path], ['test', path, '--working-set', '1', '--candidate', '2'])\n"
         "for m in tp.Method:\n"
         "    tp.trace_test(m, d, s, (1,), 2, 0.05)\n"
-        "    for quantile in ('two-moment', 'monte-carlo'):\n"
+        "    for quantile in ('two-moment', 'exact'):\n"
         "        trace_test_with_weights(m, d, s, (1,), 2, 0.05, quantile=quantile)\n"
         "    tp.htp_run(d, s, m)\n"
         "    for argv in commands:\n"
@@ -118,11 +119,11 @@ def test_no_numpy_ma_at_run_time(tmp_path):
         "    tp.stp_run(d, s, m, alpha=0.3)\n"
         "    tp.htp_run(d, s, m)\n"
         "    tp.trace_test(m, d, s, (1,), 2, 0.05)\n"
-        "    trace_test_with_weights(m, d, s, (1,), 2, 0.05, quantile='monte-carlo')\n"
+        "    trace_test_with_weights(m, d, s, (1,), 2, 0.05, quantile='exact')\n"
         "    for path in paths:\n"
         "        for argv in (['select', path], ['screen', path],\n"
         "                     ['test', path, '--working-set', '1', '--candidate', '2'],\n"
-        "                     ['test', path, '--candidate', '2', '--mc-quantile']):\n"
+        "                     ['test', path, '--candidate', '2', '--exact-quantile']):\n"
         "            argv += ['--method', m.value, '--format', 'json-lines']\n"
         "            assert cli.main(argv) == 0, argv\n"
         "assert sys.modules['numpy.ma'] is None\n"

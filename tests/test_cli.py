@@ -65,10 +65,39 @@ class TestIngest:
         d = ingest_csv(str(path))
         assert d.p == 1 and d.n == 12
 
+    @pytest.mark.parametrize("header", ["y,x1,x2", "x1,x2,y"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark."""
+        path = tmp_path / "bom.csv"
+        rows = [f"{i},{i % 3},{i % 5}" for i in range(12)]
+        path.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        d = ingest_csv(str(path))
+        assert d.column_names == ("x1", "x2") and d.n == 12
+
+    def test_blank_rows_are_skipped_and_not_counted(self, tmp_path):
+        rows = ["1,2,3", "", ",,", " , ,\t"] + ["1,2,3"] * 8
+        path = tmp_path / "blank.csv"
+        path.write_text("x1,x2,y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(TooFewSamplesError, match="only 9 data rows"):
+            ingest_csv(str(path))
+        path.write_text("x1,x2,y\n" + "\n".join(rows + [f"{i},2,{i}" for i in range(4)]) + "\n")
+        d = ingest_csv(str(path))
+        assert d.n == 13
+
+    def test_ragged_row_reports_both_cell_counts(self, tmp_path):
+        rows = ["1,2,3"] * 12
+        rows[3] = "1,2"
+        path = tmp_path / "ragged.csv"
+        path.write_text("x1,x2,y\n" + "\n".join(rows) + "\n")
+        with pytest.raises(NonNumericCellError, match="row 5 has 2 cells, expected 3"):
+            ingest_csv(str(path))
+
     def test_round_trip_bit_equal(self, tmp_path):
         d, _ = generate(SimDesign(model="I", n=50, p=5, seed=8))
         path = tmp_path / "roundtrip.csv"
         write_csv(d, str(path))
+        assert path.read_bytes().startswith(b"x1,")  # no byte-order mark
         d2 = ingest_csv(str(path))
         assert np.array_equal(d.x, d2.x)
         assert np.array_equal(d.y, d2.y)
@@ -133,11 +162,11 @@ class TestCommands:
         assert res["reject"] == (res["statistic"] > res["threshold"])
         assert res["weights"]["dim"] == 4
 
-    @pytest.mark.parametrize("mc", [[], ["--mc-quantile"]])
-    def test_trace_test_reports_every_dr_weight(self, model_csv, capsys, mc):
+    @pytest.mark.parametrize("exact", [[], ["--exact-quantile"]])
+    def test_trace_test_reports_every_dr_weight(self, model_csv, capsys, exact):
         rc = main(
             ["test", model_csv, "--working-set", "1,2", "--candidate", "3",
-             "--method", "dr", "--format", "json-lines", *mc]
+             "--method", "dr", "--format", "json-lines", *exact]
         )
         out = capsys.readouterr().out
         assert rc == 0
@@ -146,10 +175,10 @@ class TestCommands:
         assert 0 < weights["positive"] <= weights["dim"]
         assert 0.0 < weights["largest"] <= weights["sum"]
 
-    @pytest.mark.parametrize("mc", [[], ["--mc-quantile"]])
+    @pytest.mark.parametrize("exact", [[], ["--exact-quantile"]])
     @pytest.mark.parametrize("method", list(Method))
     def test_trace_test_builds_and_decomposes_one_weight_matrix(
-        self, model_csv, capsys, monkeypatch, method, mc
+        self, model_csv, capsys, monkeypatch, method, exact
     ):
         built, decomposed = [], []
         real_omega_hat, real_eigvalsh = nulldist.omega_hat, np.linalg.eigvalsh
@@ -166,7 +195,7 @@ class TestCommands:
         monkeypatch.setattr(np.linalg, "eigvalsh", spy_eigvalsh)
         rc = main(
             ["test", model_csv, "--working-set", "1,2", "--candidate", "3",
-             "--method", method.value, "--format", "json-lines", *mc]
+             "--method", method.value, "--format", "json-lines", *exact]
         )
         assert rc == 0
         dim = influence_dim(method, 2, 4)
@@ -175,8 +204,8 @@ class TestCommands:
         res = json.loads(capsys.readouterr().out)["result"]
         d = ingest_csv(model_csv)
         s = slice_response(d.y, 4)
-        if mc:
-            direct, _ = trace_test_with_weights(method, d, s, (1, 2), 3, 0.05, "monte-carlo")
+        if exact:
+            direct, _ = trace_test_with_weights(method, d, s, (1, 2), 3, 0.05, "exact")
         else:
             direct = trace_test(method, d, s, (1, 2), 3, 0.05)
         assert (res["statistic"], res["threshold"]) == (direct.statistic, direct.threshold)
@@ -329,8 +358,8 @@ COMMON_ECHO = {"method": "sir", "h_count": None, "format": "json-lines"}
         (["select", "--algorithm", "stp", "--alpha", "0.3"],
          {"algorithm": "stp", "alpha": 0.3}),
         (["screen", "--k-max", "3", "--slices", "5"], {"k_max": 3, "h_count": 5}),
-        (["test", "--working-set", "1, 2", "--candidate", "3", "--seed", "2"],
-         {"working_set": [1, 2], "candidate": 3, "alpha": None, "seed": 2}),
+        (["test", "--working-set", "1, 2", "--candidate", "3"],
+         {"working_set": [1, 2], "candidate": 3, "alpha": None}),
         (["bench", "--model", "2", "--p", "5", "--n", "60", "--reps", "1", "--rho", "0.5",
           "--dist", "uniform12", "--sigma", "0.5", "--seed", "4", "--algorithm", "ftp"],
          {"design": {"model": "II", "n": 60, "p": 5, "rho": 0.5, "sigma_noise": 0.5,
@@ -367,8 +396,9 @@ def test_config_echo_and_error_out_file(argv, echo, model_csv, tmp_path, capsys)
 
 @pytest.mark.parametrize(
     "argv",
-    [["screen", "--alpha", "0.05"], ["screen", "--seed", "1"], ["select", "--seed", "1"]],
-    ids=["screen-alpha", "screen-seed", "select-seed"],
+    [["screen", "--alpha", "0.05"], ["screen", "--seed", "1"], ["select", "--seed", "1"],
+     ["test", "--candidate", "2", "--seed", "1"]],
+    ids=["screen-alpha", "screen-seed", "select-seed", "test-seed"],
 )
 def test_command_rejects_options_it_does_not_read(argv, model_csv, capsys):
     with pytest.raises(SystemExit) as exc:

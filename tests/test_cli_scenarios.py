@@ -46,15 +46,15 @@ def csvs(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "method, size, mc",
-    [(m, 30, 1) for m in ("save", "dr")] + [(m, 0, mc) for m in METHODS for mc in (0, 1)],
+    "method, size, exact",
+    [(m, 30, 1) for m in ("save", "dr")] + [(m, 0, exact) for m in METHODS for exact in (0, 1)],
 )
-def test_trace_test_reports_every_weight(csvs, capsys, method, size, mc):
-    """``test`` of candidate 35 at F = {3, ..., 32} (SAVE and DR, Monte Carlo
+def test_trace_test_reports_every_weight(csvs, capsys, method, size, exact):
+    """``test`` of candidate 35 at F = {3, ..., 32} (SAVE and DR, exact
     quantile) and at F = {} (each kernel and quantile)."""
     f = list(range(3, 3 + size))
     argv = ["test", csvs["d.csv"], "--working-set", ",".join(map(str, f)), "--candidate", 35]
-    rc, record = _run(capsys, *argv, "--method", method, *["--mc-quantile"] * mc)
+    rc, record = _run(capsys, *argv, "--method", method, *["--exact-quantile"] * exact)
     assert rc == 0
     res = record["result"]
     assert (res["working_set"], res["candidate"]) == (f, 35)

@@ -3,13 +3,14 @@ from __future__ import annotations
 import dataclasses
 import math
 import pickle
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import gammainccinv  # the quantile's oracle; scipy is a test dependency
+from scipy import integrate
+# the quantiles' oracles; scipy is a test dependency
+from scipy.special import gammaincc, gammainccinv
 
 import tracepursuit.kernels as kernels
 import tracepursuit.nulldist as nulldist
@@ -27,7 +28,6 @@ from tracepursuit import (
 from tracepursuit.errors import DegenerateDistributionError, NumericalFailureError
 from tracepursuit.kernels import Method, auxiliary_stats, residualize
 from tracepursuit.nulldist import (
-    MC_CHUNK_ROWS,
     influence_dim,
     influence_samples,
     omega_hat,
@@ -36,7 +36,8 @@ from tracepursuit.nulldist import (
     statistic_and_threshold,
     trace_test_with_weights,
     weight_moments,
-    weighted_chisq_quantile_mc,
+    weighted_chisq_quantile_exact,
+    weighted_chisq_tail,
 )
 
 from conftest import make_dataset, random_case
@@ -47,6 +48,11 @@ from oracles import (
 )
 
 METHODS = list(Method)
+
+# the functions of (weights, alpha or x) that share the weights' checks
+WEIGHT_FUNCTIONS = [
+    weighted_chisq_upper_quantile, weighted_chisq_quantile_exact, weighted_chisq_tail
+]
 
 
 def _residual(d, s, f, j):
@@ -275,71 +281,90 @@ class TestWeightedChisqQuantile:
         q_mc = mc_weighted_chisq_quantile([0.7, 0.3], 0.05, 1_000_000, seed=4)
         assert abs(q - q_mc) < 0.15
 
-    def test_all_zero_weights(self):
+    @pytest.mark.parametrize("quantile", WEIGHT_FUNCTIONS)
+    def test_all_zero_weights(self, quantile):
         with pytest.raises(DegenerateDistributionError):
-            weighted_chisq_upper_quantile(np.zeros(3), 0.05)
+            quantile(np.zeros(3), 0.05)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1.0])
-    @pytest.mark.parametrize(
-        "quantile", [weighted_chisq_upper_quantile, weighted_chisq_quantile_mc]
-    )
+    @pytest.mark.parametrize("quantile", WEIGHT_FUNCTIONS)
     def test_nonfinite_or_negative_weight_rejected(self, quantile, bad):
         with pytest.raises(ValueError, match="finite and nonnegative"):
             quantile(np.array([1.0, bad]), 0.05)
 
-    @pytest.mark.parametrize("n_draws", [0, -5])
-    def test_mc_draw_count_must_be_positive(self, n_draws):
-        with pytest.raises(ValueError, match="n_draws must be >= 1"):
-            weighted_chisq_quantile_mc(np.array([1.0, 0.5]), 0.05, n_draws=n_draws)
 
-    @pytest.mark.parametrize("n_draws", [1000.0, 2.5, "1000"])
-    def test_mc_draw_count_must_be_an_integer(self, n_draws):
-        with pytest.raises(ValueError, match="n_draws must be an integer"):
-            weighted_chisq_quantile_mc(np.array([1.0, 0.5]), 0.05, n_draws=n_draws)
+class TestExactTail:
+    """The exact weighted chi-square tail and its quantile against closed
+    forms, numerical integration and the Monte Carlo oracle."""
 
-    def test_mc_fallback_reproducible_and_close(self):
-        w = np.array([1.0, 0.5, 0.25])
-        a = weighted_chisq_quantile_mc(w, 0.05, n_draws=200_000, seed=11)
-        b = weighted_chisq_quantile_mc(w, 0.05, n_draws=200_000, seed=11)
-        assert a == b
-        assert a == pytest.approx(weighted_chisq_upper_quantile(w, 0.05), rel=0.05)
+    @pytest.mark.parametrize("k", [1, 2, 5, 20, 150])
+    def test_chisq_closed_forms(self, k):
+        w = np.ones(k)
+        for alpha in np.geomspace(1e-8, 0.5, 17):
+            x = 2.0 * gammainccinv(k / 2.0, alpha)
+            tail = gammaincc(k / 2.0, x / 2.0)
+            assert weighted_chisq_tail(w, x) == pytest.approx(tail, rel=1e-12)
+            assert weighted_chisq_quantile_exact(w, alpha) == pytest.approx(x, rel=1e-12)
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.integers(1, 500), st.floats(1e-12, 1.0 - 1e-12), st.integers(0, 2**32 - 1))
-    @example(3, 0.5, 0)  # an order statistic exactly
-    @example(5, 0.125, 0)  # halfway between two
-    def test_mc_quantile_is_np_quantile_bit_for_bit(self, n_draws, alpha, seed):
-        w = np.array([1.0, 0.5, 0.25])
-        draws = np.random.default_rng(seed).chisquare(1.0, size=(n_draws, w.size)) @ w
-        got = weighted_chisq_quantile_mc(w, alpha, n_draws=n_draws, seed=seed)
-        assert got == float(np.quantile(draws, 1.0 - alpha))
+    def test_lower_tail_quantiles(self):
+        """Above alpha = 1/2 the quantile lies below the mean for chi2_1."""
+        for alpha in (0.9, 0.999):
+            x = 2.0 * gammainccinv(0.5, alpha)
+            assert weighted_chisq_quantile_exact([3.0], alpha) == pytest.approx(3.0 * x, rel=1e-12)
 
-    def test_mc_draws_that_overflow_raise_as_the_two_moment_quantile_does(self):
+    @pytest.mark.parametrize("a, b", [(0.7, 0.3), (1.0, 0.01), (1.0, 1e-3), (1.0, 0.5)])
+    def test_two_weight_laws_against_quad(self, a, b):
+        """P(a X + b Y > x) = P(a X > x) + int_0^x f_aX(u) P(b Y > x - u) du,
+        with the u^(-1/2) singularity of f_aX left to quad's algebraic weight."""
+        for x in (0.05, 0.5, a + b, 3.0, 10.0, 40.0):
+
+            def integrand(u):
+                density = math.exp(-u / (2 * a)) / math.sqrt(2 * math.pi * a)  # times u^(-1/2)
+                return density * gammaincc(0.5, (x - u) / (2 * b))
+
+            conv, _ = integrate.quad(
+                integrand, 0.0, x, weight="alg", wvar=(-0.5, 0.0), limit=500, epsabs=0.0,
+                epsrel=1e-13,
+            )
+            ref = gammaincc(0.5, x / (2 * a)) + conv
+            assert weighted_chisq_tail([a, b], x) == pytest.approx(ref, rel=1e-10), x
+
+    @pytest.mark.parametrize("weights", [[0.7, 0.3], np.linspace(1.0, 0.05, 12)])
+    def test_monte_carlo_oracle_within_its_error(self, weights):
+        """The tail at the 1e6-draw Monte Carlo quantile is alpha within four
+        standard errors of the draws' tail fraction."""
+        n_draws = 1_000_000
+        for alpha in (0.05, 0.01):
+            q_mc = mc_weighted_chisq_quantile(weights, alpha, n_draws, seed=17)
+            assert abs(weighted_chisq_tail(weights, q_mc) - alpha) <= 4.0 * math.sqrt(
+                alpha * (1.0 - alpha) / n_draws
+            )
+
+    @pytest.mark.parametrize("size", [0, 5, 15, 30])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_round_trip_on_trace_test_weights(self, method, size):
+        """Model I, n=300, p=40, seed 0, candidate 35 at F = {1, ..., |F|}."""
+        d, _ = generate(SimDesign(model="I", n=300, p=40, seed=0))
+        s = slice_response(d.y, 4)
+        f = tuple(range(1, size + 1))
+        res, weights = trace_test_with_weights(method, d, s, f, 35, 0.05, "exact")
+        assert weighted_chisq_tail(weights, res.threshold) == pytest.approx(0.05, rel=1e-10)
+
+    def test_tail_ends(self):
+        w = np.array([2.0, 1.0])
+        assert weighted_chisq_tail(w, 0.0) == weighted_chisq_tail(w, -1.0) == 1.0
+        assert weighted_chisq_tail(w, 1e20) == weighted_chisq_tail(w, np.inf) == 0.0
+        # equal weights of 1e308 sum to inf, and the tail still reads chi2_2's
+        tail = weighted_chisq_tail([1e308, 1e308], 2e307)
+        assert tail == pytest.approx(math.exp(-0.1), rel=1e-12)
+        with pytest.raises(ValueError, match="NaN"):
+            weighted_chisq_tail(w, np.nan)
+
+    def test_weights_whose_sums_overflow_raise_in_both_quantiles(self):
         w = np.full(2, 1e308)
-        with pytest.raises(ValueError, match="finite"):
-            weighted_chisq_upper_quantile(w, 0.05)
-        with pytest.raises(ValueError, match="overflow"):
-            weighted_chisq_quantile_mc(w, 0.05, n_draws=1000)
-
-    def test_mc_draws_in_chunks_match_one_block(self):
-        w = np.linspace(0.1, 1.0, 60)
-        n_draws = 2 * MC_CHUNK_ROWS + 5_000
-        q = weighted_chisq_quantile_mc(w, 0.05, n_draws=n_draws, seed=5)
-        block = np.random.default_rng(5).chisquare(1.0, size=(n_draws, w.size)) @ w
-        assert q == pytest.approx(float(np.quantile(block, 0.95)), rel=1e-12)
-
-    def test_mc_memory_is_bounded_by_the_chunk(self):
-        w = np.linspace(0.1, 1.0, 60)
-        n_draws = 100_000
-        tracemalloc.start()
-        try:
-            q = weighted_chisq_quantile_mc(w, 0.05, n_draws=n_draws, seed=5)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # one chunk of draws plus a few n_draws vectors; one block would be 48 MB
-        assert peak < 8 * (MC_CHUNK_ROWS * w.size + 4 * n_draws) < 8 * n_draws * w.size
-        assert q == pytest.approx(mc_weighted_chisq_quantile(w, 0.05, n_draws, seed=6), rel=0.03)
+        for quantile in (weighted_chisq_upper_quantile, weighted_chisq_quantile_exact):
+            with pytest.raises(ValueError, match="finite"):
+                quantile(w, 0.05)
 
 
 def _chisq_upper(dof, alpha):
@@ -450,12 +475,21 @@ class TestTraceTest:
             hits += res.reject
         assert hits >= 0.99 * reps
 
-    def test_mc_quantile_switch(self, rng):
+    def test_exact_quantile_switch(self, rng):
         d, s, f, j = random_case(rng, n_range=(60, 100))
-        res, _ = trace_test_with_weights(Method.SIR, d, s, f, j, 0.05, "monte-carlo", seed=3)
+        res, weights = trace_test_with_weights(Method.SIR, d, s, f, j, 0.05, "exact")
         base = trace_test(Method.SIR, d, s, f, j, 0.05)
         assert res.statistic == base.statistic
+        assert res.threshold == weighted_chisq_quantile_exact(weights, 0.05)
         assert res.threshold == pytest.approx(base.threshold, rel=0.15)
+
+    def test_unknown_quantile_scheme_is_rejected_before_any_work(self, rng, monkeypatch):
+        d, s, f, j = random_case(rng, n_range=(60, 100))
+        calls = []
+        monkeypatch.setattr(nulldist, "compute_moments", lambda *a: calls.append(a))
+        with pytest.raises(ValueError, match="unknown quantile scheme 'monte-carlo'"):
+            trace_test_with_weights(Method.SIR, d, s, f, j, 0.05, "monte-carlo")
+        assert calls == []
 
     @pytest.mark.parametrize("method", METHODS)
     def test_result_size_does_not_grow_with_the_working_set(self, method):
@@ -560,9 +594,9 @@ class TestNoDecompositionOnTheDecisionPath:
         assert len(built) > 1 + len(report.selected)
         assert hits == []
 
-    def test_the_spy_sees_the_monte_carlo_quantile(self, decomposed):
+    def test_the_spy_sees_the_exact_quantile(self, decomposed):
         built, hits = decomposed
         d = make_dataset(np.random.default_rng(3), 150, 8)
         s = slice_response(d.y, 4)
-        trace_test_with_weights(Method.DR, d, s, (1, 2), 5, 0.05, "monte-carlo")
+        trace_test_with_weights(Method.DR, d, s, (1, 2), 5, 0.05, "exact")
         assert len(hits) == len(built) == 1
