@@ -18,8 +18,10 @@ the outputs:
 * HTP trails at the default alpha, 0.3 and 5.0 (out of range: its error);
 * STP trails at the default alpha, for p <= 20;
 * trace tests at |F| in {0, 4, 15, 30} where |F| < p: statistic,
-  threshold, weight sum, effective dof and the eigenvalue weights; F holds
-  the active set, and the candidate is outside it.
+  threshold, weight sum, effective dof, the eigenvalue weights and their
+  two-moment and exact quantiles (``weighted_chisq_upper_quantile`` and
+  ``weighted_chisq_quantile_exact`` at the test's alpha); F holds the
+  active set, and the candidate is outside it.
 
 An error is recorded as its type and message, and every warning raised
 while an output is computed is recorded with it.  ``--compare`` exits 1 and
@@ -133,6 +135,10 @@ def design_records(tp, nulldist, model: str, seed: int, n: int, p: int, rho: flo
                     "reject": res.reject,
                     "plain": [plain.statistic, plain.threshold, plain.weight_sum, plain.effective_dof],
                     "weights": [float(w) for w in weights],
+                    "weight_quantiles": [
+                        nulldist.weighted_chisq_upper_quantile(weights, TEST_ALPHA),
+                        nulldist.weighted_chisq_quantile_exact(weights, TEST_ALPHA),
+                    ],
                 }
 
             yield _record(f"{base}/test/f{size}", test)

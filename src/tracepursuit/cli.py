@@ -50,8 +50,21 @@ DISCRETE_VALUE_LIMIT = 10
 DEFAULT_SLICES = 4
 
 
+def _csv_rows(path: str, fh):
+    """The rows of the CSV file ``fh``, opened from ``path``; a file that is
+    not UTF-8 text, or a line the csv module rejects (such as a cell over
+    its field size limit), is an ``IngestionError`` naming the file."""
+    reader = csv.reader(fh)
+    try:
+        yield from reader
+    except UnicodeDecodeError:
+        raise IngestionError(f"{path}: the file is not UTF-8 text") from None
+    except csv.Error as err:
+        raise IngestionError(f"{path}: line {reader.line_num}: {err}") from None
+
+
 def ingest_csv(path: str) -> Dataset:
-    """Load a header-first CSV with one response column named 'y'.
+    """Load a header-first UTF-8 CSV with one response column named 'y'.
 
     All non-response columns are numeric predictors in header order; any
     non-numeric cell is an error naming the offending row and column.  A
@@ -59,9 +72,9 @@ def ingest_csv(path: str) -> Dataset:
     with, is dropped.  Rows whose cells are all blank are skipped.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+        rows = _csv_rows(path, fh)
         try:
-            header = next(reader)
+            header = next(rows)
         except StopIteration:
             raise MissingResponseError(f"{path}: empty file") from None
         header = [h.strip() for h in header]
@@ -75,7 +88,7 @@ def ingest_csv(path: str) -> Dataset:
         names = [h for i, h in enumerate(header) if i != y_idx]
         xs: list[list[float]] = []
         ys: list[float] = []
-        for row_no, row in enumerate(reader, start=2):
+        for row_no, row in enumerate(rows, start=2):
             if not row or all(not c.strip() for c in row):
                 continue
             if len(row) != len(header):

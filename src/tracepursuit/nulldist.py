@@ -56,11 +56,16 @@ Omega.  Eigenvalue weights, with their PSD clamp check, come from
 The two-moment threshold is a multiple of a chi-square quantile at a
 non-integer dof, computed here from ``math`` alone: the regularized
 incomplete gamma tails from their series and continued fraction, and their
-inverse by bracketed Newton-Halley steps (``_upper_gamma_inv``).  The exact
-tail of the weighted sum (``weighted_chisq_tail``) inverts its moment
-generating function along a contour through the saddlepoint, and its
-quantile (``weighted_chisq_quantile_exact``) takes Newton steps with the
-density from the same contour.
+inverse by Newton-Halley steps (``_upper_gamma_inv``).  The exact tail of
+the weighted sum (``weighted_chisq_tail``) inverts its moment generating
+function along a contour through the saddlepoint, and its quantile
+(``weighted_chisq_quantile_exact``) takes Newton steps with the density from
+the same contour.  Both quantiles find their root with one loop,
+``_bracketed_root``, which keeps a bracket of the root and bisects it where
+a step fails; each quantile supplies only its step.  The functions of the
+weights (the tail and both quantiles) divide them by the largest before any
+sum (``_checked_weights``) and multiply a quantile back, so weights whose
+squares under- or overflow still give finite results.
 """
 
 from __future__ import annotations
@@ -250,15 +255,60 @@ def weight_moments(omega: np.ndarray) -> tuple[float, float]:
     return float(np.trace(omega)), float(np.vdot(omega, omega))
 
 
-def _checked_weights(weights: np.ndarray) -> np.ndarray:
-    """The weights as a flat float array, after the checks the tail and both
-    quantiles share."""
+def _checked_weights(weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """(the positive weights divided by the largest, the largest weight):
+    the checks and the scaling that the tail and both quantiles share."""
     w = np.asarray(weights, dtype=np.float64).ravel()
     if w.size == 0 or np.all(w <= 0.0):
         raise DegenerateDistributionError("no positive weights")
     if not np.all(np.isfinite(w) & (w >= 0.0)):
         raise ValueError("weights must be finite and nonnegative")
-    return w
+    scale = float(w.max())
+    return w[w > 0.0] / scale, scale
+
+
+def _rescaled(scale: float, x: float) -> float:
+    """scale * x in Python floats, for a quantile x of the weights divided
+    by ``scale``; ``ValueError`` where the product overflows."""
+    q = scale * float(x)
+    if q == math.inf:
+        raise ValueError("the quantile of these weights is not finite")
+    return q
+
+
+def _bracketed_root(evaluate, x: float, rtol: float) -> float:
+    """The root of a function of x > 0, from the start x.
+
+    ``evaluate(x)`` returns whether the root lies above x, the next iterate
+    of the caller's Newton or Halley step, and a bound on the step that
+    would follow that iterate (inf where there is none).  Each evaluation
+    moves one end of a bracket [lo, hi] of the root, at first [0, inf), to
+    x.  The next x is the iterate, or, where that leaves the bracket or its
+    step is not below half the step before the last, the bracket's midpoint
+    (2 lo while hi is unbounded), so the steps shrink at least
+    geometrically.  The loop returns the iterate once its step is within
+    ``rtol`` of x, and x once the bracket is; it also returns an iterate it
+    keeps once the bound on the step after it is within ``rtol``, without
+    the evaluation that would only confirm it.
+    """
+    lo, hi = 0.0, math.inf
+    step_before = step = math.inf
+    while True:
+        above, x_new, next_step = evaluate(x)
+        if above:
+            lo = x
+        else:
+            hi = x
+        if abs(x_new - x) <= rtol * x:
+            return x_new
+        if hi - lo <= rtol * x:
+            return x
+        if not lo < x_new < hi or abs(x_new - x) > 0.5 * abs(step_before):
+            x_new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        elif next_step <= rtol * x_new:
+            return x_new
+        step_before, step = step, x_new - x
+        x = x_new
 
 
 def _log_gamma_front(a: float, x: float) -> float:
@@ -331,12 +381,9 @@ def _upper_gamma_inv(a: float, q: float) -> float:
     1/2, else T = P and t = 1 - q (exact), so the root keeps the digits of
     the tail that is given (DiDonato and Morris 1986).  The start is
     Wilson-Hilferty's (1931) cube of a normal quantile, or x^a / Gamma(a + 1)
-    = t where that cube is not positive.  Each evaluation moves one end of a
-    bracket [lo, hi] of the root to x; the next x is a Newton step on log T
-    with Halley's correction, or, where that step leaves the bracket or is
-    not below half the step before it, the bracket's midpoint (2 lo while
-    hi is unbounded).  The steps so shrink at least geometrically, and the
-    loop ends once a step, or the bracket, is within ``_INV_RTOL`` of x.
+    = t where that cube is not positive.  The step is Newton's on log T with
+    Halley's correction, taken inside the bracket of ``_bracketed_root``
+    until it is within ``_INV_RTOL`` of x.
 
     With L = log T, L'' = L' ((a - 1)/x - 1 - L'), and L''' is one more
     derivative of that, so each evaluation also bounds the step that would
@@ -358,40 +405,25 @@ def _upper_gamma_inv(a: float, q: float) -> float:
         x = a * cube**3
     else:
         x = math.exp((target + math.lgamma(a + 1.0)) / a)
-    lo, hi = 0.0, math.inf
-    step_before = step = math.inf
-    while True:
+
+    def evaluate(x):
         log_p, log_q, log_front = _log_gamma_tails(a, x)
         log_t = log_p if lower else log_q
         g = log_t - target
-        if sign * g < 0.0:
-            lo = x
-        else:
-            hi = x
+        above = sign * g < 0.0
         slope = sign * math.exp(log_front - log_t) / x  # L' = d log T / dx
-        next_step = math.inf  # bound on the step after a Halley step
         if slope == 0.0:
-            x_new = math.inf  # out of the bracket
-        else:
-            newton = g / slope
-            curv = (a - 1.0) / x - 1.0 - slope  # L'' / L'
-            halley = 0.5 * newton * curv
-            if abs(halley) < 0.5:
-                x_new = x - newton / (1.0 - halley)
-                third = curv * curv - (a - 1.0) / (x * x) - slope * curv  # L''' / L'
-                next_step = 2.0 * abs(third / 6.0 - curv * curv / 4.0) * abs(x_new - x) ** 3
-            else:
-                x_new = x - newton
-        if abs(x_new - x) <= _INV_RTOL * x:
-            return x_new
-        if hi - lo <= _INV_RTOL * x:
-            return x
-        if not lo < x_new < hi or abs(x_new - x) > 0.5 * abs(step_before):
-            x_new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
-        elif next_step <= _INV_RTOL * x_new:
-            return x_new
-        step_before, step = step, x_new - x
-        x = x_new
+            return above, math.inf, math.inf  # out of the bracket
+        newton = g / slope
+        curv = (a - 1.0) / x - 1.0 - slope  # L'' / L'
+        halley = 0.5 * newton * curv
+        if abs(halley) >= 0.5:
+            return above, x - newton, math.inf
+        x_new = x - newton / (1.0 - halley)
+        third = curv * curv - (a - 1.0) / (x * x) - slope * curv  # L''' / L'
+        return above, x_new, 2.0 * abs(third / 6.0 - curv * curv / 4.0) * abs(x_new - x) ** 3
+
+    return _bracketed_root(evaluate, x, _INV_RTOL)
 
 
 def scaled_chisq_upper_quantile(sum_w: float, sum_w2: float, alpha: float) -> float:
@@ -431,15 +463,15 @@ def weighted_chisq_upper_quantile(weights: np.ndarray, alpha: float) -> float:
 
     Matches the mean and variance with a * chi2_d, a = sum(w^2)/sum(w) and
     d = sum(w)^2/sum(w^2); within 1e-13 of the chi-square quantile for a
-    single weight and for equal weights, and scale-equivariant in the weights
-    up to the rounding of d.  Only the two sums enter, so the trace tests
-    call ``scaled_chisq_upper_quantile`` with tr Omega and ||Omega||_F^2 and
-    never form the weights.
+    single weight and for equal weights.  The two sums are taken of the
+    weights divided by the largest and the quantile is multiplied back by
+    it, so weights whose squares under- or overflow give a finite quantile
+    (``ValueError`` where the quantile itself overflows).  Only the two
+    sums enter, so the trace tests call ``scaled_chisq_upper_quantile``
+    with tr Omega and ||Omega||_F^2 and never form the weights.
     """
-    w = _checked_weights(weights)
-    with np.errstate(over="ignore"):  # an overflowing sum raises ValueError below
-        sum_w, sum_w2 = float(w.sum()), float(w @ w)
-    return scaled_chisq_upper_quantile(sum_w, sum_w2, alpha)
+    w, scale = _checked_weights(weights)
+    return _rescaled(scale, scaled_chisq_upper_quantile(float(w.sum()), float(w @ w), alpha))
 
 
 def _contour_tail(w: np.ndarray, x: float) -> tuple[bool, float, float]:
@@ -520,9 +552,7 @@ def weighted_chisq_tail(weights: np.ndarray, x: float) -> float:
     max w) the Chernoff bound e^(K(1/4) - x/4) puts the tail below the
     smallest float, and 0 is returned.
     """
-    w = _checked_weights(weights)
-    scale = float(w.max())
-    w = w[w > 0.0] / scale
+    w, scale = _checked_weights(weights)
     x = float(x) / scale
     if math.isnan(x):
         raise ValueError("x must not be NaN")
@@ -537,41 +567,26 @@ def weighted_chisq_tail(weights: np.ndarray, x: float) -> float:
 def weighted_chisq_quantile_exact(weights: np.ndarray, alpha: float) -> float:
     """The x with ``weighted_chisq_tail(weights, x)`` = alpha.
 
-    Solves log P(Q > x) = log alpha from the two-moment quantile.  Each step
-    is a Newton step with the density f (d log P / dx = -f / P), or, where
-    that step leaves the bracket of the root that the evaluations so far
-    give or is not below half the step before it, the bracket's midpoint, as
-    in ``_upper_gamma_inv``.  It stops once a Newton step is within 1e-10 of
-    x, after which the root is good to the tail's accuracy: 3-4 tail
-    evaluations on the trace tests' weights.  Weights whose sums overflow
-    raise ``ValueError``, as in the two-moment quantile, which gives the
-    start.
+    Solves log P(Q > x) = log alpha for the weights divided by the largest,
+    from their two-moment quantile, by Newton steps with the density f
+    (d log P / dx = -f / P) inside the bracket of ``_bracketed_root``.  It
+    stops once a step is within 1e-10 of x, after which the root is good to
+    the tail's accuracy: 3-4 tail evaluations on the trace tests' weights.
+    The root is multiplied back by the largest weight, as in the two-moment
+    quantile (``ValueError`` where that overflows).
     """
-    w = _checked_weights(weights)
-    scale = float(w.max())
-    x = weighted_chisq_upper_quantile(w, alpha) / scale
-    w = w[w > 0.0] / scale
+    w, scale = _checked_weights(weights)
+    start = scaled_chisq_upper_quantile(float(w.sum()), float(w @ w), alpha)
     target = math.log(alpha)
-    lo, hi = 0.0, math.inf
-    step_before = math.inf
-    while True:
+
+    def evaluate(x):
         upper, log_t, log_f = _contour_tail(w, x)
         if not upper:  # log P(Q > x) from P(Q <= x)
             log_t = math.log1p(-math.exp(log_t))
         g = log_t - target
-        if g > 0.0:
-            lo = x
-        else:
-            hi = x
-        x_new = x + g * math.exp(log_t - log_f)
-        if abs(x_new - x) <= 1e-10 * x:
-            return scale * x_new
-        if hi - lo <= 1e-10 * x:
-            return scale * x
-        if not lo < x_new < hi or abs(x_new - x) > 0.5 * abs(step_before):
-            x_new = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
-        step_before = x_new - x
-        x = x_new
+        return g > 0.0, x + g * math.exp(log_t - log_f), math.inf
+
+    return _rescaled(scale, _bracketed_root(evaluate, start, 1e-10))
 
 
 @dataclass(frozen=True)

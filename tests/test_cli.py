@@ -93,6 +93,41 @@ class TestIngest:
         with pytest.raises(NonNumericCellError, match="row 5 has 2 cells, expected 3"):
             ingest_csv(str(path))
 
+    @pytest.mark.parametrize(
+        "content",
+        ["café,y\n".encode("latin-1") + b"1,2\n" * 12, bytes(range(256)) * 4],
+        ids=["latin-1-header", "binary"],
+    )
+    def test_file_that_is_not_utf8_text(self, tmp_path, content):
+        path = tmp_path / "latin.csv"
+        path.write_bytes(content)
+        with pytest.raises(IngestionError, match="is not UTF-8 text") as exc:
+            ingest_csv(str(path))
+        assert exc.value.category == "ingestion" and str(path) in str(exc.value)
+
+    def test_cell_over_the_csv_field_limit_names_its_line(self, tmp_path):
+        path = tmp_path / "long.csv"
+        path.write_text("x1,y\n" + "1,2\n" * 3 + "1" * 200_000 + ",2\n" + "1,2\n" * 10)
+        with pytest.raises(IngestionError, match="line 5: field larger than field limit") as exc:
+            ingest_csv(str(path))
+        assert exc.value.category == "ingestion" and str(path) in str(exc.value)
+
+    @pytest.mark.parametrize(
+        "content", ["café,y\n".encode("latin-1"), b"x1,y\n" + b"1" * 200_000 + b",2\n"],
+        ids=["latin-1-header", "long-cell"],
+    )
+    def test_unreadable_file_is_an_ingestion_record(self, tmp_path, capsys, content):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(content + b"1,2\n" * 12)
+        out = tmp_path / "o.jsonl"
+        argv = ["select", str(path), "--format", "json-lines"]
+        assert main(argv) == 1
+        record = json.loads(capsys.readouterr().out)
+        assert main(argv + ["--out", str(out)]) == 1
+        assert json.loads(out.read_text()) == record
+        assert record["error"]["category"] == "ingestion"
+        assert str(path) in record["error"]["message"]
+
     def test_round_trip_bit_equal(self, tmp_path):
         d, _ = generate(SimDesign(model="I", n=50, p=5, seed=8))
         path = tmp_path / "roundtrip.csv"

@@ -35,6 +35,8 @@ def test_records_hold_floats_as_hex(lines):
     test = next(rec for rec in records if rec["key"] == "I/s7/n14p6r0.0/dr/test/f4")
     assert float.fromhex(test["statistic"]) > 0.0
     assert test["plain"][:2] == [test["statistic"], test["threshold"]]
+    two_moment = float.fromhex(test["weight_quantiles"][0])
+    assert two_moment == pytest.approx(float.fromhex(test["threshold"]), rel=1e-12)
     htp = next(rec for rec in records if rec["key"] == "I/s7/n14p6r0.0/sir/htp/a5.0")
     assert htp["error"].startswith("ValueError: alpha")
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -256,13 +257,31 @@ class TestWeightedChisqQuantile:
     @given(
         st.lists(st.floats(0.05, 5.0), min_size=1, max_size=12),
         st.floats(0.005, 0.2),
-        st.floats(0.1, 20.0),
+        st.floats(1.0, 10.0),
+        st.integers(-200, 200),
     )
-    def test_scale_equivariance_exact(self, w, alpha, c):
-        w = np.array(w)
-        a = weighted_chisq_upper_quantile(c * w, alpha)
-        b = c * weighted_chisq_upper_quantile(w, alpha)
-        assert a == pytest.approx(b, rel=1e-12)
+    @pytest.mark.parametrize("function", WEIGHT_FUNCTIONS)
+    def test_scale_equivariance_exact(self, function, w, alpha, mantissa, decade):
+        """Both quantiles scale with the weights, and the tail at c x is the
+        tail at x, for c from 1e-200 to 1e201."""
+        w, c = np.array(w), mantissa * 10.0**decade
+        if function is weighted_chisq_tail:
+            x = weighted_chisq_upper_quantile(w, alpha)
+            assert function(c * w, c * x) == pytest.approx(function(w, x), rel=1e-12)
+        else:
+            assert function(c * w, alpha) == pytest.approx(c * function(w, alpha), rel=1e-12)
+
+    @pytest.mark.parametrize("quantile", WEIGHT_FUNCTIONS[:2])
+    @pytest.mark.parametrize(
+        "weights, chisq", [([3e-200], 3.841458820694124), ([1e300, 1e300], 5.991464547107979)]
+    )
+    def test_weights_whose_squares_underflow_or_overflow(self, quantile, weights, chisq):
+        """Weights of 3e-200 (squares 0) and 1e300 (squares inf) give the
+        chi2_1 and chi2_2 quantiles times the weight, and the tail there is
+        alpha."""
+        q = weights[0] * chisq
+        assert quantile(np.array(weights), 0.05) == pytest.approx(q, rel=1e-13, abs=0.0)
+        assert weighted_chisq_tail(weights, q) == pytest.approx(0.05, rel=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.floats(0.05, 5.0), min_size=2, max_size=12), st.data())
@@ -363,8 +382,33 @@ class TestExactTail:
     def test_weights_whose_sums_overflow_raise_in_both_quantiles(self):
         w = np.full(2, 1e308)
         for quantile in (weighted_chisq_upper_quantile, weighted_chisq_quantile_exact):
-            with pytest.raises(ValueError, match="finite"):
-                quantile(w, 0.05)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="finite"):
+                    quantile(w, 0.05)
+
+
+class TestBracketedRoot:
+    """The loop both quantiles share, with steps that fail: one that always
+    leaves the bracket (the loop doubles, then bisects) and one that
+    overshoots the root 3 by 0.9 of its distance, so its steps do not
+    halve."""
+
+    @pytest.mark.parametrize(
+        "step", [lambda x: -x, lambda x: 3.0 - 0.9 * (x - 3.0)], ids=["leaves", "no-halving"]
+    )
+    @pytest.mark.parametrize("start", [1e-3, 0.5, 3.5, 1e3])
+    @pytest.mark.parametrize("rtol", [1e-10, nulldist._INV_RTOL])
+    def test_fallback_reaches_the_root(self, step, start, rtol):
+        calls = []
+
+        def evaluate(x):
+            calls.append(x)
+            return x < 3.0, step(x), math.inf
+
+        root = nulldist._bracketed_root(evaluate, start, rtol)
+        assert abs(root - 3.0) <= rtol * root
+        assert len(calls) < 80
 
 
 def _chisq_upper(dof, alpha):
